@@ -42,9 +42,9 @@
 #include "persist/treap.hpp"
 #include "reclaim/epoch.hpp"
 #include "store/executor.hpp"
-#include "store/router.hpp"
 #include "store/shard_stats.hpp"
 #include "store/sharded_map.hpp"
+#include "store/tablet_router.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -253,7 +253,7 @@ struct CoalesceCell {
 CoalesceCell run_coalesce_cell(int duration_ms, std::size_t clients,
                                bool print_board) {
   using Uc = core::CombiningAtom<Treap, Epoch, alloc::ThreadCache>;
-  using Router = store::RangeRouter<std::int64_t>;
+  using Router = store::TabletRouter<std::int64_t>;
   using Map = store::ShardedMap<Uc, Router>;
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kResident = std::size_t{1} << 15;

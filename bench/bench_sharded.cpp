@@ -4,8 +4,9 @@
 //
 // The single-atom UC is capped by one CAS stream per structure; S shards
 // give S independent install streams. Every cell runs the same workload
-// through ShardedMap over a range router (equal-width keyspace split, so
-// per-shard streams stay local) in three ingest modes:
+// through ShardedMap over a uniform tablet table (equal-width keyspace
+// split, one tablet per shard, so per-shard streams stay local) in three
+// ingest modes:
 //
 //   * per-op      — each thread routes point inserts/erases to the owning
 //     shard (the classic workload, one root CAS per landing op on the
@@ -66,10 +67,9 @@
 #include "reclaim/epoch.hpp"
 #include "store/executor.hpp"
 #include "store/rebalancer.hpp"
-#include "store/router.hpp"
-#include "store/tablet_router.hpp"
 #include "store/shard_stats.hpp"
 #include "store/sharded_map.hpp"
+#include "store/tablet_router.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -80,8 +80,7 @@ using Smr = reclaim::EpochReclaimer;
 using TC = alloc::ThreadCache;
 using PlainUc = core::Atom<Treap, Smr, TC>;
 using CombUc = core::CombiningAtom<Treap, Smr, TC>;
-using Router = store::RangeRouter<std::int64_t>;
-using TabR = store::TabletRouter<std::int64_t>;
+using Router = store::TabletRouter<std::int64_t>;
 
 enum class Skew { kZipf, kHot, kMoving };
 
@@ -96,8 +95,7 @@ struct Config {
   // Skew sweep (rebalancing acceptance experiment):
   std::vector<Skew> skews;       // --skew (repeatable); defaults to zipf
   bool skew_only = false;        // --skew given: run just the skew sweep
-  bool continuous = false;       // --continuous: add the adaptive-tablet row
-  bool assert_migrated = false;  // exit 1 unless the adaptive cells migrated
+  bool assert_migrated = false;  // exit 1 unless the adaptive cells balanced
   const char* json_path = nullptr;  // --json: machine-readable skew rows
   // Executor-lanes acceptance (the lock-free lane + coalescing PR):
   bool assert_coalesce = false;  // exit 1 unless a contended cell coalesced
@@ -116,7 +114,7 @@ std::int64_t key_space_of(const Config& cfg) {
   return static_cast<std::int64_t>(2 * cfg.initial_keys);
 }
 
-/// Every cell's store has the same shape: equal-width range split of the
+/// Every cell's store has the same shape: equal-width tablets over the
 /// doubled key space, pre-filled with the even keys in one bulk load.
 /// One seeding scheme, one place (cells and the cut section must agree
 /// or they benchmark differently-shaped stores).
@@ -139,8 +137,7 @@ Cell run_cell(const Config& cfg, std::size_t shards, Mode mode,
   alloc::PoolBackend pool;
   alloc::ThreadCache root_cache(pool);
   const std::int64_t key_space = key_space_of(cfg);
-  Map map(shards, root_cache,
-          shards == 1 ? Router{} : Router::uniform(0, key_space, shards));
+  Map map(shards, root_cache, Router::uniform(0, key_space, shards));
   // The executor (if any) is attached before seeding, so the bulk load
   // itself also goes through the per-shard workers.
   std::optional<store::ShardExecutor<Uc>> exec;
@@ -265,8 +262,7 @@ void cut_read_bench(const Config& cfg, std::size_t shards,
   alloc::PoolBackend pool;
   alloc::ThreadCache root_cache(pool);
   const std::int64_t key_space = key_space_of(cfg);
-  Map map(shards, root_cache,
-          shards == 1 ? Router{} : Router::uniform(0, key_space, shards));
+  Map map(shards, root_cache, Router::uniform(0, key_space, shards));
   seed_even_keys(cfg, map, root_cache);
   const auto [writers, readers] = cut_topology(cfg);
   store::ShardStatsBoard board(shards);
@@ -487,35 +483,27 @@ int lanes_section(const Config& cfg) {
 // and the S-install-stream scaling story reverts to the single-atom
 // baseline. The router policies run the same skewed workload:
 //
-//   static-uniform — the pre-rebalancing status quo (the victim);
-//   static-fitted  — RangeRouter::from_samples over an offline sample of
-//                    the workload (the oracle fit: what adaptive should
-//                    converge to, without paying for a live migration);
-//   adaptive       — starts uniform; a control thread runs the
-//                    Rebalancer's sketch -> plan -> migrate loop while
-//                    the workload hammers the store. One contiguous
-//                    range per shard, so fixing a hot head re-draws
-//                    every boundary and repacks the cold mass: balance
-//                    is bought with ~most of the resident keys moving;
-//   adaptive-tablet (--continuous) — starts as a uniform tablet table;
-//                    the control thread runs the continuous tick loop:
-//                    split the hot head (zero keys), reassign one
-//                    right-sized tablet at a time under the migration
-//                    throttle's keys-per-interval budget. Cold tablets
-//                    never change owner, so balance costs a fraction of
-//                    the resident mass — the keys-moved and max/ideal
-//                    columns side by side are this PR's acceptance
-//                    numbers.
+//   static-uniform  — the pre-rebalancing status quo (the victim);
+//   static-fitted   — TabletRouter::from_samples over an offline sample of
+//                     the workload (the oracle fit: one tablet per shard
+//                     at the sample quantiles, without paying for a live
+//                     migration);
+//   adaptive-tablet — starts as a uniform tablet table; a control thread
+//                     runs the continuous tick loop: split the hot head
+//                     (zero keys), reassign one right-sized tablet at a
+//                     time under the migration throttle's keys-per-
+//                     interval budget. Cold tablets never change owner, so
+//                     balance costs a fraction of the resident mass — the
+//                     keys-moved and max/ideal columns are the acceptance
+//                     numbers.
 //
-// Skew cells run 3x the base duration: a first migration under heavy
-// skew moves a large slice of the resident keys (quantile bounds pack
-// the cold mass into few shards), and the cell must amortize that
-// one-time cost the way a long-running store would.
+// Skew cells run 3x the base duration, so the adaptive cell spends most
+// of its time on the balanced table it converges to, the way a
+// long-running store would.
 
 enum class RouterPolicy {
   kStaticUniform,
   kStaticFitted,
-  kAdaptive,
   kAdaptiveTablet,
 };
 
@@ -589,24 +577,20 @@ std::uint64_t continuous_budget(const Config& cfg) {
   return std::max<std::uint64_t>(8192, cfg.initial_keys / 8);
 }
 
-template <class Uc, class RouterT>
+template <class Uc>
 SkewCell run_skew_cell(const Config& cfg, Skew skew, std::size_t shards,
                        Mode mode, RouterPolicy policy,
                        const bench::ZipfGen* zipf,
                        store::ShardStatsBoard& board) {
-  using Map = store::ShardedMap<Uc, RouterT>;
+  using Map = store::ShardedMap<Uc, Router>;
   alloc::PoolBackend pool;
   alloc::ThreadCache root_cache(pool);
   const std::int64_t key_space = key_space_of(cfg);
-  RouterT router = RouterT::uniform(0, key_space, shards);
-  if constexpr (requires(std::span<const std::int64_t> s) {
-                  RouterT::from_samples(s, shards);
-                }) {
-    if (policy == RouterPolicy::kStaticFitted) {
-      const auto sample = skew_sample(cfg, skew, zipf, 1 << 16);
-      router = RouterT::from_samples(std::span<const std::int64_t>(sample),
-                                     shards);
-    }
+  Router router = Router::uniform(0, key_space, shards);
+  if (policy == RouterPolicy::kStaticFitted) {
+    const auto sample = skew_sample(cfg, skew, zipf, 1 << 16);
+    router =
+        Router::from_samples(std::span<const std::int64_t>(sample), shards);
   }
   Map map(shards, root_cache, std::move(router));
   std::optional<store::ShardExecutor<Uc>> exec;
@@ -620,42 +604,25 @@ SkewCell run_skew_cell(const Config& cfg, Skew skew, std::size_t shards,
     }
   }
   const int duration_ms = cfg.duration_ms * 3;
-  // The adaptive policies' control thread: drive the sketch -> plan ->
-  // migrate loop until the workload stops. Owns its own allocator view
-  // and the Rebalancer (its per-shard reclaimer registrations live on
-  // this thread), folding migration counters into the board on exit.
-  // kAdaptive re-fits the whole topology per pass; kAdaptiveTablet runs
-  // the continuous tick — frequent small steps under the throttle.
+  // The adaptive policy's control thread: drive the continuous tick loop
+  // until the workload stops. Owns its own allocator view and the
+  // Rebalancer (its per-shard reclaimer registrations live on this
+  // thread), folding migration counters into the board on exit. Ticks
+  // run often; each is one cheap step (or a deferral), so the cadence
+  // sets reaction latency, not migration volume — the throttle meters
+  // that.
   SkewCell cell;
   std::atomic<bool> reb_stop{false};
   std::thread ticker;
-  if (policy == RouterPolicy::kAdaptive ||
-      policy == RouterPolicy::kAdaptiveTablet) {
+  if (policy == RouterPolicy::kAdaptiveTablet) {
     ticker = std::thread([&] {
       alloc::ThreadCache cache(pool);
       store::RebalanceConfig rcfg;
       rcfg.budget_keys = continuous_budget(cfg);
       store::Rebalancer<Map> reb(map, cache, rcfg);
-      if constexpr (store::TabletTable<RouterT>) {
-        if (policy == RouterPolicy::kAdaptiveTablet) {
-          // Continuous mode: tick often; each tick is one cheap step
-          // (or a deferral) so the cadence sets reaction latency, not
-          // migration volume — the throttle meters that.
-          while (!reb_stop.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-            reb.tick();
-          }
-        }
-      }
-      if (policy == RouterPolicy::kAdaptive) {
-        // Short ticks: the first fit should land early so the cell
-        // spends its time under the fitted topology, not waiting.
-        const auto tick =
-            std::chrono::milliseconds(std::max(5, cfg.duration_ms / 30));
-        while (!reb_stop.load(std::memory_order_relaxed)) {
-          std::this_thread::sleep_for(tick);
-          reb.maybe_rebalance();
-        }
+      while (!reb_stop.load(std::memory_order_relaxed)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        reb.tick();
       }
       const store::RebalanceStats& st = reb.stats();
       cell.migrations = st.migrations;
@@ -760,10 +727,9 @@ class JsonSink {
     std::fprintf(f_,
                  "  {\"row\": \"meta\", \"bench\": \"bench_sharded\", "
                  "\"threads\": %zu, \"shards\": %zu, \"initial_keys\": %zu, "
-                 "\"cell_ms\": %d, \"hw_threads\": %zu, \"continuous\": %s}",
+                 "\"cell_ms\": %d, \"hw_threads\": %zu}",
                  cfg.threads, shards, cfg.initial_keys, cfg.duration_ms * 3,
-                 bench::hardware_threads(),
-                 cfg.continuous ? "true" : "false");
+                 bench::hardware_threads());
   }
 
   /// One printed table row, plus the representative cell's rebalancing
@@ -809,22 +775,20 @@ class JsonSink {
   bool first_ = true;
 };
 
+/// The adaptive-tablet row's representative cell (each cell is one
+/// fresh store, so "keys moved vs resident" and "peak interval vs
+/// budget" are per-cell statements).
 struct SkewSummary {
-  std::uint64_t adaptive_migrations = 0;
-  double adaptive_share = 0.0;  // final max/ideal load share, adaptive row
-  // adaptive-tablet row, representative cell (--continuous only):
-  bool have_tablet = false;
-  std::uint64_t tablet_migrations = 0;
-  double tablet_share = 0.0;
-  std::uint64_t tablet_keys_moved = 0;
-  std::uint64_t tablet_peak_interval = 0;
-  std::uint64_t tablet_peak_est = 0;
-  std::uint64_t tablet_escapes = 0;
-  std::uint64_t tablet_budget = 0;
+  std::uint64_t migrations = 0;
+  double share = 0.0;  // final max/ideal load share
+  std::uint64_t keys_moved = 0;
+  std::uint64_t peak_est = 0;
+  std::uint64_t escapes = 0;
+  std::uint64_t budget = 0;
 };
 
-/// Runs the router policies over one skew; returns the adaptive rows'
-/// migration counts and final load balance (for --assert-migrated).
+/// Runs the router policies over one skew; returns the adaptive-tablet
+/// row's summary (for --assert-migrated).
 SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
   const std::size_t shards = cfg.shards.back();
   const std::int64_t key_space = key_space_of(cfg);
@@ -841,26 +805,18 @@ SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
               "keys-moved", "max/ideal");
   SkewSummary sum;
   std::unique_ptr<store::ShardStatsBoard> detail_board;
-  const char* detail_name = "adaptive";
-  std::vector<RouterPolicy> policies = {RouterPolicy::kStaticUniform,
-                                        RouterPolicy::kStaticFitted,
-                                        RouterPolicy::kAdaptive};
-  // The continuous row goes last so its board (with the rebalance
-  // footer) is the one printed below the table.
-  if (cfg.continuous) policies.push_back(RouterPolicy::kAdaptiveTablet);
-  for (const RouterPolicy policy : policies) {
+  // The adaptive row goes last so its board (with the rebalance footer)
+  // is the one printed below the table.
+  for (const RouterPolicy policy :
+       {RouterPolicy::kStaticUniform, RouterPolicy::kStaticFitted,
+        RouterPolicy::kAdaptiveTablet}) {
     const char* name = policy == RouterPolicy::kStaticUniform
                            ? "static-uniform"
                        : policy == RouterPolicy::kStaticFitted
                            ? "static-fitted"
-                       : policy == RouterPolicy::kAdaptive ? "adaptive"
-                                                           : "adaptive-tablet";
+                           : "adaptive-tablet";
     const auto run_one = [&](Mode mode, store::ShardStatsBoard& b) {
-      return policy == RouterPolicy::kAdaptiveTablet
-                 ? run_skew_cell<CombUc, TabR>(cfg, skew, shards, mode,
-                                               policy, z, b)
-                 : run_skew_cell<CombUc, Router>(cfg, skew, shards, mode,
-                                                 policy, z, b);
+      return run_skew_cell<CombUc>(cfg, skew, shards, mode, policy, z, b);
     };
     auto per_op_board = std::make_unique<store::ShardStatsBoard>(shards);
     const SkewCell per_op = run_one(Mode::kPerOp, *per_op_board);
@@ -894,35 +850,22 @@ SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
                 rep.max_load_share);
     json.row(skew, name, shards, per_op, sync_cell, async_cell, rep,
              migrations, keys_moved, cfg.initial_keys);
-    if (policy == RouterPolicy::kAdaptive) {
-      sum.adaptive_migrations = migrations;
-      sum.adaptive_share = rep.max_load_share;
-    }
     if (policy == RouterPolicy::kAdaptiveTablet) {
-      // Assertable quantities come from the representative cell alone:
-      // each cell is one fresh store, so "keys moved vs resident" and
-      // "peak interval vs budget" are per-cell statements.
-      sum.have_tablet = true;
-      sum.tablet_migrations = rep.migrations;
-      sum.tablet_share = rep.max_load_share;
-      sum.tablet_keys_moved = rep.keys_moved;
-      sum.tablet_peak_interval = rep.peak_interval_keys;
-      sum.tablet_peak_est = rep.peak_interval_est;
-      sum.tablet_escapes = rep.oversize_escapes;
-      sum.tablet_budget = rep.budget_keys;
-    }
-    if (policy == RouterPolicy::kAdaptive ||
-        policy == RouterPolicy::kAdaptiveTablet) {
-      detail_name = name;
+      sum.migrations = rep.migrations;
+      sum.share = rep.max_load_share;
+      sum.keys_moved = rep.keys_moved;
+      sum.peak_est = rep.peak_interval_est;
+      sum.escapes = rep.oversize_escapes;
+      sum.budget = rep.budget_keys;
       detail_board = cfg.run_async  ? std::move(async_board)
                      : cfg.run_sync ? std::move(sync_board)
                                     : std::move(per_op_board);
     }
   }
   if (detail_board != nullptr) {
-    std::printf("\nper-shard stats, %s %s cell (installs rebalanced "
-                "across shards; mig-in/mig-out = migrated keys):\n",
-                detail_name,
+    std::printf("\nper-shard stats, adaptive-tablet %s cell (installs "
+                "rebalanced across shards; mig-in/mig-out = migrated "
+                "keys):\n",
                 cfg.run_async  ? "async batch-ingest"
                 : cfg.run_sync ? "sync batch-ingest"
                                : "per-op");
@@ -968,8 +911,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--skew takes zipf|hot|moving (repeatable)\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--continuous") == 0) {
-      cfg.continuous = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       cfg.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--assert-migrated") == 0) {
@@ -985,7 +926,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--quick] [--threads N] [--duration-ms N]"
                    " [--initial N] [--ingest sync|async|both]"
-                   " [--skew zipf|hot|moving]... [--continuous]"
+                   " [--skew zipf|hot|moving]..."
                    " [--json PATH] [--assert-migrated]"
                    " [--assert-coalesce] [--lanes-json PATH]\n",
                    argv[0]);
@@ -994,59 +935,43 @@ int main(int argc, char** argv) {
   }
   if (cfg.skews.empty()) cfg.skews.push_back(Skew::kZipf);
 
-  // Gate one skew's summary against the --assert-migrated contract.
-  // The whole-topology adaptive row must have migrated and landed on a
-  // usably balanced topology (generous bound: the refit is coarse).
-  // The continuous adaptive-tablet row carries the strict acceptance:
-  // balance actually reached (max/ideal <= 1.3), bought with at most a
-  // quarter of the resident keys, and never more than one throttle
-  // budget of keys inside one interval.
+  // Gate one skew's summary against the --assert-migrated contract:
+  // the adaptive-tablet row actually reached balance (max/ideal <= 1.3),
+  // bought with at most a quarter of the resident keys, and never more
+  // than one throttle budget of keys inside one interval.
   const auto check_summary = [&cfg](const SkewSummary& sum) -> int {
-    if (sum.adaptive_migrations == 0) {
+    if (sum.migrations == 0) {
       std::fprintf(stderr,
-                   "FAIL: adaptive cells completed without a migration\n");
+                   "FAIL: adaptive-tablet cells completed without a flip\n");
       return 1;
     }
-    if (sum.adaptive_share * 2.0 > static_cast<double>(cfg.shards.back())) {
-      std::fprintf(stderr,
-                   "FAIL: adaptive topology left the load unbalanced "
-                   "(max/ideal %.2f over %zu shards)\n",
-                   sum.adaptive_share, cfg.shards.back());
-      return 1;
-    }
-    if (!sum.have_tablet) return 0;
-    if (sum.tablet_migrations == 0) {
-      std::fprintf(stderr,
-                   "FAIL: continuous cells completed without a flip\n");
-      return 1;
-    }
-    if (sum.tablet_share > 1.3) {
+    if (sum.share > 1.3) {
       std::fprintf(stderr,
                    "FAIL: continuous rebalancing left the load unbalanced "
                    "(max/ideal %.2f, want <= 1.3)\n",
-                   sum.tablet_share);
+                   sum.share);
       return 1;
     }
-    if (sum.tablet_keys_moved * 4 > cfg.initial_keys) {
+    if (sum.keys_moved * 4 > cfg.initial_keys) {
       std::fprintf(stderr,
                    "FAIL: continuous rebalancing migrated %llu keys "
                    "(> 25%% of %zu resident)\n",
-                   static_cast<unsigned long long>(sum.tablet_keys_moved),
+                   static_cast<unsigned long long>(sum.keys_moved),
                    cfg.initial_keys);
       return 1;
     }
     // The policy bound is on *admitted estimates*: actual keys moved
-    // (tablet_peak_interval, printed in the stats line) may drift past
-    // the estimate by whatever the tablet gained between planning and
-    // the pinned extraction — honest reporting, not an over-admission.
+    // (peak_interval_keys, printed in the stats line) may drift past the
+    // estimate by whatever the tablet gained between planning and the
+    // pinned extraction — honest reporting, not an over-admission.
     // Estimates exceed the budget only via the documented full-bucket
     // oversize escape.
-    if (sum.tablet_peak_est > sum.tablet_budget && sum.tablet_escapes == 0) {
+    if (sum.peak_est > sum.budget && sum.escapes == 0) {
       std::fprintf(stderr,
                    "FAIL: throttle admitted estimates of %llu keys in one "
                    "interval (budget %llu, no oversize escape)\n",
-                   static_cast<unsigned long long>(sum.tablet_peak_est),
-                   static_cast<unsigned long long>(sum.tablet_budget));
+                   static_cast<unsigned long long>(sum.peak_est),
+                   static_cast<unsigned long long>(sum.budget));
       return 1;
     }
     return 0;
@@ -1073,7 +998,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("### store: sharded treap, %zu threads, 100%% updates, "
-              "%zu initial keys, range router, %d ms/cell "
+              "%zu initial keys, uniform tablets, %d ms/cell "
               "(%zu hw thread(s))\n\n",
               cfg.threads, cfg.initial_keys, cfg.duration_ms,
               bench::hardware_threads());

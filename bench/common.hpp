@@ -12,7 +12,9 @@
 //
 // On a 1-vCPU host the measured table cannot show real parallelism (the
 // workers time-share one core); it is still produced and recorded, while
-// the simulated table carries the shape reproduction. See EXPERIMENTS.md.
+// the simulated table carries the shape reproduction. The published
+// tables come from the source paper (cited in PAPER.md); re-taking the
+// measured table on real cores is ROADMAP.md item A.
 #pragma once
 
 #include <cstdint>

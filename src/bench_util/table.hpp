@@ -2,8 +2,9 @@
 //
 // The paper reports one row per workload: the sequential baseline's
 // absolute throughput followed by "UC <P>p" speedup ratios. print_table
-// renders exactly that layout so EXPERIMENTS.md can be compared against
-// the paper side by side.
+// renders exactly that layout, so a run compares side by side with the
+// source paper's tables (cited in PAPER.md); the measured re-take on
+// real cores is ROADMAP.md item A.
 #pragma once
 
 #include <cstddef>

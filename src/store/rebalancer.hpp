@@ -1,7 +1,5 @@
-// Rebalancer: distribution-fitted planning + live path-copying shard
-// migration for a ShardedMap — over a RangeRouter (whole-topology
-// quantile fits, PR 5) or a TabletRouter (tablet-delta plans and
-// budget-throttled continuous moves, PR 6).
+// Rebalancer: continuous tablet rebalancing + live path-copying shard
+// migration for a ShardedMap over a TabletRouter.
 //
 // A range-partitioned store is only as fast as its hottest shard: under
 // a Zipfian or hot-range keyspace the static uniform() split sends most
@@ -9,33 +7,31 @@
 // story collapses back to the single-atom baseline. The Rebalancer
 // closes the loop:
 //
-//   plan     — read the map's KeySketch (a reservoir sample of offered
-//              keys), measure the load imbalance under the current
-//              epoch's topology, and — past the threshold — fit a new
-//              one. RangeRouter: new split points at the sample's
-//              quantiles. TabletRouter: split hot tablets at quantile
-//              cuts (a boundary-only change: zero keys move), then
-//              greedily *reassign* whole tablets from hot to cold
-//              shards — cold tablets keep their owner, so only the hot
-//              head's resident keys pay migration.
-//   tick     — the continuous mode (tablet tables only): one small step
-//              per call — split the hottest tablet, or move exactly one
-//              tablet to the coldest shard — admission-controlled by a
-//              MigrationThrottle (keys-moved-per-interval budget) and
-//              deferred outright while client ops are parking or lanes
-//              are deep. Steady-state traffic never stalls behind a
-//              whole-store re-fit; balance is reached as a stream of
-//              cheap single-tablet flips.
+//   tick     — the planner: read the map's KeySketch (a reservoir sample
+//              of offered keys) and measure the load imbalance under the
+//              current epoch's tablet table; past the threshold take one
+//              small step per call — split the hottest tablet down to
+//              the coldest shard's deficit (a boundary-only flip: zero
+//              keys move), or move exactly one tablet to the coldest
+//              shard. Cold tablets keep their owner, so only the hot
+//              head's resident keys pay migration. Moves are
+//              admission-controlled by a MigrationThrottle
+//              (keys-moved-per-interval budget) and deferred outright
+//              while client ops are parking or lanes are deep.
+//              Steady-state traffic never stalls behind a whole-store
+//              re-fit; balance is reached as a stream of cheap
+//              single-tablet flips.
 //   migrate  — execute the epoch protocol from router_epoch.hpp:
-//              publish + drain (begin_epoch), then extract every key
-//              whose owner changed from a pinned source snapshot — the
-//              paper's trick doing systems work: a path-copied root IS a
-//              free consistent image of the shard, so the extraction
-//              runs on an immutable snapshot while non-moving writers
-//              proceed — bulk-install the moving segments into their new
-//              owners and erase them from the sources (each a plain
+//              publish + drain (begin_epoch), then, per moving segment
+//              of the tablet diff, extract its keys from a pinned source
+//              snapshot — the paper's trick doing systems work: a
+//              path-copied root IS a free consistent image of the shard,
+//              so the extraction runs on an immutable snapshot while
+//              non-moving writers proceed — bulk-install them into the
+//              new owner and erase them from the source (each a plain
 //              batch through the shard's own install path), and finally
-//              settle the epoch, releasing gated ops.
+//              settle the epoch, releasing gated ops. migrate_to runs
+//              the same flip for a caller-built table.
 //
 // Safety recap (the full argument lives in router_epoch.hpp): after the
 // drain no operation routed by the old topology is in flight, ops on
@@ -52,6 +48,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -71,14 +68,6 @@
 
 namespace pathcopy::store {
 
-/// A router exposing a tablet table (TabletRouter's surface): planning
-/// switches from whole-topology quantile fits to tablet deltas.
-template <class R>
-concept TabletTable = requires(const R r) {
-  { r.tablet_count() } -> std::convertible_to<std::size_t>;
-  { r.owners() } -> std::convertible_to<std::vector<std::size_t>>;
-};
-
 struct RebalanceConfig {
   /// Don't plan off fewer sampled keys than this (quantiles of a tiny
   /// reservoir are noise).
@@ -87,7 +76,7 @@ struct RebalanceConfig {
   /// multiple of the ideal (1/S) share.
   double imbalance_threshold = 1.3;
 
-  // ----- tablet planning (TabletTable routers only) -----
+  // ----- tablet planning -----
 
   /// Cap on table growth: at most this many tablets per shard on
   /// average before splits stop and a coalesce pass is tried instead.
@@ -111,7 +100,7 @@ struct RebalanceConfig {
 };
 
 struct RebalanceStats {
-  std::uint64_t plans = 0;        // plan()/tick() calls that had enough samples
+  std::uint64_t plans = 0;        // tick() calls that had enough samples
   std::uint64_t migrations = 0;   // executed topology flips (all kinds)
   std::uint64_t splits = 0;       // boundary-only flips (zero keys moved)
   std::uint64_t assignment_moves = 0;  // single-tablet continuous moves
@@ -246,17 +235,6 @@ class Rebalancer {
   Rebalancer(const Rebalancer&) = delete;
   Rebalancer& operator=(const Rebalancer&) = delete;
 
-  /// Fits a new topology to the sketch when the sampled load is
-  /// imbalanced past the threshold. nullopt: not enough samples, load
-  /// already balanced, or the fit reproduces the current topology.
-  std::optional<RouterT> plan() {
-    if constexpr (TabletTable<RouterT>) {
-      return plan_tablets();
-    } else {
-      return plan_range();
-    }
-  }
-
   /// Executes one live migration to `next` (publish → drain → extract →
   /// install → erase → settle). Blocks until the flip is settled.
   void migrate_to(RouterT next) {
@@ -266,22 +244,12 @@ class Rebalancer {
     map_->sketch().reset();
   }
 
-  /// plan() + migrate_to() in one step; true when a migration ran.
-  bool maybe_rebalance() {
-    std::optional<RouterT> next = plan();
-    if (!next.has_value()) return false;
-    migrate_to(std::move(*next));
-    return true;
-  }
-
-  /// One continuous-rebalancing step (tablet tables only): defer under
-  /// client pressure, else split the hottest tablet down to the coldest
-  /// shard's deficit (zero keys), else move exactly one tablet there —
-  /// if the throttle's key budget admits it. Call periodically from a
-  /// control thread; each call does at most one cheap flip.
-  TickResult tick()
-    requires TabletTable<RouterT>
-  {
+  /// One continuous-rebalancing step: defer under client pressure, else
+  /// split the hottest tablet down to the coldest shard's deficit (zero
+  /// keys), else move exactly one tablet there — if the throttle's key
+  /// budget admits it. Call periodically from a control thread; each
+  /// call does at most one cheap flip.
+  TickResult tick() {
     if (under_pressure()) {
       ++stats_.pressure_deferrals;
       return TickResult::kDeferredPressure;
@@ -384,10 +352,7 @@ class Rebalancer {
     s.peak_interval_est = throttle_.peak_interval_est();
     s.oversize_escapes = throttle_.oversize_escapes();
     s.budget_keys = throttle_.budget_keys();
-    if constexpr (TabletTable<RouterT>) {
-      s.tablets_per_shard =
-          map_->router().tablets_per_shard(map_->shard_count());
-    }
+    s.tablets_per_shard = map_->router().tablets_per_shard(map_->shard_count());
     return s;
   }
 
@@ -401,34 +366,24 @@ class Rebalancer {
   }
 
  private:
-  /// Does the backing structure support pruned half-open traversal? With
-  /// it a tablet segment is extracted in O(moved + log n); without it
-  /// migration falls back to the filtering full scan.
-  static constexpr bool kRangedExtract =
-      requires(const Structure s, const Key& k,
-               void (*f)(const Key&, const Value&)) {
-        s.for_each_range(k, k, f);
-      };
-
   /// The flip engine shared by migrate_to and tick: publish + drain,
-  /// run the router-appropriate migration, settle. Does NOT touch the
-  /// sketch — migrate_to resets it (whole-topology re-fit), tick decays
-  /// it (a single-tablet move invalidates little of the evidence).
+  /// migrate the moving tablets, settle. Does NOT touch the sketch —
+  /// migrate_to resets it (caller-built topology), tick decays it (a
+  /// single-tablet move invalidates little of the evidence).
   void flip_to(RouterT next) {
+    // Tablet segments are extracted by pruned half-open traversal, in
+    // O(moved + log n), with the key type's max as the unbounded edge.
+    static_assert(std::integral<Key>, "tablet migration needs integral keys");
+    static_assert(
+        requires(const Structure s, const Key& k,
+                 void (*f)(const Key&, const Value&)) {
+          s.for_each_range(k, k, f);
+        },
+        "tablet migration needs the structure's for_each_range");
     const std::lock_guard<std::mutex> lock(mu_);
     Epoch* e = map_->begin_epoch(std::move(next));
     std::uint64_t moved = 0;
-    if constexpr (TabletTable<RouterT>) {
-      if constexpr (kRangedExtract && std::integral<Key>) {
-        migrate_tablets(e, moved);
-      } else {
-        migrate_generic(e, moved);
-      }
-    } else if constexpr (RouterT::kOrderPreserving) {
-      migrate_ranges(e, moved);
-    } else {
-      migrate_generic(e, moved);
-    }
+    migrate_tablets(e, moved);
     map_->settle_epoch(e);
     stats_.migrations += 1;
     stats_.keys_moved += moved;
@@ -459,112 +414,6 @@ class Rebalancer {
       }
     }
     return false;
-  }
-
-  // ----- planning: RangeRouter (whole-topology quantile fit) -----
-
-  std::optional<RouterT> plan_range() {
-    std::vector<Key> samples = map_->sketch().sorted_sample();
-    if (samples.size() < cfg_.min_samples) return std::nullopt;
-    ++stats_.plans;
-    const Epoch* e = map_->current_epoch();
-    const std::size_t shards = map_->shard_count();
-    std::vector<std::size_t> load(shards, 0);
-    for (const Key& k : samples) ++load[e->router(k, shards)];
-    std::size_t max_load = 0;
-    for (const std::size_t l : load) max_load = std::max(max_load, l);
-    const double ideal =
-        static_cast<double>(samples.size()) / static_cast<double>(shards);
-    stats_.last_imbalance = static_cast<double>(max_load) / ideal;
-    if (stats_.last_imbalance < cfg_.imbalance_threshold) return std::nullopt;
-    RouterT fitted =
-        RouterT::from_samples(std::span<const Key>(samples), shards);
-    if (fitted.bounds() == e->router.bounds()) return std::nullopt;
-    return fitted;
-  }
-
-  // ----- planning: TabletRouter (split hot head + sticky assignment) --
-
-  /// Whole-plan tablet fit: refine tablets that alone exceed twice the
-  /// per-piece cap, then greedily reassign whole tablets hot → cold.
-  /// Cold tablets keep their owner, so the resulting flip migrates only
-  /// the tablets whose assignment actually changed — under a hot-head
-  /// skew that is the hot head's resident mass, not the whole store.
-  std::optional<RouterT> plan_tablets() {
-    std::vector<Key> samples = map_->sketch().sorted_sample();
-    if (samples.size() < cfg_.min_samples) return std::nullopt;
-    ++stats_.plans;
-    const Epoch* e = map_->current_epoch();
-    const std::size_t shards = map_->shard_count();
-    RouterT cur = e->router;
-    {
-      const std::vector<std::size_t> loads =
-          tablet_loads(cur, std::span<const Key>(samples));
-      std::vector<std::size_t> shard_load(shards, 0);
-      for (std::size_t t = 0; t < loads.size(); ++t) {
-        shard_load[cur.owner(t)] += loads[t];
-      }
-      std::size_t max_load = 0;
-      for (const std::size_t l : shard_load) max_load = std::max(max_load, l);
-      const double ideal =
-          static_cast<double>(samples.size()) / static_cast<double>(shards);
-      stats_.last_imbalance = static_cast<double>(max_load) / ideal;
-      if (stats_.last_imbalance < cfg_.imbalance_threshold) {
-        return std::nullopt;
-      }
-    }
-    // Refinement pass: no tablet should alone carry more than twice the
-    // piece cap (~half a shard's ideal share). Freshly cut pieces are
-    // already near the cap, so the loop skips over them.
-    const std::size_t piece_cap = std::max<std::size_t>(
-        cfg_.min_split_samples, samples.size() / (2 * shards));
-    const std::size_t max_tablets = cfg_.max_tablets_per_shard * shards;
-    for (std::size_t t = 0; t < cur.tablet_count(); ++t) {
-      if (cur.tablet_count() >= max_tablets) break;
-      const auto [first, last] =
-          tablet_slice(cur, t, std::span<const Key>(samples));
-      if (last - first <= 2 * piece_cap) continue;
-      const std::vector<Key> cuts = quantile_cuts(
-          cur, t, std::span<const Key>(samples), piece_cap, max_tablets);
-      if (cuts.empty()) continue;
-      cur = cur.with_split(t, std::span<const Key>(cuts));
-      t += cuts.size();
-    }
-    // Sticky assignment: start from the current owners and move the
-    // biggest improving tablet off the hottest shard until balanced.
-    const std::vector<std::size_t> loads =
-        tablet_loads(cur, std::span<const Key>(samples));
-    std::vector<std::size_t> owners = cur.owners();
-    std::vector<std::size_t> shard_load(shards, 0);
-    for (std::size_t t = 0; t < loads.size(); ++t) {
-      shard_load[owners[t]] += loads[t];
-    }
-    const double ideal =
-        static_cast<double>(samples.size()) / static_cast<double>(shards);
-    for (std::size_t guard = 0; guard < owners.size() * shards; ++guard) {
-      std::size_t h = 0, c = 0;
-      for (std::size_t s = 1; s < shards; ++s) {
-        if (shard_load[s] > shard_load[h]) h = s;
-        if (shard_load[s] < shard_load[c]) c = s;
-      }
-      if (static_cast<double>(shard_load[h]) <
-          ideal * cfg_.imbalance_threshold) {
-        break;
-      }
-      std::size_t best = owners.size();
-      for (std::size_t t = 0; t < owners.size(); ++t) {
-        if (owners[t] != h || loads[t] == 0) continue;
-        if (shard_load[c] + loads[t] >= shard_load[h]) continue;
-        if (best == owners.size() || loads[t] > loads[best]) best = t;
-      }
-      if (best == owners.size()) break;
-      owners[best] = c;
-      shard_load[h] -= loads[best];
-      shard_load[c] += loads[best];
-    }
-    RouterT next(cur.bounds(), std::move(owners));
-    if (next == e->router) return std::nullopt;
-    return next;
   }
 
   /// Sample-count load of every tablet (samples sorted ascending).
@@ -606,36 +455,6 @@ class Rebalancer {
     return {first, std::max(first, last)};
   }
 
-  /// Equal-load quantile cuts refining tablet t into ~piece_cap-sample
-  /// pieces (the whole-plan refinement). Duplicate quantiles are bumped
-  /// past the previous cut, from_samples-style; cuts that run out of
-  /// tablet interior are dropped.
-  std::vector<Key> quantile_cuts(const RouterT& r, std::size_t t,
-                                 std::span<const Key> samples,
-                                 std::size_t piece_cap,
-                                 std::size_t max_tablets) const {
-    const auto [first, last] = tablet_slice(r, t, samples);
-    const std::size_t cnt = last - first;
-    std::size_t pieces = cnt / piece_cap;
-    pieces = std::min(pieces, max_tablets - r.tablet_count() + 1);
-    if (pieces < 2) return {};
-    const Key* lo = r.tablet_lo(t);
-    const Key* hi = r.tablet_hi(t);
-    std::vector<Key> cuts;
-    cuts.reserve(pieces - 1);
-    for (std::size_t p = 1; p < pieces; ++p) {
-      Key q = samples[first + p * cnt / pieces];
-      const Key* floor = cuts.empty() ? lo : &cuts.back();
-      if (floor != nullptr && !key_less(*floor, q)) {
-        if (*floor == std::numeric_limits<Key>::max()) break;
-        q = static_cast<Key>(*floor + 1);
-      }
-      if (hi != nullptr && !key_less(q, *hi)) break;
-      cuts.push_back(q);
-    }
-    return cuts;
-  }
-
   /// The cut(s) carving a ~`want`-sample piece out of tablet t, centered
   /// on the tablet's sample mass: a piece dense in samples spans little
   /// keyspace, so the carved tablet drags few cold resident keys along
@@ -664,22 +483,21 @@ class Rebalancer {
   }
 
   /// Resident-key cost of moving tablet t — exact via count_range when
-  /// the structure has it, the whole shard's size (a conservative
-  /// overestimate) otherwise. Runs on the owner's current snapshot.
+  /// the structure has it (keys below hi minus keys below lo, so the
+  /// unbounded last tablet needs no max-key edge case), the whole shard's
+  /// size (a conservative overestimate) otherwise. Runs on the owner's
+  /// current snapshot.
   std::uint64_t estimate_resident(const RouterT& r, std::size_t t) {
     const std::size_t s = r.owner(t);
     return map_->shard(s).read(
         ctxs_[s], [&](auto snap) -> std::uint64_t {
-          if constexpr (std::integral<Key> &&
-                        requires { snap.count_range(Key{}, Key{}); }) {
-            const Key lo = r.tablet_lo(t) != nullptr
-                               ? *r.tablet_lo(t)
-                               : std::numeric_limits<Key>::min();
-            if (const Key* hp = r.tablet_hi(t)) {
-              return snap.count_range(lo, *hp);
-            }
-            const Key mx = std::numeric_limits<Key>::max();
-            return snap.count_range(lo, mx) + (snap.contains(mx) ? 1 : 0);
+          if constexpr (requires { snap.count_range(Key{}, Key{}); }) {
+            const Key mn = std::numeric_limits<Key>::min();
+            const Key* lo = r.tablet_lo(t);
+            const Key* hi = r.tablet_hi(t);
+            const std::size_t below_hi =
+                hi != nullptr ? snap.count_range(mn, *hi) : snap.size();
+            return below_hi - (lo != nullptr ? snap.count_range(mn, *lo) : 0);
           } else {
             return snap.size();
           }
@@ -694,11 +512,8 @@ class Rebalancer {
   /// structure's pruned range traversal (O(moved + log n)), install it
   /// into the destination behind its watermark, and erase it from the
   /// source. A destination is ready the moment its last incoming
-  /// segment lands — per-tablet readiness instead of range algebra, so
-  /// unrelated traffic resumes segment by segment.
-  void migrate_tablets(Epoch* e, std::uint64_t& moved)
-    requires TabletTable<RouterT> && std::integral<Key>
-  {
+  /// segment lands, so unrelated traffic resumes segment by segment.
+  void migrate_tablets(Epoch* e, std::uint64_t& moved) {
     const std::size_t shards = map_->shard_count();
     const std::vector<TabletSegment<Key>> segs =
         RouterT::diff(e->prev->router, e->router);
@@ -723,147 +538,18 @@ class Rebalancer {
           erases.push_back(BatchRequest{OpKind::kErase, k, std::nullopt});
           ++moved;
         };
-        const Key lo =
-            sg.lo.has_value() ? *sg.lo : std::numeric_limits<Key>::min();
-        if (sg.hi.has_value()) {
-          view.snapshot.for_each_range(lo, *sg.hi, collect);
-        } else {
-          // Half-open traversal cannot name "past the maximum key", so
-          // sweep to max and pick up max itself separately.
-          const Key mx = std::numeric_limits<Key>::max();
-          view.snapshot.for_each_range(lo, mx, collect);
-          if (const Value* v = view.snapshot.find(mx)) collect(mx, *v);
-        }
+        for_each_in_tablet(view.snapshot, sg.lo ? &*sg.lo : nullptr,
+                           sg.hi ? &*sg.hi : nullptr, collect);
       }
       if (!slice.empty()) {
         ctxs_[sg.dst].stats.mig_keys_in += slice.size();
-        install_slice(sg.dst, slice, e);
+        run_chunked(sg.dst, slice, e);
       }
       if (--incoming[sg.dst] == 0) e->set_ready(sg.dst);
       if (!erases.empty()) {
         ctxs_[sg.src].stats.mig_keys_out += erases.size();
         run_chunked(sg.src, erases, nullptr);
       }
-    }
-  }
-
-  /// Range-router migration: one source shard at a time, pipelined
-  /// extract → install → erase, releasing parked traffic as early as the
-  /// range algebra allows. Sources are processed in ascending shard (=
-  /// key) order; destination d is complete — nothing further can move
-  /// into it — as soon as every source overlapping its new range has
-  /// been processed, i.e. once hi_new(d) <= hi_old(s). Under a skew fit
-  /// that shape is decisive: the hot head's narrow destinations all draw
-  /// from the first source shard, so the bulk of the parked offered load
-  /// resumes after one shard's scan, while the single cold destination
-  /// absorbing the resident mass fills in the background behind its
-  /// ascending watermark. Erasing each source right after its extraction
-  /// both spreads the erase work and runs it while the affected traffic
-  /// is parked anyway.
-  void migrate_ranges(Epoch* e, std::uint64_t& moved) {
-    const std::size_t shards = map_->shard_count();
-    const std::vector<Key>& old_b = e->prev->router.bounds();
-    const std::vector<Key>& new_b = e->router.bounds();
-    std::vector<std::vector<BatchRequest>> per_dest(shards);
-    std::vector<BatchRequest> erases;
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (auto& v : per_dest) v.clear();
-      erases.clear();
-      {
-        // Same snapshot argument as migrate_tablets above.
-        const auto view = map_->shard(s).pin_versioned(ctxs_[s]);
-        const auto collect = [&](const Key& k, const Value& v) {
-          const std::size_t owner = e->router(k, shards);
-          if (owner == s) return;
-          per_dest[owner].push_back(BatchRequest{OpKind::kInsert, k, v});
-          erases.push_back(BatchRequest{OpKind::kErase, k, std::nullopt});
-          ++moved;
-        };
-        // Source s's moving keys are at most two contiguous intervals —
-        // [lo_old, lo_new) lost leftward, [hi_new, hi_old) lost
-        // rightward (shard 0 has no left edge, the last shard no right
-        // edge) — so a structure with ranged traversal is scanned in
-        // O(moved + log n), not O(resident). Ascending order across and
-        // within the two calls keeps every slice sorted. Structures
-        // without for_each_range fall back to the full scan, where
-        // `collect`'s owner check does the filtering.
-        if constexpr (requires(const Key& k) {
-                        view.snapshot.for_each_range(k, k, collect);
-                      }) {
-          if (s > 0 && key_less(old_b[s - 1], new_b[s - 1])) {
-            view.snapshot.for_each_range(old_b[s - 1], new_b[s - 1], collect);
-          }
-          if (s + 1 < shards && key_less(new_b[s], old_b[s])) {
-            view.snapshot.for_each_range(new_b[s], old_b[s], collect);
-          }
-        } else {
-          view.snapshot.for_each(collect);
-        }
-      }
-      for (std::size_t d = 0; d < shards; ++d) {
-        if (per_dest[d].empty()) continue;
-        ctxs_[d].stats.mig_keys_in += per_dest[d].size();
-        install_slice(d, per_dest[d], e);
-      }
-      // Destinations no later source can reach are complete.
-      for (std::size_t d = 0; d < shards; ++d) {
-        if (e->is_ready(d)) continue;
-        const bool complete =
-            d + 1 == shards
-                ? s + 1 == shards
-                : s + 1 == shards || !key_less(old_b[s], new_b[d]);
-        if (complete) e->set_ready(d);
-      }
-      if (!erases.empty()) {
-        ctxs_[s].stats.mig_keys_out += erases.size();
-        run_chunked(s, erases, nullptr);
-      }
-    }
-  }
-
-  /// Generic fallback (no range structure to extract with): full
-  /// extraction, per-destination sorted installs, then the erases.
-  void migrate_generic(Epoch* e, std::uint64_t& moved) {
-    const std::size_t shards = map_->shard_count();
-    std::vector<std::vector<BatchRequest>> incoming(shards);
-    std::vector<std::vector<BatchRequest>> outgoing(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto view = map_->shard(s).pin_versioned(ctxs_[s]);
-      view.snapshot.for_each([&](const Key& k, const Value& v) {
-        const std::size_t owner = e->router(k, shards);
-        if (owner == s) return;
-        incoming[owner].push_back(BatchRequest{OpKind::kInsert, k, v});
-        outgoing[s].push_back(BatchRequest{OpKind::kErase, k, std::nullopt});
-        ++moved;
-      });
-    }
-    const auto by_key = [](const BatchRequest& a, const BatchRequest& b) {
-      return key_less(a.key, b.key);
-    };
-    for (auto& slice : incoming) {
-      std::sort(slice.begin(), slice.end(), by_key);
-    }
-    // Smallest destinations first, each behind its watermark.
-    std::vector<std::size_t> order;
-    for (std::size_t d = 0; d < shards; ++d) {
-      if (incoming[d].empty()) {
-        e->set_ready(d);
-      } else {
-        order.push_back(d);
-      }
-    }
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return incoming[a].size() < incoming[b].size();
-    });
-    for (const std::size_t d : order) {
-      ctxs_[d].stats.mig_keys_in += incoming[d].size();
-      install_slice(d, incoming[d], e);
-      e->set_ready(d);
-    }
-    for (std::size_t s = 0; s < shards; ++s) {
-      if (outgoing[s].empty()) continue;
-      ctxs_[s].stats.mig_keys_out += outgoing[s].size();
-      run_chunked(s, outgoing[s], nullptr);
     }
   }
 
@@ -929,15 +615,6 @@ class Rebalancer {
     (void)reqs;
     (void)results;
 #endif
-  }
-
-  /// Installs one destination's (possibly partial — one segment's worth)
-  /// incoming slice, advancing its watermark chunk by chunk so parked
-  /// traffic resumes progressively. Does NOT set the ready bit: the
-  /// caller knows when no further segment can contribute.
-  void install_slice(std::size_t d, std::vector<BatchRequest>& slice,
-                     Epoch* e) {
-    run_chunked(d, slice, e);
   }
 
   /// Applies `reqs` (key-sorted, key-unique) to `shard` in

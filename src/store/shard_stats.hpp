@@ -22,11 +22,12 @@
 namespace pathcopy::store {
 
 /// One-shot roll-up of a Rebalancer run, printed as a footer under the
-/// per-shard table. tablets_per_shard is empty on non-tablet routers;
-/// the counters separate cheap flips (splits: boundary refinements that
-/// move zero keys; assignment moves: single-tablet reassignments) from
-/// the keys they carried, and surface how often the migration throttle
-/// held a planned move back (budget exhausted vs client backpressure).
+/// per-shard table. tablets_per_shard counts the final table's tablets
+/// per shard; the counters separate cheap flips (splits: boundary
+/// refinements that move zero keys; assignment moves: single-tablet
+/// reassignments) from the keys they carried, and surface how often the
+/// migration throttle held a planned move back (budget exhausted vs
+/// client backpressure).
 /// peak_interval_keys is the most keys moved inside one throttle
 /// interval; peak_interval_est is the admitted-estimate window the
 /// budget actually bounds (and what CI asserts — actuals may drift

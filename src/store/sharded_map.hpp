@@ -37,9 +37,13 @@
 // ticket — S concurrent install streams instead of a sequential shard
 // walk. Executor-less maps keep the synchronous path unchanged.
 //
+// Routing: a TabletRouter (store/tablet_router.hpp) assigns sorted key
+// tablets to shards. Ordered cross-shard reads walk that table in key
+// order, each tablet read from its owner's pinned snapshot.
+//
 // Routing epochs: the router lives in a published RouterEpoch
 // (store/router_epoch.hpp), read once per operation/batch, so a
-// Rebalancer (store/rebalancer.hpp) can replace the split points while
+// Rebalancer (store/rebalancer.hpp) can replace the tablet table while
 // sessions run: publish + drain (per-session epoch marks), live-migrate
 // the moving ranges off pinned snapshots, settle. Ops on mid-flip moving
 // keys park until their new owner holds their data; everything else —
@@ -73,8 +77,8 @@
 #include "core/universal.hpp"
 #include "store/executor.hpp"
 #include "store/key_sketch.hpp"
-#include "store/router.hpp"
 #include "store/router_epoch.hpp"
+#include "store/tablet_router.hpp"
 #include "store/version_vector.hpp"
 #include "util/assert.hpp"
 #include "util/modelcheck.hpp"
@@ -82,8 +86,7 @@
 namespace pathcopy::store {
 
 template <core::UniversalConstruction Uc,
-          class RouterT = HashRouter<typename Uc::Key>>
-  requires RouterFor<RouterT, typename Uc::Key>
+          class RouterT = TabletRouter<typename Uc::Key>>
 class ShardedMap {
  public:
   using Key = typename Uc::Key;
@@ -101,8 +104,10 @@ class ShardedMap {
 
   /// `alloc` is the allocator view used to build the shards' initial
   /// (empty) versions; its retire backend must outlive the map, like for
-  /// a single UC. Each shard gets its own reclaimer domain.
-  ShardedMap(std::size_t shards, Alloc& alloc, RouterT router = RouterT{}) {
+  /// a single UC. Each shard gets its own reclaimer domain. The caller
+  /// passes the table (e.g. RouterT::uniform); `RouterT{}` is one tablet
+  /// on shard 0.
+  ShardedMap(std::size_t shards, Alloc& alloc, RouterT router) {
     PC_ASSERT(shards >= 1, "ShardedMap needs at least one shard");
     PC_ASSERT(router.compatible(shards),
               "router incompatible with this shard count");
@@ -243,7 +248,6 @@ class ShardedMap {
 /// announcement slot, and one OpStats per shard. Create on the owning
 /// thread, do not share, destroy before the map.
 template <core::UniversalConstruction Uc, class RouterT>
-  requires RouterFor<RouterT, typename Uc::Key>
 class ShardedMap<Uc, RouterT>::Session {
  public:
   Session(ShardedMap& map, Alloc& alloc)
@@ -472,23 +476,16 @@ class ShardedMap<Uc, RouterT>::Session {
   }
 
   /// Ordered in-order visit of (key, value) across every shard, all
-  /// shards read at one consistent cut. With an order-preserving router
-  /// this is per-shard traversal in shard order; otherwise per-shard
-  /// items are collected (still under the cut's pins) and k-way merged.
+  /// shards read at one consistent cut: the cut's tablet table is walked
+  /// in key order and each tablet's slice is read from its owner's
+  /// pinned snapshot, so the output is sorted under any assignment.
   template <class F>
   void for_each_ordered(F&& f) {
     read_cut([&](const ConsistentCut<Uc>& cut) {
-      if constexpr (RouterT::kOrderPreserving) {
-        for (std::size_t s = 0; s < cut.shards(); ++s) {
-          cut.snapshot(s).for_each(f);
-        }
-      } else {
-        std::vector<std::vector<std::pair<Key, Value>>> parts;
-        parts.reserve(cut.shards());
-        for (std::size_t s = 0; s < cut.shards(); ++s) {
-          parts.push_back(cut.snapshot(s).items());
-        }
-        merge_ordered(parts, f);
+      const RouterT& r = cut_router(cut);
+      for (std::size_t t = 0; t < r.tablet_count(); ++t) {
+        for_each_in_tablet(cut.snapshot(r.owner(t)), r.tablet_lo(t),
+                           r.tablet_hi(t), f);
       }
       return 0;
     });
@@ -506,47 +503,28 @@ class ShardedMap<Uc, RouterT>::Session {
   /// pairs from [lo, hi) in global key order onto `out`; returns the
   /// number emitted. All shards are read at ONE consistent cut (the
   /// vector-clock pins of read_cut), so the result is a true prefix of
-  /// the range as it simultaneously existed — under any router,
-  /// including mid-rebalance tablet topologies (a cut never observes a
-  /// flipping epoch). With an order-preserving router shards are
-  /// consumed in shard order with the limit threaded through; otherwise
-  /// every owning shard scans up to `limit` (which of its hits survive
-  /// the global cutoff is unknowable shard-locally) and a bounded k-way
-  /// merge keeps the first `limit` overall.
+  /// the range as it simultaneously existed — including across
+  /// rebalances (a cut never observes a flipping epoch). The tablets
+  /// overlapping [lo, hi) are consumed in key order, each clipped slice
+  /// scanned on its owner with the remaining limit, so at most `limit`
+  /// records are copied.
   std::size_t scan(const Key& lo, const Key& hi, std::size_t limit,
                    std::vector<std::pair<Key, Value>>& out) {
     if (limit == 0) return 0;
     return read_cut([&](const ConsistentCut<Uc>& cut) -> std::size_t {
-      if constexpr (RouterT::kOrderPreserving) {
-        std::size_t emitted = 0;
-        for (std::size_t s = 0; s < cut.shards() && emitted < limit; ++s) {
-          emitted += cut.snapshot(s).scan(lo, hi, limit - emitted, out);
-        }
-        return emitted;
-      } else {
-        std::vector<std::vector<std::pair<Key, Value>>> parts(cut.shards());
-        for (std::size_t s = 0; s < cut.shards(); ++s) {
-          cut.snapshot(s).scan(lo, hi, limit, parts[s]);
-        }
-        std::vector<std::size_t> head(parts.size(), 0);
-        std::size_t emitted = 0;
-        while (emitted < limit) {
-          std::size_t best = parts.size();
-          for (std::size_t s = 0; s < parts.size(); ++s) {
-            if (head[s] == parts[s].size()) continue;
-            if (best == parts.size() ||
-                key_less(parts[s][head[s]].first,
-                         parts[best][head[best]].first)) {
-              best = s;
-            }
-          }
-          if (best == parts.size()) break;
-          out.push_back(parts[best][head[best]]);
-          ++head[best];
-          ++emitted;
-        }
-        return emitted;
+      const RouterT& r = cut_router(cut);
+      std::size_t emitted = 0;
+      for (std::size_t t = r.tablet_of(lo);
+           t < r.tablet_count() && emitted < limit; ++t) {
+        const Key* t_lo = r.tablet_lo(t);
+        const Key* t_hi = r.tablet_hi(t);
+        if (t_lo != nullptr && !key_less(*t_lo, hi)) break;
+        const Key& from = t_lo != nullptr && key_less(lo, *t_lo) ? *t_lo : lo;
+        const Key& to = t_hi != nullptr && key_less(*t_hi, hi) ? *t_hi : hi;
+        emitted +=
+            cut.snapshot(r.owner(t)).scan(from, to, limit - emitted, out);
       }
+      return emitted;
     });
   }
 
@@ -668,6 +646,13 @@ class ShardedMap<Uc, RouterT>::Session {
     } else {
       return std::less<Key>{}(a, b);
     }
+  }
+
+  /// The tablet table of the settled epoch a cut was taken under (its
+  /// epoch token is that epoch). Never map_->router(): a flip after the
+  /// cut may already have replaced the current one.
+  static const RouterT& cut_router(const ConsistentCut<Uc>& cut) {
+    return static_cast<const Epoch*>(cut.epoch_token())->router;
   }
 
   // ----- routing-epoch protocol (session side; see router_epoch.hpp) ---
@@ -935,28 +920,6 @@ class ShardedMap<Uc, RouterT>::Session {
         },
         [&](std::size_t s) { run_sub_batch_sync(s, results_out); });
     // split_/sub_reqs_by_shard_ stayed untouched until the join above.
-  }
-
-  /// S-way merge over per-shard sorted runs; S is small (tens), so a
-  /// linear head scan beats heap bookkeeping.
-  template <class F>
-  static void merge_ordered(
-      std::vector<std::vector<std::pair<Key, Value>>>& parts, F&& f) {
-    std::vector<std::size_t> head(parts.size(), 0);
-    for (;;) {
-      std::size_t best = parts.size();
-      for (std::size_t s = 0; s < parts.size(); ++s) {
-        if (head[s] == parts[s].size()) continue;
-        if (best == parts.size() ||
-            key_less(parts[s][head[s]].first, parts[best][head[best]].first)) {
-          best = s;
-        }
-      }
-      if (best == parts.size()) return;
-      const auto& [k, v] = parts[best][head[best]];
-      f(k, v);
-      ++head[best];
-    }
   }
 
   /// Keys buffered per session before one locked flush into the sketch.

@@ -1,12 +1,10 @@
-// TabletRouter: a sorted tablet table — the keyspace as T half-open
-// intervals, each *assigned* to a shard, with any number of tablets per
-// shard.
+// TabletRouter: the store's router — a sorted tablet table, i.e. the
+// keyspace as T half-open intervals, each *assigned* to a shard, with any
+// number of tablets per shard.
 //
-// RangeRouter ties topology to placement: shard i owns exactly one
-// contiguous interval, so rebalancing a skewed load must re-draw every
-// boundary and physically re-pack the cold mass (PR 5 moved ~90% of
-// resident keys to fix a Zipf hot head). A tablet table decouples the
-// two, Bigtable-style: the *boundaries* say where intervals start, the
+// One tablet per shard (uniform(), from_samples()) is the plain range
+// partition. A tablet table decouples topology from placement,
+// Bigtable-style: the *boundaries* say where intervals start, the
 // *assignment* says who serves them. Balancing then becomes
 //
 //   * split   — refine a hot tablet's boundaries. Owners are unchanged,
@@ -16,12 +14,11 @@
 //               resident keys move; every other tablet — in particular
 //               the whole cold mass — stays put.
 //
-// The router satisfies RouterFor and slots into ShardedMap / RouterEpoch
-// / ConsistentCut unchanged. kOrderPreserving is false: two tablets of
-// one shard may straddle another shard's tablet, so shard index is not
-// monotone in the key and ordered iteration uses the k-way merge path
-// (each shard's *own* slice is still sorted — a tablet reassignment
-// still travels as one sorted ingest unit).
+// Shard index need not be monotone in the key (two tablets of one shard
+// may straddle another shard's tablet), so ordered cross-shard reads walk
+// the table in key order and read each tablet's slice from its owner
+// (ShardedMap::Session::for_each_ordered / scan): the output is sorted
+// under any assignment, with no merge.
 //
 // diff() is the migration planner's primitive: walking two tables'
 // merged boundaries yields the minimal set of moving segments (maximal
@@ -35,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <utility>
@@ -43,6 +41,23 @@
 #include "util/assert.hpp"
 
 namespace pathcopy::store {
+
+/// Visits snap's (key, value) pairs inside the tablet interval [lo, hi)
+/// in key order; a null bound is unbounded on that side. The one home of
+/// the unbounded last tablet: half-open traversal cannot name "past the
+/// maximum key", so it sweeps [lo, max) and picks max itself up with a
+/// find.
+template <std::integral K, class Snap, class F>
+void for_each_in_tablet(const Snap& snap, const K* lo, const K* hi, F&& f) {
+  const K from = lo != nullptr ? *lo : std::numeric_limits<K>::min();
+  if (hi != nullptr) {
+    snap.for_each_range(from, *hi, f);
+    return;
+  }
+  const K mx = std::numeric_limits<K>::max();
+  snap.for_each_range(from, mx, f);
+  if (const auto* v = snap.find(mx)) f(mx, *v);
+}
 
 /// One maximal interval whose owner changes between two tablet tables.
 /// nullopt bounds mean "unbounded on that side" (the first tablet has no
@@ -59,8 +74,6 @@ struct TabletSegment {
 template <class K, class Cmp = std::less<K>>
 class TabletRouter {
  public:
-  static constexpr bool kOrderPreserving = false;
-
   /// One unbounded tablet on shard 0 (single-shard maps).
   TabletRouter() : owners_(1, 0) {}
 
@@ -77,10 +90,12 @@ class TabletRouter {
     }
   }
 
-  /// Equal-width tablets over [lo, hi), tablet i owned by shard i —
-  /// routes identically to RangeRouter::uniform, as the seed topology a
-  /// rebalancer refines. Same unsigned-width arithmetic (full-range key
-  /// spaces split without signed overflow).
+  /// Equal-width tablets over [lo, hi), tablet i owned by shard i — the
+  /// seed topology a rebalancer refines. Keys below lo route to shard 0,
+  /// keys at or above hi to the last shard. The interval arithmetic runs
+  /// in unsigned 64-bit (two's-complement wrap makes hi - lo the true
+  /// width for any signed lo < hi), so full-range key spaces split
+  /// without signed overflow.
   static TabletRouter uniform(K lo, K hi, std::size_t shards)
     requires std::integral<K>
   {
@@ -89,16 +104,45 @@ class TabletRouter {
         static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
     PC_ASSERT(width >= shards, "uniform needs at least one key per shard");
     std::vector<K> bounds;
-    std::vector<std::size_t> owners;
     bounds.reserve(shards - 1);
-    owners.reserve(shards);
     for (std::size_t i = 1; i < shards; ++i) {
-      const std::uint64_t off = width / shards * i + width % shards * i / shards;
+      // floor(width * i / shards) without the 128-bit product: the
+      // remainder term re-adds what the truncated quotient dropped.
+      const std::uint64_t off =
+          width / shards * i + width % shards * i / shards;
       bounds.push_back(static_cast<K>(static_cast<std::uint64_t>(lo) + off));
-      owners.push_back(i - 1);
     }
-    owners.push_back(shards - 1);
-    return TabletRouter{std::move(bounds), std::move(owners)};
+    return one_per_shard(std::move(bounds));
+  }
+
+  /// One tablet per shard at the quantiles of a sampled key distribution:
+  /// bound i is the i/shards-quantile of `sorted_samples`, so each shard
+  /// sees ~the same share of the offered load the sample was drawn from
+  /// (a static fit of a known workload). Duplicate quantiles (a heavy
+  /// hitter spanning several quantile slots) are bumped just past the
+  /// previous bound, which keeps the bounds strictly increasing at the
+  /// price of some near-empty shards — the honest rendering of "one key
+  /// carries > 1/S of the load".
+  static TabletRouter from_samples(std::span<const K> sorted_samples,
+                                   std::size_t shards)
+    requires std::integral<K>
+  {
+    PC_ASSERT(shards >= 1, "from_samples needs shards >= 1");
+    PC_ASSERT(!sorted_samples.empty() || shards == 1,
+              "from_samples needs a non-empty sample");
+    std::vector<K> bounds;
+    bounds.reserve(shards - 1);
+    const std::size_t n = sorted_samples.size();
+    for (std::size_t i = 1; i < shards; ++i) {
+      K q = sorted_samples[i * n / shards];
+      if (!bounds.empty() && q <= bounds.back()) {
+        PC_ASSERT(bounds.back() < std::numeric_limits<K>::max(),
+                  "sample quantiles saturate the key type");
+        q = bounds.back() + 1;
+      }
+      bounds.push_back(q);
+    }
+    return one_per_shard(std::move(bounds));
   }
 
   std::size_t operator()(const K& key, std::size_t shards) const {
@@ -115,8 +159,8 @@ class TabletRouter {
     return true;
   }
 
-  /// Index of the tablet containing `key` (first bound strictly greater
-  /// than key, same search as RangeRouter).
+  /// Index of the tablet containing `key` (the number of bounds at or
+  /// below key).
   std::size_t tablet_of(const K& key) const {
     std::size_t lo = 0, hi = bounds_.size();
     Cmp cmp;
@@ -134,7 +178,6 @@ class TabletRouter {
   std::size_t tablet_count() const noexcept { return owners_.size(); }
   std::size_t owner(std::size_t t) const { return owners_[t]; }
   const std::vector<K>& bounds() const noexcept { return bounds_; }
-  const std::vector<std::size_t>& owners() const noexcept { return owners_; }
 
   /// Tablet t's lower/upper boundary; nullptr = unbounded on that side.
   const K* tablet_lo(std::size_t t) const {
@@ -215,10 +258,6 @@ class TabletRouter {
     return next;
   }
 
-  bool operator==(const TabletRouter& o) const {
-    return bounds_ == o.bounds_ && owners_ == o.owners_;
-  }
-
   /// The minimal moving set between two tables: maximal key intervals
   /// whose owner differs, in ascending key order. Walks the merged
   /// boundary list once — each elementary interval (between two adjacent
@@ -264,6 +303,13 @@ class TabletRouter {
   }
 
  private:
+  /// Tablet i (of bounds.size() + 1) owned by shard i.
+  static TabletRouter one_per_shard(std::vector<K> bounds) {
+    std::vector<std::size_t> owners(bounds.size() + 1);
+    std::iota(owners.begin(), owners.end(), std::size_t{0});
+    return TabletRouter{std::move(bounds), std::move(owners)};
+  }
+
   std::vector<K> bounds_;
   std::vector<std::size_t> owners_;
 };

@@ -30,9 +30,9 @@
 #include "core/combining.hpp"
 #include "persist/treap.hpp"
 #include "reclaim/epoch.hpp"
-#include "store/router.hpp"
 #include "store/shard_stats.hpp"
 #include "store/sharded_map.hpp"
+#include "store/tablet_router.hpp"
 #include "store/version_vector.hpp"
 
 namespace pathcopy {
@@ -43,7 +43,7 @@ using Epoch = reclaim::EpochReclaimer;
 using MA = alloc::MallocAlloc;
 using PlainUc = core::Atom<T, Epoch, MA>;
 using CombUc = core::CombiningAtom<T, Epoch, MA>;
-using RangeR = store::RangeRouter<std::int64_t>;
+using TabR = store::TabletRouter<std::int64_t>;
 
 TEST(VersionVector, EqualityAndDominance) {
   store::VersionVector a(3), b(3);
@@ -82,10 +82,10 @@ constexpr std::int64_t kSplit = std::int64_t{1} << 20;
 
 TYPED_TEST(CutTyped, QuiescedCutMatchesOracleAndCurrentVersions) {
   using Uc = typename TypeParam::Uc;
-  using Map = store::ShardedMap<Uc, RangeR>;
+  using Map = store::ShardedMap<Uc, TabR>;
   MA a;
   {
-    Map map(2, a, RangeR(std::vector<std::int64_t>{kSplit}));
+    Map map(2, a, TabR({kSplit}, {0, 1}));
     typename Map::Session session(map, a);
     for (std::int64_t i = 0; i < 100; ++i) {
       ASSERT_TRUE(session.insert(i, i));
@@ -110,12 +110,12 @@ TYPED_TEST(CutTyped, QuiescedCutMatchesOracleAndCurrentVersions) {
 
 TYPED_TEST(CutTyped, ConcurrentLockstepWriterNeverSkewsTheCut) {
   using Uc = typename TypeParam::Uc;
-  using Map = store::ShardedMap<Uc, RangeR>;
+  using Map = store::ShardedMap<Uc, TabR>;
   MA a;
   constexpr int kRounds = 3000;
   constexpr int kReaders = 2;
   {
-    Map map(2, a, RangeR(std::vector<std::int64_t>{kSplit}));
+    Map map(2, a, TabR({kSplit}, {0, 1}));
     std::atomic<bool> done{false};
     std::atomic<std::uint64_t> cuts_taken{0};
 
@@ -176,11 +176,11 @@ TYPED_TEST(CutTyped, ConcurrentLockstepWriterNeverSkewsTheCut) {
 
 TYPED_TEST(CutTyped, ItemsAndForEachReadOneCut) {
   using Uc = typename TypeParam::Uc;
-  using Map = store::ShardedMap<Uc, RangeR>;
+  using Map = store::ShardedMap<Uc, TabR>;
   MA a;
   constexpr int kRounds = 1200;
   {
-    Map map(2, a, RangeR(std::vector<std::int64_t>{kSplit}));
+    Map map(2, a, TabR({kSplit}, {0, 1}));
     std::atomic<bool> done{false};
     std::thread writer([&] {
       typename Map::Session session(map, a);
@@ -194,8 +194,8 @@ TYPED_TEST(CutTyped, ItemsAndForEachReadOneCut) {
       typename Map::Session session(map, a);
       while (!done.load(std::memory_order_acquire)) {
         const auto items = session.items();
-        // Ordered iteration under the range router concatenates shard 0
-        // then shard 1; derive per-shard sizes from the key ranges and
+        // Ordered iteration walks tablet 0 (shard 0) then tablet 1
+        // (shard 1); derive per-shard sizes from the key ranges and
         // re-check the lockstep invariant through the iteration surface.
         std::size_t n0 = 0;
         std::int64_t prev_key = -1;
@@ -223,10 +223,10 @@ TYPED_TEST(CutTyped, ItemsAndForEachReadOneCut) {
 // (one counted retry, reported through on_retry), converge, and hand
 // back the post-write snapshot under a clock matching the live version.
 TEST(CutRetry, MovedShardIsRepinnedAndCounted) {
-  using Map = store::ShardedMap<CombUc, RangeR>;
+  using Map = store::ShardedMap<CombUc, TabR>;
   MA a;
   {
-    Map map(2, a, RangeR(std::vector<std::int64_t>{kSplit}));
+    Map map(2, a, TabR({kSplit}, {0, 1}));
     typename Map::Session writer(map, a);
     typename CombUc::Ctx rctx0(map.shard(0).reclaimer(), a);
     typename CombUc::Ctx rctx1(map.shard(1).reclaimer(), a);
@@ -271,10 +271,10 @@ TEST(CutRetry, MovedShardIsRepinnedAndCounted) {
 // so a shard that goes empty -> non-empty -> empty between pin and probe
 // is caught by the token comparison alone, like every other transition.
 TEST(CutRetry, EmptyShardAbaIsCaughtByTokenAlone) {
-  using Map = store::ShardedMap<PlainUc, RangeR>;
+  using Map = store::ShardedMap<PlainUc, TabR>;
   MA a;
   {
-    Map map(2, a, RangeR(std::vector<std::int64_t>{kSplit}));
+    Map map(2, a, TabR({kSplit}, {0, 1}));
     typename Map::Session writer(map, a);
     typename PlainUc::Ctx rctx0(map.shard(0).reclaimer(), a);
     typename PlainUc::Ctx rctx1(map.shard(1).reclaimer(), a);
@@ -313,10 +313,10 @@ TEST(CutRetry, EmptyShardAbaIsCaughtByTokenAlone) {
 TEST(CutStats, RetryCounterRidesTheStatsBoard) {
   // Deterministic surface check: fold a session whose counters include
   // cut activity into the board and make sure the roll-up keeps them.
-  using Map = store::ShardedMap<CombUc, RangeR>;
+  using Map = store::ShardedMap<CombUc, TabR>;
   MA a;
   {
-    Map map(2, a, RangeR(std::vector<std::int64_t>{kSplit}));
+    Map map(2, a, TabR({kSplit}, {0, 1}));
     typename Map::Session session(map, a);
     session.insert(1, 1);
     session.insert(kSplit + 1, 1);

@@ -31,9 +31,9 @@
 #include "persist/treap.hpp"
 #include "reclaim/epoch.hpp"
 #include "store/executor.hpp"
-#include "store/router.hpp"
 #include "store/shard_stats.hpp"
 #include "store/sharded_map.hpp"
+#include "store/tablet_router.hpp"
 #include "util/rng.hpp"
 
 namespace pathcopy {
@@ -44,7 +44,7 @@ using Epoch = reclaim::EpochReclaimer;
 using MA = alloc::MallocAlloc;
 using PlainUc = core::Atom<T, Epoch, MA>;
 using CombUc = core::CombiningAtom<T, Epoch, MA>;
-using RangeR = store::RangeRouter<std::int64_t>;
+using TabR = store::TabletRouter<std::int64_t>;
 
 // MallocAlloc is thread-safe (operator new + atomic counters), so every
 // worker can share the map's instance; sharing also keeps the leak check
@@ -55,12 +55,11 @@ auto shared_alloc_factory(MA& a) {
 }
 
 template <class Uc>
-using Map = store::ShardedMap<Uc, RangeR>;
+using Map = store::ShardedMap<Uc, TabR>;
 
 template <class Uc>
 Map<Uc> make_map(std::size_t shards, MA& a) {
-  return Map<Uc>(shards, a,
-                 shards == 1 ? RangeR{} : RangeR::uniform(0, 1024, shards));
+  return Map<Uc>(shards, a, TabR::uniform(0, 1024, shards));
 }
 
 TEST(Executor, PerShardFifoOrderingOnOneKey) {

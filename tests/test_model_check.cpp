@@ -47,9 +47,9 @@
 #include "persist/treap.hpp"
 #include "reclaim/epoch.hpp"
 #include "store/executor.hpp"
-#include "store/router.hpp"
 #include "store/shard_lane.hpp"
 #include "store/router_epoch.hpp"
+#include "store/tablet_router.hpp"
 #include "store/sharded_map.hpp"
 #include "store/version_vector.hpp"
 #include "util/modelcheck.hpp"
@@ -67,7 +67,7 @@ using MA = alloc::MallocAlloc;
 using FixedAtom = core::Atom<T, Epoch, MA>;
 using LegacyAtom = core::Atom<T, Epoch, MA, /*LegacyNullEmptyRoot=*/true>;
 using CombUc = core::CombiningAtom<T, Epoch, MA>;
-using RangeR = store::RangeRouter<std::int64_t>;
+using TabR = store::TabletRouter<std::int64_t>;
 using verify::OpType;
 using verify::sched::ExploreResult;
 using verify::sched::ModelHistory;
@@ -528,12 +528,12 @@ const std::vector<std::string> kGateTags = {
     "epoch.ready", "epoch.settle", "gate.park", "atom.install", "atom.bump"};
 
 std::optional<std::string> gate_body(VirtualScheduler& vs) {
-  using Map = store::ShardedMap<FixedAtom, RangeR>;
+  using Map = store::ShardedMap<FixedAtom, TabR>;
   struct Shared {
     MA a;
     Map map;
     bool r_insert = true, r_erase = false, r_contains = true;
-    Shared() : map(2, a, RangeR(std::vector<std::int64_t>{100})) {}
+    Shared() : map(2, a, TabR({100}, {0, 1})) {}
   };
   auto sh = std::make_shared<Shared>();
   {
@@ -548,7 +548,7 @@ std::optional<std::string> gate_body(VirtualScheduler& vs) {
     sh->r_contains = sess.contains(50);    // expect false: it is gone
   });
   vs.spawn([sh] {  // tid 1: migrator — split moves [10,100) from 0 to 1
-    auto* e = sh->map.begin_epoch(RangeR(std::vector<std::int64_t>{10}));
+    auto* e = sh->map.begin_epoch(TabR({10}, {0, 1}));
     typename Map::Ctx c0(sh->map.shard(0).reclaimer(), sh->a);
     typename Map::Ctx c1(sh->map.shard(1).reclaimer(), sh->a);
     const unsigned slot1 = sh->map.shard(1).register_slot();
@@ -594,7 +594,7 @@ TEST(ModelCheckGate, MovingKeyOpsAreExactlyOnceAcrossTheFlip) {
 const std::vector<std::string> kExecTags = {"exec.submit", "exec.stop"};
 
 std::optional<std::string> exec_body(VirtualScheduler& vs) {
-  using Map = store::ShardedMap<CombUc, RangeR>;
+  using Map = store::ShardedMap<CombUc, TabR>;
   struct Shared {
     MA a;
     Map map;
@@ -602,7 +602,7 @@ std::optional<std::string> exec_body(VirtualScheduler& vs) {
     bool result = false;
     bool ran = false;
     Shared()
-        : map(1, a, RangeR{}),
+        : map(1, a, TabR{}),
           exec(map, [this]() -> MA& { return a; }) {}
   };
   auto sh = std::make_shared<Shared>();
@@ -932,7 +932,7 @@ const std::vector<std::string> kExecReadTags = {"exec.submit", "exec.stop",
                                                 "ticket.join"};
 
 std::optional<std::string> exec_read_body(VirtualScheduler& vs) {
-  using Map = store::ShardedMap<CombUc, RangeR>;
+  using Map = store::ShardedMap<CombUc, TabR>;
   struct Shared {
     MA a;
     Map map;
@@ -940,7 +940,7 @@ std::optional<std::string> exec_read_body(VirtualScheduler& vs) {
     typename CombUc::ReadOutcome out;
     bool ran = false;
     Shared()
-        : map(1, a, RangeR{}),
+        : map(1, a, TabR{}),
           exec(map, [this]() -> MA& { return a; }) {}
   };
   auto sh = std::make_shared<Shared>();

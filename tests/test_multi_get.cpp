@@ -34,8 +34,8 @@
 #include "persist/treap.hpp"
 #include "reclaim/epoch.hpp"
 #include "store/executor.hpp"
-#include "store/router.hpp"
 #include "store/sharded_map.hpp"
+#include "store/tablet_router.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -194,9 +194,9 @@ TEST(MultiGetCombining, ExternalBstFallbackOracle) {
 
 // ----- store layer -----
 
-using RangeR = store::RangeRouter<std::int64_t>;
+using TabR = store::TabletRouter<std::int64_t>;
 template <class Uc>
-using Map = store::ShardedMap<Uc, RangeR>;
+using Map = store::ShardedMap<Uc, TabR>;
 using PlainUc = core::Atom<Treap, Smr, MA>;
 using CombUc = core::CombiningAtom<Treap, Smr, MA>;
 
@@ -211,7 +211,7 @@ template <class Uc>
 void session_multiget_oracle(std::uint64_t seed) {
   MA a;
   {
-    Map<Uc> map(4, a, RangeR::uniform(0, 1024, 4));
+    Map<Uc> map(4, a, TabR::uniform(0, 1024, 4));
     typename Map<Uc>::Session s(map, a);
     util::Xoshiro256 rng(seed);
     std::map<std::int64_t, std::int64_t> oracle;
@@ -270,7 +270,7 @@ void single_snapshot_under_churn() {
   constexpr std::int64_t kSum = 100000;
   MA a;
   {
-    Map<Uc> map(4, a, RangeR::uniform(0, 1024, 4));
+    Map<Uc> map(4, a, TabR::uniform(0, 1024, 4));
     store::ShardExecutor<Uc> exec(map, shared_alloc_factory<Uc>(a));
     using Req = typename Uc::BatchRequest;
     using K = typename Uc::OpKind;

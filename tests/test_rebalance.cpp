@@ -1,6 +1,6 @@
-// Adaptive shard rebalancing: routing epochs, quantile-fitted split
-// points, and live path-copying shard migration (store/rebalancer.hpp,
-// store/router_epoch.hpp).
+// Adaptive shard rebalancing: routing epochs over tablet tables, the
+// continuous tick planner, and live path-copying shard migration
+// (store/rebalancer.hpp, store/router_epoch.hpp).
 //
 // The load-bearing guarantees under test:
 //   * migration preserves contents exactly — no key lost, none
@@ -13,7 +13,7 @@
 //     maintain);
 //   * consistent cuts are wholly-before or wholly-after a flip, never a
 //     mixture (a mixed cut would double-count or drop the moving range);
-//   * the sketch → plan → migrate loop actually balances a skewed
+//   * the sketch → tick → migrate loop actually balances a skewed
 //     offered load.
 //
 // The concurrent cases run under TSan in CI (the drain handshake, the
@@ -37,9 +37,9 @@
 #include "reclaim/epoch.hpp"
 #include "store/executor.hpp"
 #include "store/rebalancer.hpp"
-#include "store/router.hpp"
 #include "store/shard_stats.hpp"
 #include "store/sharded_map.hpp"
+#include "store/tablet_router.hpp"
 #include "util/rng.hpp"
 
 namespace pathcopy {
@@ -50,12 +50,12 @@ using Smr = reclaim::EpochReclaimer;
 using MA = alloc::MallocAlloc;
 using PlainUc = core::Atom<T, Smr, MA>;
 using CombUc = core::CombiningAtom<T, Smr, MA>;
-using RangeR = store::RangeRouter<std::int64_t>;
+using TabR = store::TabletRouter<std::int64_t>;
 
 template <class UcT>
 struct Fix {
   using Uc = UcT;
-  using Map = store::ShardedMap<Uc, RangeR>;
+  using Map = store::ShardedMap<Uc, TabR>;
   using Reb = store::Rebalancer<Map>;
 };
 
@@ -68,7 +68,7 @@ TYPED_TEST_SUITE(RebalanceTyped, Fixes);
 TYPED_TEST(RebalanceTyped, ManualMigrationPreservesContentsAndTopology) {
   MA a;
   {
-    typename TypeParam::Map map(4, a, RangeR::uniform(0, 1 << 20, 4));
+    typename TypeParam::Map map(4, a, TabR::uniform(0, 1 << 20, 4));
     typename TypeParam::Map::Session session(map, a);
     // Skewed seed: everything lives in shard 0's uniform range.
     std::vector<std::pair<std::int64_t, std::int64_t>> items;
@@ -76,7 +76,7 @@ TYPED_TEST(RebalanceTyped, ManualMigrationPreservesContentsAndTopology) {
     session.seed_sorted(items.begin(), items.end());
 
     typename TypeParam::Reb reb(map, a);
-    reb.migrate_to(RangeR({1000, 2000, 3000}));
+    reb.migrate_to(TabR({1000, 2000, 3000}, {0, 1, 2, 3}));
 
     EXPECT_EQ(reb.stats().migrations, 1u);
     EXPECT_GT(reb.stats().keys_moved, 0u);
@@ -103,43 +103,23 @@ TYPED_TEST(RebalanceTyped, ManualMigrationPreservesContentsAndTopology) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-TYPED_TEST(RebalanceTyped, SketchDrivenPlanBalancesSkewedLoad) {
+TYPED_TEST(RebalanceTyped, TickIdlesOnBalancedTraffic) {
   MA a;
   {
-    typename TypeParam::Map map(8, a, RangeR::uniform(0, 1 << 20, 8));
+    typename TypeParam::Map map(8, a, TabR::uniform(0, 1 << 20, 8));
     typename TypeParam::Map::Session session(map, a);
-    typename TypeParam::Reb reb(map, a);
-
-    // Balanced traffic: no plan.
+    store::RebalanceConfig cfg;
+    cfg.min_samples = 256;
+    typename TypeParam::Reb reb(map, a, cfg);
     util::Xoshiro256 rng(11);
     for (int i = 0; i < 4096; ++i) {
       session.insert(rng.range(0, (1 << 20) - 1), 1);
     }
-    EXPECT_FALSE(reb.maybe_rebalance());
-
-    // Heavily skewed traffic: all ops land in shard 0's range.
-    map.sketch().reset();
-    for (int i = 0; i < 4096; ++i) {
-      const std::int64_t k = rng.range(0, 999);
-      if (rng.chance(1, 2)) {
-        session.insert(k, k);
-      } else {
-        session.erase(k);
-      }
-    }
-    ASSERT_TRUE(reb.maybe_rebalance());
-    EXPECT_EQ(reb.stats().migrations, 1u);
-    EXPECT_GE(reb.stats().last_imbalance, 1.3);
-
-    // The fitted bounds slice the hot range across shards: offered load
-    // per shard under the new topology is near-even.
-    const auto& router = map.current_epoch()->router;
-    std::vector<std::size_t> load(8, 0);
-    util::Xoshiro256 probe(12);
-    for (int i = 0; i < 8000; ++i) ++load[router(probe.range(0, 999), 8)];
-    for (std::size_t s = 0; s < 8; ++s) {
-      EXPECT_GT(load[s], 8000u / 8 / 4) << "shard " << s << " still cold";
-    }
+    EXPECT_EQ(reb.tick(), store::TickResult::kIdle);
+    EXPECT_EQ(reb.stats().plans, 1u);
+    EXPECT_LT(reb.stats().last_imbalance, 1.3);
+    EXPECT_EQ(reb.stats().migrations, 0u);
+    EXPECT_EQ(map.current_epoch()->seq, 1u);
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
@@ -158,7 +138,7 @@ void run_concurrent_oracle(bool with_executor) {
   constexpr std::int64_t kSpace = 1 << 20;
   MA a;
   {
-    Map map(4, a, RangeR::uniform(0, kSpace, 4));
+    Map map(4, a, TabR::uniform(0, kSpace, 4));
     std::optional<store::ShardExecutor<typename TP::Uc>> exec;
     if (with_executor) exec.emplace(map, [&a]() -> MA& { return a; });
     std::atomic<bool> stop{false};
@@ -202,9 +182,10 @@ void run_concurrent_oracle(bool with_executor) {
       std::uint64_t flips = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         if (uniform) {
-          reb.migrate_to(RangeR::uniform(0, kSpace, 4));
+          reb.migrate_to(TabR::uniform(0, kSpace, 4));
         } else {
-          reb.migrate_to(RangeR({kSpace / 16, kSpace / 8, kSpace / 2}));
+          reb.migrate_to(
+              TabR({kSpace / 16, kSpace / 8, kSpace / 2}, {0, 1, 2, 3}));
         }
         uniform = !uniform;
         ++flips;
@@ -248,7 +229,7 @@ TYPED_TEST(RebalanceTyped, BatchIngestSurvivesMigrations) {
   constexpr std::int64_t kSpace = 1 << 16;
   MA a;
   {
-    Map map(4, a, RangeR::uniform(0, kSpace, 4));
+    Map map(4, a, TabR::uniform(0, kSpace, 4));
     std::atomic<bool> stop{false};
     std::vector<std::thread> workers;
     for (int w = 0; w < 2; ++w) {
@@ -276,9 +257,9 @@ TYPED_TEST(RebalanceTyped, BatchIngestSurvivesMigrations) {
     std::thread flipper([&] {
       bool uniform = false;
       while (!stop.load(std::memory_order_relaxed)) {
-        reb.migrate_to(uniform
-                           ? RangeR::uniform(0, kSpace, 4)
-                           : RangeR({kSpace / 8, kSpace / 4, kSpace / 2}));
+        reb.migrate_to(
+            uniform ? TabR::uniform(0, kSpace, 4)
+                    : TabR({kSpace / 8, kSpace / 4, kSpace / 2}, {0, 1, 2, 3}));
         uniform = !uniform;
         std::this_thread::yield();
       }
@@ -303,7 +284,7 @@ TYPED_TEST(RebalanceTyped, CutsNeverMixTopologies) {
   constexpr std::int64_t kSpace = 1 << 16;
   MA a;
   {
-    Map map(4, a, RangeR::uniform(0, kSpace, 4));
+    Map map(4, a, TabR::uniform(0, kSpace, 4));
     typename Map::Session seeder(map, a);
     std::vector<std::pair<std::int64_t, std::int64_t>> oracle;
     for (std::int64_t k = 0; k < kSpace; k += 37) oracle.emplace_back(k, ~k);
@@ -337,9 +318,9 @@ TYPED_TEST(RebalanceTyped, CutsNeverMixTopologies) {
     }
     typename TypeParam::Reb reb(map, a);
     for (int f = 0; f < 40; ++f) {
-      reb.migrate_to(f % 2 == 0
-                         ? RangeR({kSpace / 16, kSpace / 4, kSpace / 2})
-                         : RangeR::uniform(0, kSpace, 4));
+      reb.migrate_to(
+          f % 2 == 0 ? TabR({kSpace / 16, kSpace / 4, kSpace / 2}, {0, 1, 2, 3})
+                     : TabR::uniform(0, kSpace, 4));
       std::this_thread::yield();
     }
     stop.store(true);
@@ -354,11 +335,11 @@ TYPED_TEST(RebalanceTyped, CutsNeverMixTopologies) {
 TYPED_TEST(RebalanceTyped, MigrationCountersReachTheBoard) {
   MA a;
   {
-    typename TypeParam::Map map(2, a, RangeR::uniform(0, 1024, 2));
+    typename TypeParam::Map map(2, a, TabR::uniform(0, 1024, 2));
     typename TypeParam::Map::Session session(map, a);
     for (std::int64_t k = 0; k < 512; ++k) session.insert(k, k);
     typename TypeParam::Reb reb(map, a);
-    reb.migrate_to(RangeR({128}));  // moves [128, 512) from shard 0 to 1
+    reb.migrate_to(TabR({128}, {0, 1}));  // moves [128, 512) from shard 0 to 1
     store::ShardStatsBoard board(2);
     reb.fold_into(board);
     EXPECT_EQ(board.shard(1).mig_keys_in, 384u);
@@ -370,37 +351,19 @@ TYPED_TEST(RebalanceTyped, MigrationCountersReachTheBoard) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-// ===================== tablet-table rebalancing =====================
+// ===================== splits, moves and continuous ticks ============
 //
-// The same map/migration machinery over a TabletRouter, plus the
-// continuous mode. The added guarantees under test:
+// The added guarantees under test:
 //   * a split-only flip migrates ZERO keys (boundaries changed, owners
 //     didn't — the tablet diff is empty);
 //   * a single-tablet reassignment moves exactly that tablet's resident
 //     keys and nothing else;
-//   * plan_tablets fixes a hot-head skew while migrating a small
-//     fraction of the resident mass (the PR's headline metric, in
-//     miniature);
 //   * the continuous tick loop reaches balance as a stream of small
-//     flips, and client ops stay exact through ≥ 20 throttled
-//     single-tablet moves (the TSan-enrolled oracle).
+//     flips — splitting the hot head and migrating a small fraction of
+//     the resident mass — and client ops stay exact through ≥ 20
+//     throttled single-tablet moves (the TSan-enrolled oracle).
 
-using TabR = store::TabletRouter<std::int64_t>;
-
-template <class UcT>
-struct TabFix {
-  using Uc = UcT;
-  using Map = store::ShardedMap<Uc, TabR>;
-  using Reb = store::Rebalancer<Map>;
-};
-
-template <class F>
-class TabletRebalanceTyped : public ::testing::Test {};
-
-using TabFixes = ::testing::Types<TabFix<PlainUc>, TabFix<CombUc>>;
-TYPED_TEST_SUITE(TabletRebalanceTyped, TabFixes);
-
-TYPED_TEST(TabletRebalanceTyped, SplitOnlyFlipMigratesZeroKeys) {
+TYPED_TEST(RebalanceTyped, SplitOnlyFlipMigratesZeroKeys) {
   constexpr std::int64_t kSpace = 1 << 20;
   MA a;
   {
@@ -433,7 +396,7 @@ TYPED_TEST(TabletRebalanceTyped, SplitOnlyFlipMigratesZeroKeys) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-TYPED_TEST(TabletRebalanceTyped, ReassignMovesExactlyThatTablet) {
+TYPED_TEST(RebalanceTyped, ReassignMovesExactlyThatTablet) {
   constexpr std::int64_t kSpace = 1 << 16;
   MA a;
   {
@@ -473,53 +436,7 @@ TYPED_TEST(TabletRebalanceTyped, ReassignMovesExactlyThatTablet) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-TYPED_TEST(TabletRebalanceTyped, PlanFixesHotHeadCheaply) {
-  constexpr std::int64_t kSpace = 1 << 20;
-  MA a;
-  {
-    typename TypeParam::Map map(8, a, TabR::uniform(0, kSpace, 8));
-    typename TypeParam::Map::Session session(map, a);
-    // Uniform resident mass, then a hot head confined to [0, 1024).
-    std::vector<std::pair<std::int64_t, std::int64_t>> items;
-    for (std::int64_t k = 0; k < kSpace; k += 32) items.emplace_back(k, k);
-    session.seed_sorted(items.begin(), items.end());
-    const std::size_t resident = session.size();
-
-    typename TypeParam::Reb reb(map, a);
-    util::Xoshiro256 rng(21);
-    for (int i = 0; i < 8192; ++i) {
-      const std::int64_t k = rng.range(0, 1023);
-      if (rng.chance(1, 2)) {
-        session.insert(k, k);
-      } else {
-        session.erase(k);
-      }
-    }
-    ASSERT_TRUE(reb.maybe_rebalance());
-    EXPECT_GE(reb.stats().last_imbalance, 1.3);
-
-    // Balance reached: the offered (hot-head) load now spreads across
-    // shards instead of landing on shard 0 alone.
-    const TabR& router = map.router();
-    std::vector<std::size_t> load(8, 0);
-    util::Xoshiro256 probe(22);
-    for (int i = 0; i < 8000; ++i) ++load[router(probe.range(0, 1023), 8)];
-    std::size_t max_load = 0;
-    for (const std::size_t l : load) max_load = std::max(max_load, l);
-    EXPECT_LE(static_cast<double>(max_load), 1.3 * 8000.0 / 8.0)
-        << "hot head still concentrated";
-
-    // ... and cheaply: cold tablets kept their owners, so the migrated
-    // mass is a fraction of the store, not ~all of it (PR 5's fit moved
-    // ~90% of resident keys on this shape; the acceptance bound is 25%).
-    EXPECT_LE(reb.stats().keys_moved, resident / 4)
-        << "assignment-only planning should not repack the cold mass";
-    EXPECT_GT(map.router().tablet_count(), 8u);  // the head was split
-  }
-  EXPECT_EQ(a.stats().live_blocks(), 0u);
-}
-
-TYPED_TEST(TabletRebalanceTyped, ContinuousTicksReachBalance) {
+TYPED_TEST(RebalanceTyped, ContinuousTicksReachBalance) {
   constexpr std::int64_t kSpace = 1 << 20;
   MA a;
   {
@@ -562,8 +479,12 @@ TYPED_TEST(TabletRebalanceTyped, ContinuousTicksReachBalance) {
     EXPECT_LT(imbalance, 1.3) << "continuous mode never reached balance";
     EXPECT_GT(splits, 0u) << "hot head was never carved";
     EXPECT_GT(moves, 0u) << "no tablet ever moved";
-    // Each step was small and the sum stayed a fraction of the store.
-    EXPECT_LE(reb.stats().keys_moved, static_cast<std::uint64_t>(resident) / 4);
+    EXPECT_GT(map.router().tablet_count(), 8u) << "the head was not split";
+    // Each step was small and the sum stayed a fraction of the store:
+    // cold tablets kept their owners, so balance did not repack the cold
+    // mass.
+    EXPECT_LE(reb.stats().keys_moved, static_cast<std::uint64_t>(resident) / 4)
+        << "tablet moves should not repack the cold mass";
     EXPECT_EQ(reb.stats().migrations, moves + splits);
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
@@ -575,7 +496,7 @@ TYPED_TEST(TabletRebalanceTyped, ContinuousTicksReachBalance) {
 /// ticker thread driving reb.tick() until >= 20 throttled single-tablet
 /// moves have executed. Every worker op asserts its exact outcome
 /// through the flips; final contents are exact.
-TYPED_TEST(TabletRebalanceTyped, ContinuousOracleAcrossThrottledMoves) {
+TYPED_TEST(RebalanceTyped, ContinuousOracleAcrossThrottledMoves) {
   using Map = typename TypeParam::Map;
   constexpr int kThreads = 4;
   constexpr int kKeysPerThread = 96;

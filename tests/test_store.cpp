@@ -1,21 +1,24 @@
-// Store layer: routers, the ShardedMap facade, and the cross-shard batch
-// splitter — driven through the UniversalConstruction concept over both
-// UC backends (plain Atom and CombiningAtom) × both routers × two
-// structures (treap, AVL).
+// Store layer: the ShardedMap facade over its tablet router, and the
+// cross-shard batch splitter — driven through the UniversalConstruction
+// concept over both UC backends (plain Atom and CombiningAtom) × all six
+// persistent structures.
 //
 // The strongest checks are the oracle equivalences: a sharded map must be
-// observationally identical to a std::set (point ops) and to a single
-// unsharded UC fed the same request stream (batch split/reassembly) —
-// same per-op results, same ordered contents.
+// observationally identical to a std::set / std::map (point ops, ordered
+// reads, bounded scans) and to a single unsharded UC fed the same request
+// stream (batch split/reassembly) — same per-op results, same ordered
+// contents. Ordered reads run on a monotone table and on a scrambled one
+// whose shard index is not monotone in the key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
-#include <limits>
 #include <set>
 #include <span>
 #include <thread>
@@ -32,248 +35,93 @@
 #include "persist/treap.hpp"
 #include "persist/wbt.hpp"
 #include "reclaim/epoch.hpp"
-#include "store/router.hpp"
+#include "store/rebalancer.hpp"
 #include "store/shard_stats.hpp"
 #include "store/sharded_map.hpp"
+#include "store/tablet_router.hpp"
 #include "util/rng.hpp"
 
 namespace pathcopy {
 namespace {
 
-using T = persist::Treap<std::int64_t, std::int64_t>;
-using Avl = persist::AvlTree<std::int64_t, std::int64_t>;
+using K = std::int64_t;
 using Epoch = reclaim::EpochReclaimer;
 using MA = alloc::MallocAlloc;
-using PlainUc = core::Atom<T, Epoch, MA>;
-using CombUc = core::CombiningAtom<T, Epoch, MA>;
-using PlainAvlUc = core::Atom<Avl, Epoch, MA>;
-using CombAvlUc = core::CombiningAtom<Avl, Epoch, MA>;
-using CombBtreeUc =
-    core::CombiningAtom<persist::BTree<std::int64_t, std::int64_t, 8>, Epoch,
-                        MA>;
-using CombRbtUc =
-    core::CombiningAtom<persist::RbTree<std::int64_t, std::int64_t>, Epoch,
-                        MA>;
-using CombWbtUc =
-    core::CombiningAtom<persist::WbTree<std::int64_t, std::int64_t>, Epoch,
-                        MA>;
-using CombEbstUc =
-    core::CombiningAtom<persist::ExternalBst<std::int64_t, std::int64_t>,
-                        Epoch, MA>;
-using HashR = store::HashRouter<std::int64_t>;
-using RangeR = store::RangeRouter<std::int64_t>;
+using TabR = store::TabletRouter<K>;
 
-// Both backends (and every structure in the sorted-batch matrix under
-// them) model the concept the store layer is written against.
-static_assert(core::UniversalConstruction<PlainUc>);
-static_assert(core::UniversalConstruction<CombUc>);
-static_assert(core::UniversalConstruction<PlainAvlUc>);
-static_assert(core::UniversalConstruction<CombAvlUc>);
-static_assert(core::UniversalConstruction<CombBtreeUc>);
-static_assert(core::UniversalConstruction<CombRbtUc>);
-static_assert(core::UniversalConstruction<CombWbtUc>);
-static_assert(core::UniversalConstruction<CombEbstUc>);
-static_assert(store::RouterFor<HashR, std::int64_t>);
-static_assert(store::RouterFor<RangeR, std::int64_t>);
+template <class DS>
+using Plain = core::Atom<DS, Epoch, MA>;
+template <class DS>
+using Comb = core::CombiningAtom<DS, Epoch, MA>;
+using T = persist::Treap<K, K>;
+using Avl = persist::AvlTree<K, K>;
+using Btree = persist::BTree<K, K, 8>;
+using Rbt = persist::RbTree<K, K>;
+using Wbt = persist::WbTree<K, K>;
+using Ebst = persist::ExternalBst<K, K>;
 
-// ----- router properties -----
+// ----- typed store tests: backend × structure -----
 
-TEST(Router, HashEveryKeyMapsToExactlyOneShardDeterministically) {
-  HashR r;
-  for (const std::size_t shards : {1u, 2u, 3u, 8u}) {
-    for (std::int64_t k = -1000; k <= 1000; ++k) {
-      const std::size_t s = r(k, shards);
-      ASSERT_LT(s, shards);
-      ASSERT_EQ(s, r(k, shards));  // pure function of (key, shards)
-    }
+// Key window the tablet tables split; tests keep keys inside it only
+// where shard coverage matters (the first and last tablets are unbounded).
+constexpr K kLo = -64;
+constexpr K kHi = 1088;
+
+/// Equal-width tablets over the key window, tablet i on shard i.
+TabR uniform_table(std::size_t shards) {
+  return TabR::uniform(kLo, kHi, shards);
+}
+
+/// Equal-width tablets over [lo, hi), tablet i on shard owners[i].
+TabR table_over(K lo, K hi, std::vector<std::size_t> owners) {
+  const std::size_t tablets = owners.size();
+  return TabR(TabR::uniform(lo, hi, tablets).bounds(), std::move(owners));
+}
+
+/// 4 shards, 8 equal-width tablets, owners out of key order: shard index
+/// is not monotone in the key, and every shard serves two tablets.
+TabR scrambled_table() {
+  return table_over(kLo, kHi, {2, 0, 3, 1, 0, 2, 1, 3});
+}
+
+/// Every shard installed at least one update: the test's keys really
+/// spread over the table instead of all landing on one shard.
+template <class StatsOf>
+void expect_installs_on_every_shard(std::size_t shards, StatsOf stats_of) {
+  for (std::size_t s = 0; s < shards; ++s) {
+    EXPECT_GT(stats_of(s).updates, 0u) << "shard " << s;
   }
 }
 
-TEST(Router, HashSpreadsContiguousKeys) {
-  HashR r;
-  constexpr std::size_t kShards = 8;
-  std::array<std::size_t, kShards> hits{};
-  for (std::int64_t k = 0; k < 4096; ++k) ++hits[r(k, kShards)];
-  for (std::size_t s = 0; s < kShards; ++s) {
-    // 4096 keys over 8 shards: each shard should see a healthy share.
-    EXPECT_GT(hits[s], 4096u / kShards / 4) << "shard " << s;
-  }
-}
-
-TEST(Router, RangeIsMonotoneAndCoversEveryShard) {
-  const auto r = RangeR::uniform(0, 1000, 4);
-  EXPECT_TRUE(r.compatible(4));
-  EXPECT_FALSE(r.compatible(3));
-  std::size_t prev = 0;
-  std::array<bool, 4> hit{};
-  for (std::int64_t k = -50; k < 1050; ++k) {
-    const std::size_t s = r(k, 4);
-    ASSERT_LT(s, 4u);
-    ASSERT_GE(s, prev) << "range router must be monotone at key " << k;
-    prev = s;
-    hit[s] = true;
-  }
-  for (bool h : hit) EXPECT_TRUE(h);
-}
-
-TEST(Router, RangeUniformSplitsFullWidthRangesWithoutOverflow) {
-  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  const auto r = RangeR::uniform(kMin, kMax, 8);
-  EXPECT_TRUE(r.compatible(8));
-  EXPECT_EQ(r(kMin, 8), 0u);
-  EXPECT_EQ(r(0, 8), 4u);  // midpoint lands in the middle shard
-  EXPECT_EQ(r(kMax - 1, 8), 7u);
-  std::size_t prev = 0;
-  const std::array<std::int64_t, 7> probes{
-      kMin, kMin / 2, -1000000007, 0, 1000000007, kMax / 2, kMax};
-  for (const std::int64_t k : probes) {
-    const std::size_t s = r(k, 8);
-    ASSERT_GE(s, prev);
-    prev = s;
-  }
-}
-
-// Fitted split points must satisfy every invariant the uniform ones do:
-// exactly one shard per key, monotone half-open coverage — plus the
-// fitting property (each shard draws ~an equal share of the sampled
-// load) and graceful degeneration under heavy duplication.
-TEST(Router, FromSamplesFitsQuantilesAndKeepsRouterInvariants) {
-  util::Xoshiro256 rng(99);
-  for (const std::size_t shards : {2u, 4u, 8u}) {
-    // A skewed sample: half the mass in [0, 100), the rest spread wide.
-    std::vector<std::int64_t> sample;
-    for (int i = 0; i < 4096; ++i) {
-      sample.push_back(rng.chance(1, 2) ? rng.range(0, 99)
-                                        : rng.range(100, 1 << 20));
-    }
-    std::sort(sample.begin(), sample.end());
-    const auto r =
-        RangeR::from_samples(std::span<const std::int64_t>(sample), shards);
-    ASSERT_TRUE(r.compatible(shards));
-    ASSERT_EQ(r.bounds().size(), shards - 1);
-    // Strictly increasing bounds, monotone routing, full coverage.
-    for (std::size_t i = 1; i < r.bounds().size(); ++i) {
-      ASSERT_LT(r.bounds()[i - 1], r.bounds()[i]);
-    }
-    std::size_t prev = 0;
-    for (std::int64_t k = -10; k < (1 << 20) + 10; k += 257) {
-      const std::size_t s = r(k, shards);
-      ASSERT_LT(s, shards);
-      ASSERT_GE(s, prev);
-      prev = s;
-    }
-    // Every shard is reachable: bound i-1 itself routes to shard i
-    // (half-open intervals), and anything below the first bound to 0.
-    ASSERT_EQ(r(r.bounds().front() - 1, shards), 0u);
-    for (std::size_t s = 1; s < shards; ++s) {
-      ASSERT_EQ(r(r.bounds()[s - 1], shards), s);
-    }
-    // The fit: every shard's share of the *sample* is near 1/shards.
-    std::vector<std::size_t> load(shards, 0);
-    for (const std::int64_t k : sample) ++load[r(k, shards)];
-    for (std::size_t s = 0; s < shards; ++s) {
-      EXPECT_GE(load[s] * shards * 2, sample.size())
-          << "shard " << s << " got far less than half its fair share";
-      EXPECT_LE(load[s] * shards, 2 * sample.size())
-          << "shard " << s << " got more than twice its fair share";
-    }
-  }
-}
-
-TEST(Router, FromSamplesSurvivesHeavyDuplication) {
-  // One heavy hitter spanning every quantile: bounds must still be
-  // strictly increasing (bumped past each other), and routing stays a
-  // valid partition even though most shards end up near-empty.
-  std::vector<std::int64_t> sample(1000, 42);
-  sample.push_back(1000);
-  std::sort(sample.begin(), sample.end());
-  const auto r = RangeR::from_samples(std::span<const std::int64_t>(sample), 4);
-  ASSERT_TRUE(r.compatible(4));
-  for (std::size_t i = 1; i < r.bounds().size(); ++i) {
-    ASSERT_LT(r.bounds()[i - 1], r.bounds()[i]);
-  }
-  std::size_t prev = 0;
-  for (std::int64_t k = 0; k < 2000; ++k) {
-    const std::size_t s = r(k, 4);
-    ASSERT_LT(s, 4u);
-    ASSERT_GE(s, prev);
-    prev = s;
-  }
-}
-
-TEST(Router, FromSamplesSingleShardAndTinySamples) {
-  const std::vector<std::int64_t> one{7};
-  const auto r1 =
-      RangeR::from_samples(std::span<const std::int64_t>(one), 1);
-  EXPECT_TRUE(r1.compatible(1));
-  EXPECT_EQ(r1(std::int64_t{-100}, 1), 0u);
-  // Fewer distinct samples than shards: padding keeps the partition
-  // valid.
-  const std::vector<std::int64_t> tiny{5, 5, 5};
-  const auto r4 =
-      RangeR::from_samples(std::span<const std::int64_t>(tiny), 4);
-  EXPECT_TRUE(r4.compatible(4));
-  std::size_t prev = 0;
-  for (std::int64_t k = 0; k < 20; ++k) {
-    const std::size_t s = r4(k, 4);
-    ASSERT_GE(s, prev);
-    prev = s;
-  }
-}
-
-TEST(Router, RangeBoundsAreHalfOpen) {
-  const RangeR r(std::vector<std::int64_t>{10, 20});
-  EXPECT_EQ(r(9, 3), 0u);
-  EXPECT_EQ(r(10, 3), 1u);  // shard i owns [bounds[i-1], bounds[i])
-  EXPECT_EQ(r(19, 3), 1u);
-  EXPECT_EQ(r(20, 3), 2u);
-  EXPECT_EQ(r(1000, 3), 2u);
-}
-
-// ----- typed store tests: backend × router × structure -----
-
-// Key window the range routers split; tests keep keys inside it only
-// where shard coverage matters (routers handle out-of-window keys too).
-constexpr std::int64_t kLo = -64;
-constexpr std::int64_t kHi = 1088;
-
-template <class UcT, class RouterT>
+template <class UcT>
 struct Combo {
   using Uc = UcT;
-  using Router = RouterT;
-  using Map = store::ShardedMap<Uc, Router>;
-
-  static Router make_router(std::size_t shards) {
-    if constexpr (Router::kOrderPreserving) {
-      return shards == 1 ? Router{} : Router::uniform(kLo, kHi, shards);
-    } else {
-      (void)shards;
-      return Router{};
-    }
-  }
+  using Map = store::ShardedMap<Uc, TabR>;
 };
 
 template <class C>
 class StoreTyped : public ::testing::Test {};
 
 using Combos =
-    ::testing::Types<Combo<PlainUc, HashR>, Combo<PlainUc, RangeR>,
-                     Combo<CombUc, HashR>, Combo<CombUc, RangeR>,
-                     Combo<PlainAvlUc, RangeR>, Combo<CombAvlUc, HashR>,
-                     Combo<CombBtreeUc, RangeR>, Combo<CombRbtUc, HashR>,
-                     Combo<CombWbtUc, RangeR>, Combo<CombEbstUc, HashR>>;
+    ::testing::Types<Combo<Plain<T>>, Combo<Comb<T>>, Combo<Plain<Avl>>,
+                     Combo<Comb<Avl>>, Combo<Plain<Btree>>, Combo<Comb<Btree>>,
+                     Combo<Plain<Rbt>>, Combo<Comb<Rbt>>, Combo<Plain<Wbt>>,
+                     Combo<Comb<Wbt>>, Combo<Plain<Ebst>>, Combo<Comb<Ebst>>>;
 TYPED_TEST_SUITE(StoreTyped, Combos);
+
+TYPED_TEST(StoreTyped, ModelsTheUcConcept) {
+  static_assert(core::UniversalConstruction<typename TypeParam::Uc>);
+}
 
 TYPED_TEST(StoreTyped, PointOpsMatchSetOracle) {
   MA a;
-  {
-    typename TypeParam::Map map(4, a, TypeParam::make_router(4));
+  for (const TabR& table : {uniform_table(4), scrambled_table()}) {
+    typename TypeParam::Map map(4, a, table);
     typename TypeParam::Map::Session session(map, a);
-    std::set<std::int64_t> oracle;
+    std::set<K> oracle;
     util::Xoshiro256 rng(42);
     for (int i = 0; i < 3000; ++i) {
-      const std::int64_t k = rng.range(0, 500);
+      const K k = rng.range(0, 500);
       if (rng.chance(1, 2)) {
         ASSERT_EQ(session.insert(k, k * 3), oracle.insert(k).second);
       } else {
@@ -281,7 +129,7 @@ TYPED_TEST(StoreTyped, PointOpsMatchSetOracle) {
       }
     }
     ASSERT_EQ(session.size(), oracle.size());
-    for (const std::int64_t k : {std::int64_t{0}, std::int64_t{250}}) {
+    for (const K k : {K{0}, K{250}}) {
       ASSERT_EQ(session.contains(k), oracle.contains(k));
       const auto v = session.find(k);
       ASSERT_EQ(v.has_value(), oracle.contains(k));
@@ -290,13 +138,12 @@ TYPED_TEST(StoreTyped, PointOpsMatchSetOracle) {
       }
     }
     // Ordered iteration composed across shards matches the sorted oracle.
-    std::vector<std::int64_t> expect(oracle.begin(), oracle.end());
-    std::vector<std::int64_t> got;
-    session.for_each_ordered(
-        [&](const std::int64_t& k, const std::int64_t& v) {
-          got.push_back(k);
-          ASSERT_EQ(v, k * 3);
-        });
+    std::vector<K> expect(oracle.begin(), oracle.end());
+    std::vector<K> got;
+    session.for_each_ordered([&](const K& k, const K& v) {
+      got.push_back(k);
+      ASSERT_EQ(v, k * 3);
+    });
     ASSERT_EQ(got, expect);
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
@@ -305,10 +152,13 @@ TYPED_TEST(StoreTyped, PointOpsMatchSetOracle) {
 TYPED_TEST(StoreTyped, BatchSplitMatchesSingleAtomOracle) {
   using Uc = typename TypeParam::Uc;
   using Req = typename Uc::BatchRequest;
-  using K = typename Uc::OpKind;
+  using Op = typename Uc::OpKind;
   MA a1, a2;
-  {
-    typename TypeParam::Map map(5, a1, TypeParam::make_router(5));
+  // Tables over the drawn keys [0, 81), so every shard takes a share.
+  for (const TabR& table :
+       {TabR::uniform(0, 81, 5),
+        table_over(0, 81, {3, 0, 4, 1, 2, 0, 3, 2, 4, 1})}) {
+    typename TypeParam::Map map(5, a1, table);
     typename TypeParam::Map::Session session(map, a1);
     Epoch smr;
     Uc oracle(smr, a2);
@@ -319,11 +169,11 @@ TYPED_TEST(StoreTyped, BatchSplitMatchesSingleAtomOracle) {
       const int n = 1 + static_cast<int>(rng.range(0, 39));
       std::vector<Req> reqs;
       for (int i = 0; i < n; ++i) {
-        const std::int64_t k = rng.range(0, 80);  // dense: same-key chains
+        const K k = rng.range(0, 80);  // dense: same-key chains
         if (rng.chance(1, 2)) {
-          reqs.push_back(Req{K::kInsert, k, k + 1000 * iter + i});
+          reqs.push_back(Req{Op::kInsert, k, k + 1000 * iter + i});
         } else {
-          reqs.push_back(Req{K::kErase, k, std::nullopt});
+          reqs.push_back(Req{Op::kErase, k, std::nullopt});
         }
       }
       bool got[48], want[48];
@@ -337,6 +187,8 @@ TYPED_TEST(StoreTyped, BatchSplitMatchesSingleAtomOracle) {
     const auto want_items =
         oracle.read(octx, [](auto snapshot) { return snapshot.items(); });
     ASSERT_EQ(got_items, want_items);
+    expect_installs_on_every_shard(
+        5, [&](std::size_t s) { return session.shard_stats(s); });
   }
   EXPECT_EQ(a1.stats().live_blocks(), 0u);
   EXPECT_EQ(a2.stats().live_blocks(), 0u);
@@ -344,11 +196,11 @@ TYPED_TEST(StoreTyped, BatchSplitMatchesSingleAtomOracle) {
 
 TYPED_TEST(StoreTyped, SeedSortedPartitionsAcrossShards) {
   MA a;
-  {
-    typename TypeParam::Map map(4, a, TypeParam::make_router(4));
+  for (const TabR& table : {uniform_table(4), scrambled_table()}) {
+    typename TypeParam::Map map(4, a, table);
     typename TypeParam::Map::Session session(map, a);
-    std::vector<std::pair<std::int64_t, std::int64_t>> items;
-    for (std::int64_t k = 0; k < 1024; k += 2) items.emplace_back(k, k * 7);
+    std::vector<std::pair<K, K>> items;
+    for (K k = 0; k < 1024; k += 2) items.emplace_back(k, k * 7);
     session.seed_sorted(items.begin(), items.end());
     ASSERT_EQ(session.size(), items.size());
     ASSERT_EQ(session.items(), items);
@@ -365,9 +217,11 @@ TYPED_TEST(StoreTyped, ContendedNetEffectReconcilesAcrossShards) {
   MA a;
   constexpr int kThreads = 4;
   constexpr int kKeys = 64;
-  {
-    typename TypeParam::Map map(4, a, TypeParam::make_router(4));
-    std::array<std::atomic<std::int64_t>, kKeys> net{};
+  for (const TabR& table :
+       {TabR::uniform(0, kKeys, 4),
+        table_over(0, kKeys, {2, 0, 3, 1, 0, 2, 1, 3})}) {
+    typename TypeParam::Map map(4, a, table);
+    std::array<std::atomic<K>, kKeys> net{};
     store::ShardStatsBoard board(4);
     std::vector<std::thread> workers;
     for (int w = 0; w < kThreads; ++w) {
@@ -375,7 +229,7 @@ TYPED_TEST(StoreTyped, ContendedNetEffectReconcilesAcrossShards) {
         typename TypeParam::Map::Session session(map, a);
         util::Xoshiro256 rng(w + 17);
         for (int i = 0; i < 2500; ++i) {
-          const std::int64_t k = rng.range(0, kKeys - 1);
+          const K k = rng.range(0, kKeys - 1);
           if (rng.chance(1, 2)) {
             if (session.insert(k, k)) net[k].fetch_add(1);
           } else {
@@ -389,7 +243,7 @@ TYPED_TEST(StoreTyped, ContendedNetEffectReconcilesAcrossShards) {
     typename TypeParam::Map::Session session(map, a);
     std::size_t present_count = 0;
     for (int k = 0; k < kKeys; ++k) {
-      const std::int64_t n = net[k].load();
+      const K n = net[k].load();
       ASSERT_TRUE(n == 0 || n == 1) << "key " << k << " net " << n;
       ASSERT_EQ(session.contains(k), n == 1) << "key " << k;
       present_count += static_cast<std::size_t>(n);
@@ -402,17 +256,20 @@ TYPED_TEST(StoreTyped, ContendedNetEffectReconcilesAcrossShards) {
     EXPECT_EQ(sum.updates, board.total().updates);
     EXPECT_EQ(sum.attempts, board.total().attempts);
     EXPECT_GT(board.total().attempts, 0u);
+    expect_installs_on_every_shard(
+        4, [&](std::size_t s) { return board.shard(s); });
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
 TYPED_TEST(StoreTyped, StatsRollupsMatchSessionCounters) {
   MA a;
-  {
-    typename TypeParam::Map map(3, a, TypeParam::make_router(3));
+  for (const TabR& table :
+       {TabR::uniform(0, 200, 3), table_over(0, 200, {2, 0, 1, 1, 2, 0})}) {
+    typename TypeParam::Map map(3, a, table);
     typename TypeParam::Map::Session session(map, a);
-    for (std::int64_t k = 0; k < 200; ++k) session.insert(k, k);
-    for (std::int64_t k = 0; k < 200; k += 2) session.erase(k);
+    for (K k = 0; k < 200; ++k) session.insert(k, k);
+    for (K k = 0; k < 200; k += 2) session.erase(k);
     const core::OpStats total = session.stats();
     core::OpStats by_shard;
     for (std::size_t s = 0; s < 3; ++s) by_shard += session.shard_stats(s);
@@ -425,6 +282,8 @@ TYPED_TEST(StoreTyped, StatsRollupsMatchSessionCounters) {
     // Every op completed exactly once, whichever backend ran it.
     EXPECT_EQ(total.updates + total.noop_updates + total.helped_completions,
               300u);
+    expect_installs_on_every_shard(
+        3, [&](std::size_t s) { return session.shard_stats(s); });
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
@@ -434,13 +293,112 @@ TYPED_TEST(StoreTyped, StatsRollupsMatchSessionCounters) {
 TYPED_TEST(StoreTyped, SingleShardDegeneratesToBareUc) {
   MA a;
   {
-    typename TypeParam::Map map(1, a, TypeParam::make_router(1));
+    typename TypeParam::Map map(1, a, uniform_table(1));
     typename TypeParam::Map::Session session(map, a);
     EXPECT_TRUE(session.insert(5, 50));
     EXPECT_FALSE(session.insert(5, 51));
-    EXPECT_EQ(session.find(5), std::optional<std::int64_t>(50));
+    EXPECT_EQ(session.find(5), std::optional<K>(50));
     EXPECT_TRUE(session.erase(5));
     EXPECT_EQ(session.size(), 0u);
+  }
+  EXPECT_EQ(a.stats().live_blocks(), 0u);
+}
+
+/// The first `limit` entries of [lo, hi) in key order.
+std::vector<std::pair<K, K>> oracle_scan(const std::map<K, K>& m, K lo, K hi,
+                                         std::size_t limit) {
+  std::vector<std::pair<K, K>> out;
+  for (auto it = m.lower_bound(lo);
+       it != m.end() && it->first < hi && out.size() < limit; ++it) {
+    out.emplace_back(*it);
+  }
+  return out;
+}
+
+TYPED_TEST(StoreTyped, ScanMatchesMapOracleAcrossTabletEdges) {
+  MA a;
+  for (const TabR& table : {uniform_table(4), scrambled_table()}) {
+    typename TypeParam::Map map(4, a, table);
+    typename TypeParam::Map::Session session(map, a);
+    std::map<K, K> oracle;
+    util::Xoshiro256 rng(77);
+    // Keys beyond the window too: they live in the unbounded end tablets.
+    for (int i = 0; i < 600; ++i) {
+      const K k = rng.range(kLo - 40, kHi + 40);
+      if (session.insert(k, ~k)) oracle.emplace(k, ~k);
+    }
+    std::vector<std::pair<K, K>> got;
+    const auto check = [&](K lo, K hi, std::size_t limit) {
+      got.clear();
+      const std::size_t n = session.scan(lo, hi, limit, got);
+      const auto want = oracle_scan(oracle, lo, hi, limit);
+      ASSERT_EQ(n, want.size()) << "[" << lo << ", " << hi << ") " << limit;
+      ASSERT_EQ(got, want) << "[" << lo << ", " << hi << ") " << limit;
+    };
+    const std::vector<K>& b = table.bounds();  // 3 or 7 tablet edges
+    // Whole ranges crossing several tablet edges, from an edge and from
+    // inside a tablet, and the unbounded end tablets.
+    check(b.front(), b.back(), 1000);
+    check(b.front() - 5, b.back() + 7, 1000);
+    check(std::numeric_limits<K>::min(), b.front(), 1000);
+    check(b.back(), std::numeric_limits<K>::max(), 1000);
+    // Limits that end inside a tablet: one past the second tablet's
+    // content, and a few records into a middle tablet.
+    const std::size_t second = oracle_scan(oracle, b[0], b[1], 1000).size();
+    check(b[0], b.back(), second + 1);
+    check(b[1] + 3, b.back(), 4);
+    // Empty and inverted ranges.
+    check(b[1], b[1], 10);
+    check(b.back(), b.front(), 10);
+    for (int i = 0; i < 300; ++i) {
+      const K lo = rng.range(kLo - 60, kHi + 60);
+      const K hi = lo + rng.range(0, 700);
+      check(lo, hi, static_cast<std::size_t>(rng.range(1, 90)));
+    }
+  }
+  EXPECT_EQ(a.stats().live_blocks(), 0u);
+}
+
+/// The key type's extremes sit in the unbounded first and last tablets:
+/// ordered reads and a migration of both end tablets must carry them
+/// (the max key is exactly what half-open range traversal cannot name).
+TYPED_TEST(StoreTyped, ExtremeKeysSurviveItemsAndMigration) {
+  using Map = typename TypeParam::Map;
+  constexpr K kMin = std::numeric_limits<K>::min();
+  constexpr K kMax = std::numeric_limits<K>::max();
+  MA a;
+  {
+    const TabR table = scrambled_table();
+    Map map(4, a, table);
+    typename Map::Session session(map, a);
+    const std::vector<K> keys = {kMin, kMin + 1, 0, 500, kMax - 1, kMax};
+    std::vector<std::pair<K, K>> want;
+    for (const K k : keys) {
+      ASSERT_TRUE(session.insert(k, k));
+      want.emplace_back(k, k);
+    }
+    ASSERT_EQ(session.items(), want);
+    std::vector<std::pair<K, K>> got;
+    ASSERT_EQ(session.scan(kMin, kMax, 100, got), keys.size() - 1);
+    got.emplace_back(kMax, kMax);  // hi is exclusive: scans never reach kMax
+    ASSERT_EQ(got, want);
+
+    // First tablet (kMin, kMin + 1, 0) moves 2 -> 1, last tablet
+    // (kMax - 1, kMax) moves 3 -> 0.
+    store::Rebalancer<Map> reb(map, a);
+    reb.migrate_to(table.with_owner(0, 1).with_owner(7, 0));
+    EXPECT_EQ(reb.stats().keys_moved, 5u);
+    EXPECT_EQ(session.items(), want);
+    session.read_cut([&](const auto& cut) {
+      EXPECT_NE(cut.snapshot(1).find(kMin), nullptr);
+      EXPECT_EQ(cut.snapshot(2).find(kMin), nullptr);
+      EXPECT_NE(cut.snapshot(0).find(kMax), nullptr);
+      EXPECT_EQ(cut.snapshot(3).find(kMax), nullptr);
+      return 0;
+    });
+    EXPECT_TRUE(session.erase(kMax));
+    EXPECT_TRUE(session.erase(kMin));
+    EXPECT_EQ(session.size(), keys.size() - 2);
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }

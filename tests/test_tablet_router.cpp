@@ -1,6 +1,10 @@
 // TabletRouter properties (store/tablet_router.hpp) and the continuous
 // migration throttle (store/rebalancer.hpp).
 //
+// uniform() and from_samples() build one tablet per shard: a monotone,
+// half-open partition (from_samples additionally fits the sample's
+// quantiles).
+//
 // The router is the continuous rebalancer's planning substrate, so the
 // properties under test are exactly what migration correctness leans on:
 //   * every key routes to exactly one shard, inside the shard count;
@@ -13,14 +17,17 @@
 //     table pairs (segments ascending, disjoint, minimal).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "store/rebalancer.hpp"
-#include "store/router.hpp"
 #include "store/tablet_router.hpp"
 #include "util/rng.hpp"
 
@@ -68,16 +75,101 @@ TEST(TabletRouter, DefaultRoutesEverythingToShardZero) {
   }
 }
 
-TEST(TabletRouter, UniformMatchesRangeRouter) {
-  const TR tab = TR::uniform(0, kSpace, 8);
-  const store::RangeRouter<std::int64_t> rng_router =
-      store::RangeRouter<std::int64_t>::uniform(0, kSpace, 8);
-  EXPECT_EQ(tab.tablet_count(), 8u);
-  util::Xoshiro256 rng(1);
-  for (int i = 0; i < 20000; ++i) {
-    const std::int64_t k = rng.range(0, kSpace - 1);
-    ASSERT_EQ(tab(k, 8), rng_router(k, 8)) << "key " << k;
+/// One tablet per shard, tablet i on shard i: routing is monotone in the
+/// key, every shard is reached, and bound i - 1 itself belongs to shard i
+/// (half-open [bounds[i-1], bounds[i]); keys below the first bound go to
+/// shard 0).
+void expect_one_per_shard(const TR& r, std::size_t shards) {
+  ASSERT_TRUE(r.compatible(shards));
+  ASSERT_EQ(r.tablet_count(), shards);
+  ASSERT_EQ(r.bounds().size(), shards - 1);
+  for (std::size_t t = 0; t < shards; ++t) ASSERT_EQ(r.owner(t), t);
+  for (std::size_t i = 1; i < r.bounds().size(); ++i) {
+    ASSERT_LT(r.bounds()[i - 1], r.bounds()[i]);
   }
+  if (shards == 1) return;
+  ASSERT_EQ(r(r.bounds().front() - 1, shards), 0u);
+  for (std::size_t s = 1; s < shards; ++s) {
+    ASSERT_EQ(r(r.bounds()[s - 1], shards), s);
+    ASSERT_EQ(r(r.bounds()[s - 1] - 1, shards), s - 1);
+  }
+}
+
+TEST(TabletRouter, UniformIsMonotoneHalfOpenOneTabletPerShard) {
+  const TR r = TR::uniform(0, kSpace, 8);
+  expect_one_per_shard(r, 8);
+  std::size_t prev = 0;
+  std::array<bool, 8> hit{};
+  for (std::int64_t k = -50; k < kSpace + 50; k += 97) {
+    const std::size_t s = r(k, 8);
+    ASSERT_GE(s, prev) << "uniform table must be monotone at key " << k;
+    prev = s;
+    hit[s] = true;
+  }
+  for (const bool h : hit) EXPECT_TRUE(h);
+  // Equal widths: bound i sits at i/8 of the space.
+  for (std::size_t i = 1; i < 8; ++i) {
+    EXPECT_EQ(r.bounds()[i - 1], static_cast<std::int64_t>(kSpace / 8 * i));
+  }
+}
+
+TEST(TabletRouter, UniformSplitsFullWidthRangesWithoutOverflow) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const TR r = TR::uniform(kMin, kMax, 8);
+  expect_one_per_shard(r, 8);
+  EXPECT_EQ(r(kMin, 8), 0u);
+  EXPECT_EQ(r(0, 8), 4u);  // midpoint lands in the middle shard
+  EXPECT_EQ(r(kMax, 8), 7u);
+}
+
+// Fitted bounds must satisfy every invariant the uniform ones do — plus
+// the fitting property (each shard draws ~an equal share of the sampled
+// load) and graceful degeneration under heavy duplication.
+TEST(TabletRouter, FromSamplesFitsQuantilesAndKeepsRouterInvariants) {
+  util::Xoshiro256 rng(99);
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    // A skewed sample: half the mass in [0, 100), the rest spread wide.
+    std::vector<std::int64_t> sample;
+    for (int i = 0; i < 4096; ++i) {
+      sample.push_back(rng.chance(1, 2) ? rng.range(0, 99)
+                                        : rng.range(100, 1 << 20));
+    }
+    std::sort(sample.begin(), sample.end());
+    const TR r =
+        TR::from_samples(std::span<const std::int64_t>(sample), shards);
+    expect_one_per_shard(r, shards);
+    std::vector<std::size_t> load(shards, 0);
+    for (const std::int64_t k : sample) ++load[r(k, shards)];
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_GE(load[s] * shards * 2, sample.size())
+          << "shard " << s << " got far less than half its fair share";
+      EXPECT_LE(load[s] * shards, 2 * sample.size())
+          << "shard " << s << " got more than twice its fair share";
+    }
+  }
+}
+
+TEST(TabletRouter, FromSamplesSurvivesHeavyDuplication) {
+  // One heavy hitter spanning every quantile: bounds are bumped past each
+  // other, so the table stays a valid partition even though most shards
+  // end up near-empty.
+  std::vector<std::int64_t> sample(1000, 42);
+  sample.push_back(1000);
+  const TR r = TR::from_samples(std::span<const std::int64_t>(sample), 4);
+  expect_one_per_shard(r, 4);
+  EXPECT_EQ(r(42, 4), 1u);  // the heavy key opens shard 1's tablet
+}
+
+TEST(TabletRouter, FromSamplesSingleShardAndTinySamples) {
+  const std::vector<std::int64_t> one{7};
+  const TR r1 = TR::from_samples(std::span<const std::int64_t>(one), 1);
+  expect_one_per_shard(r1, 1);
+  EXPECT_EQ(r1(std::int64_t{-100}, 1), 0u);
+  // Fewer distinct samples than shards: padding keeps the partition valid.
+  const std::vector<std::int64_t> tiny{5, 5, 5};
+  expect_one_per_shard(
+      TR::from_samples(std::span<const std::int64_t>(tiny), 4), 4);
 }
 
 TEST(TabletRouter, ExactlyOneShardAndMonotoneHalfOpenCoverage) {
