@@ -6,44 +6,27 @@
 // at the price of rotations on the copied path — each rotation copies one
 // extra node, which the structure ablation (E8) quantifies.
 //
-// Height- and size-augmented; erase pulls up the in-order successor.
-//
-// Supports the sorted-batch protocol (persist/batch.hpp): unlike the
-// treap, whose canonical shape lets the batch recursion be driven by op
-// priorities, the AVL sweep is driven by the existing tree — ops are
-// partitioned around each node's key — and arbitrary height changes from
-// landing ops are repaired by a path-copying join (Blelloch et al.'s
-// "just join" recursion), so the result is a valid AVL tree whose
-// *contents* (not shape — AVL is history-dependent) match per-op
-// application.
+// This file owns only the AVL balance rule: the height augmentation and
+// "sibling heights differ by at most one". Updates, rotations, the
+// "just join" repair behind the sorted-batch sweep and the bulk builders
+// are the rotation-balanced body shared with the weight-balanced tree
+// (persist/rotation_tree.hpp); reads are the shared binary-tree core
+// (persist/binary_tree.hpp). Erase pulls up the in-order successor.
 #pragma once
 
-#include <cstddef>
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <span>
-#include <tuple>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
 #include "core/node_base.hpp"
-#include "persist/batch.hpp"
-#include "util/assert.hpp"
-#include "util/small_vec.hpp"
+#include "persist/binary_tree.hpp"
+#include "persist/rotation_tree.hpp"
 
 namespace pathcopy::persist {
 
-template <class K, class V, class Cmp = std::less<K>>
-class AvlTree {
- public:
-  using KeyType = K;
-  using ValueType = V;
-  using KeyCompare = Cmp;
-  using BatchOp = persist::BatchOp<K, V>;
-  using BatchOpKind = persist::BatchOpKind;
-  using BatchOutcome = persist::BatchOutcome;
-  using ReadOutcome = persist::ReadOutcome<V>;
+/// Height-balance rule for RotationTree.
+struct AvlRule {
+  template <class K, class V>
   struct Node : core::PNode {
     K key;
     V value;
@@ -55,486 +38,34 @@ class AvlTree {
     Node(const K& k, const V& v, const Node* l, const Node* r)
         : key(k), value(v),
           height(1 + std::max(height_of(l), height_of(r))),
-          size(1 + size_of(l) + size_of(r)),
+          size(1 + detail::size_of(l) + detail::size_of(r)),
           left(l), right(r) {}
   };
 
-  AvlTree() noexcept = default;
-
-  static AvlTree from_root(const void* root) noexcept {
-    return AvlTree{static_cast<const Node*>(root)};
-  }
-  const void* root_ptr() const noexcept { return root_; }
-  const Node* root_node() const noexcept { return root_; }
-
-  std::size_t size() const noexcept { return size_of(root_); }
-  bool empty() const noexcept { return root_ == nullptr; }
-
-  // ----- queries -----
-
-  const V* find(const K& key) const {
-    const Node* n = root_;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(key, n->key)) {
-        n = n->left;
-      } else if (cmp(n->key, key)) {
-        n = n->right;
-      } else {
-        return &n->value;
-      }
-    }
-    return nullptr;
-  }
-
-  bool contains(const K& key) const { return find(key) != nullptr; }
-
-  const Node* min_node() const {
-    const Node* n = root_;
-    while (n != nullptr && n->left != nullptr) n = n->left;
-    return n;
-  }
-
-  const Node* max_node() const {
-    const Node* n = root_;
-    while (n != nullptr && n->right != nullptr) n = n->right;
-    return n;
-  }
-
-  std::size_t rank(const K& key) const {
-    std::size_t r = 0;
-    const Node* n = root_;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(n->key, key)) {
-        r += 1 + size_of(n->left);
-        n = n->right;
-      } else {
-        n = n->left;
-      }
-    }
-    return r;
-  }
-
-  const Node* kth(std::size_t i) const {
-    const Node* n = root_;
-    while (n != nullptr) {
-      const std::size_t ls = size_of(n->left);
-      if (i < ls) {
-        n = n->left;
-      } else if (i == ls) {
-        return n;
-      } else {
-        i -= ls + 1;
-        n = n->right;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Keys in the half-open interval [lo, hi).
-  std::size_t count_range(const K& lo, const K& hi) const {
-    const std::size_t a = rank(lo);
-    const std::size_t b = rank(hi);
-    return b > a ? b - a : 0;
-  }
-
-  template <class F>
-  void for_each(F&& f) const {
-    for_each_rec(root_, f);
-  }
-
-  /// In-order visit restricted to [lo, hi): subtrees wholly outside the
-  /// interval are pruned at their root, so the visit costs O(hits + log n)
-  /// — what makes tablet extraction proportional to the moved slice.
-  template <class F>
-  void for_each_range(const K& lo, const K& hi, F&& f) const {
-    for_each_range_rec(root_, lo, hi, f);
-  }
-
-  /// Descent-sharing batched lookup; see Treap::get_sorted_batch.
-  ReadProbeStats get_sorted_batch(std::span<const K> keys,
-                                  std::span<ReadOutcome> out) const {
-    PC_ASSERT(out.size() >= keys.size(),
-              "get_sorted_batch outcome span too small");
-    check_sorted_keys<Cmp, K>(keys);
-    ReadProbeStats stats;
-    detail::read_batch_rec<Cmp, Node, K, V>(root_, keys, out, 0, keys.size(),
-                                            stats);
-    return stats;
-  }
-
-  /// Bounded range scan; see Treap::scan.
-  std::size_t scan(const K& lo, const K& hi, std::size_t limit,
-                   std::vector<std::pair<K, V>>& out) const {
-    std::size_t remaining = limit;
-    detail::scan_range_rec<Cmp, Node, K, V>(root_, lo, hi, remaining, out);
-    return limit - remaining;
-  }
-
-  std::vector<std::pair<K, V>> items() const {
-    std::vector<std::pair<K, V>> out;
-    out.reserve(size());
-    for_each([&](const K& k, const V& v) { out.emplace_back(k, v); });
-    return out;
-  }
-
-  // ----- updates -----
-
-  template <class B>
-  AvlTree insert(B& b, const K& key, const V& value) const {
-    if (contains(key)) return *this;
-    return AvlTree{insert_rec(b, root_, key, value)};
-  }
-
-  template <class B>
-  AvlTree insert_or_assign(B& b, const K& key, const V& value) const {
-    if (contains(key)) return AvlTree{assign_rec(b, root_, key, value)};
-    return AvlTree{insert_rec(b, root_, key, value)};
-  }
-
-  template <class B>
-  AvlTree erase(B& b, const K& key) const {
-    if (!contains(key)) return *this;
-    return AvlTree{erase_rec(b, root_, key)};
-  }
-
-  /// O(n) bulk construction from strictly increasing (key, value) pairs.
-  /// The midpoint build yields a perfectly size-balanced tree (subtree
-  /// sizes differ by at most 1 at every node), which satisfies the AVL
-  /// height invariant by construction.
-  template <class B, class It>
-  static AvlTree from_sorted(B& b, It first, It last) {
-    std::vector<std::pair<K, V>> items(first, last);
-    check_sorted_items<Cmp>(items);
-    return AvlTree{build_sorted_rec(b, items, 0, items.size())};
-  }
-
-  /// Applies a key-sorted, key-unique op batch in one path-copying sweep
-  /// and reports a per-op outcome (aligned with `ops`). Contents are
-  /// exactly those of applying the ops one at a time; the whole batch
-  /// shares one copied spine — untouched subtrees are returned by pointer
-  /// (an all-noop batch returns the same root with zero allocations) and
-  /// subtrees reshaped by landing ops are repaired with O(height-delta)
-  /// join steps instead of one root-to-leaf copy per op.
-  template <class B>
-  AvlTree apply_sorted_batch(B& b, std::span<const BatchOp> ops,
-                             std::span<BatchOutcome> outcomes) const {
-    PC_ASSERT(outcomes.size() >= ops.size(),
-              "apply_sorted_batch outcome span too small");
-    if (ops.empty()) return *this;
-    check_sorted_batch<Cmp>(ops);
-    return AvlTree{detail::apply_batch_rec<BatchSweep>(b, root_, ops, outcomes,
-                                                       0, ops.size())};
-  }
-
-  // ----- structural utilities -----
-
-  bool check_invariants() const { return check_rec(root_, nullptr, nullptr).ok; }
-
-  std::size_t height() const { return height_of(root_); }
-
-  static std::size_t shared_nodes(const AvlTree& a, const AvlTree& b) {
-    std::unordered_set<const Node*> seen;
-    collect(a.root_, seen);
-    std::size_t shared = 0;
-    count_shared(b.root_, seen, shared);
-    return shared;
-  }
-
-  template <class Backend>
-  static void destroy(const Node* n, Backend& backend) {
-    if (n == nullptr) return;
-    destroy(n->left, backend);
-    destroy(n->right, backend);
-    n->~Node();
-    backend.free_bytes(const_cast<Node*>(n), sizeof(Node), alignof(Node));
-  }
-
- private:
-  explicit AvlTree(const Node* root) noexcept : root_(root) {}
-
-  static std::uint32_t height_of(const Node* n) noexcept {
+  template <class N>
+  static std::uint32_t height_of(const N* n) noexcept {
     return n == nullptr ? 0 : n->height;
   }
-  static std::uint64_t size_of(const Node* n) noexcept {
-    return n == nullptr ? 0 : n->size;
+
+  template <class N>
+  static bool too_heavy(const N* a, const N* b) noexcept {
+    return height_of(a) > height_of(b) + 1;
   }
 
-  template <class B>
-  static const Node* mk(B& b, const K& k, const V& v, const Node* l,
-                        const Node* r) {
-    return b.template create<Node>(k, v, l, r);
+  template <class N>
+  static bool single_rotation(const N* outer, const N* inner) noexcept {
+    return height_of(outer) >= height_of(inner);
   }
 
-  /// Builds a balanced node (k, v, l, r), restoring the AVL invariant with
-  /// at most two rotations. l and r are valid AVL subtrees whose heights
-  /// differ by at most 2 (the standard insert/erase precondition).
-  template <class B>
-  static const Node* balance(B& b, const K& k, const V& v, const Node* l,
-                             const Node* r) {
-    const std::uint32_t hl = height_of(l);
-    const std::uint32_t hr = height_of(r);
-    if (hl > hr + 1) {
-      // Left-heavy. l is non-null.
-      if (height_of(l->left) >= height_of(l->right)) {
-        // Single right rotation: l becomes the root.
-        b.supersede(l);
-        return mk(b, l->key, l->value, l->left, mk(b, k, v, l->right, r));
-      }
-      // Left-right double rotation: l->right becomes the root.
-      const Node* lr = l->right;
-      b.supersede(l);
-      b.supersede(lr);
-      return mk(b, lr->key, lr->value, mk(b, l->key, l->value, l->left, lr->left),
-                mk(b, k, v, lr->right, r));
-    }
-    if (hr > hl + 1) {
-      // Right-heavy. r is non-null.
-      if (height_of(r->right) >= height_of(r->left)) {
-        b.supersede(r);
-        return mk(b, r->key, r->value, mk(b, k, v, l, r->left), r->right);
-      }
-      const Node* rl = r->left;
-      b.supersede(r);
-      b.supersede(rl);
-      return mk(b, rl->key, rl->value, mk(b, k, v, l, rl->left),
-                mk(b, r->key, r->value, rl->right, r->right));
-    }
-    return mk(b, k, v, l, r);
+  template <class N>
+  static bool local_ok(const N* n) noexcept {
+    return n->height ==
+               1 + std::max(height_of(n->left), height_of(n->right)) &&
+           !too_heavy(n->left, n->right) && !too_heavy(n->right, n->left);
   }
-
-  template <class B>
-  static const Node* insert_rec(B& b, const Node* n, const K& key,
-                                const V& value) {
-    if (n == nullptr) return mk(b, key, value, nullptr, nullptr);
-    Cmp cmp;
-    b.supersede(n);
-    if (cmp(key, n->key)) {
-      return balance(b, n->key, n->value, insert_rec(b, n->left, key, value),
-                     n->right);
-    }
-    PC_DASSERT(cmp(n->key, key), "insert_rec on a present key");
-    return balance(b, n->key, n->value, n->left,
-                   insert_rec(b, n->right, key, value));
-  }
-
-  template <class B>
-  static const Node* assign_rec(B& b, const Node* n, const K& key,
-                                const V& value) {
-    PC_DASSERT(n != nullptr, "assign_rec past a leaf");
-    Cmp cmp;
-    b.supersede(n);
-    if (cmp(key, n->key)) {
-      return mk(b, n->key, n->value, assign_rec(b, n->left, key, value),
-                n->right);
-    }
-    if (cmp(n->key, key)) {
-      return mk(b, n->key, n->value, n->left,
-                assign_rec(b, n->right, key, value));
-    }
-    return mk(b, n->key, value, n->left, n->right);
-  }
-
-  template <class B>
-  static const Node* erase_rec(B& b, const Node* n, const K& key) {
-    PC_DASSERT(n != nullptr, "erase_rec past a leaf");
-    Cmp cmp;
-    b.supersede(n);
-    if (cmp(key, n->key)) {
-      return balance(b, n->key, n->value, erase_rec(b, n->left, key), n->right);
-    }
-    if (cmp(n->key, key)) {
-      return balance(b, n->key, n->value, n->left, erase_rec(b, n->right, key));
-    }
-    if (n->left == nullptr) return n->right;
-    if (n->right == nullptr) return n->left;
-    // Two children: pull up the in-order successor.
-    auto [min_key, min_value, nr] = pop_min(b, n->right);
-    return balance(b, min_key, min_value, n->left, nr);
-  }
-
-  /// Removes the minimum of subtree n; returns (key, value, new subtree).
-  template <class B>
-  static std::tuple<K, V, const Node*> pop_min(B& b, const Node* n) {
-    b.supersede(n);
-    if (n->left == nullptr) return {n->key, n->value, n->right};
-    auto [k, v, nl] = pop_min(b, n->left);
-    return {k, v, balance(b, n->key, n->value, nl, n->right)};
-  }
-
-  template <class B>
-  static const Node* build_sorted_rec(B& b,
-                                      const std::vector<std::pair<K, V>>& items,
-                                      std::size_t lo, std::size_t hi) {
-    if (lo == hi) return nullptr;
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const Node* l = build_sorted_rec(b, items, lo, mid);
-    const Node* r = build_sorted_rec(b, items, mid + 1, hi);
-    return mk(b, items[mid].first, items[mid].second, l, r);
-  }
-
-  // --- sorted-batch application ---
-
-  /// Joins l < (k, v) < r where l and r may differ in height arbitrarily
-  /// (the batch recursion hands back reshaped subtrees). Descends the
-  /// taller side's inner spine until the height gap closes to <= 1, then
-  /// links; every unwind step is a balance() whose inputs differ by at
-  /// most 2, so the result is a valid AVL tree in O(|h(l) - h(r)|) copies.
-  template <class B>
-  static const Node* join(B& b, const K& k, const V& v, const Node* l,
-                          const Node* r) {
-    const std::uint32_t hl = height_of(l);
-    const std::uint32_t hr = height_of(r);
-    if (hl > hr + 1) {
-      b.supersede(l);
-      return balance(b, l->key, l->value, l->left, join(b, k, v, l->right, r));
-    }
-    if (hr > hl + 1) {
-      b.supersede(r);
-      return balance(b, r->key, r->value, join(b, k, v, l, r->left), r->right);
-    }
-    return mk(b, k, v, l, r);
-  }
-
-  /// Joins l < r without a middle key (the batch erased it): pulls up r's
-  /// minimum as the new pivot.
-  template <class B>
-  static const Node* join2(B& b, const Node* l, const Node* r) {
-    if (r == nullptr) return l;
-    auto [k, v, nr] = pop_min(b, r);
-    return join(b, k, v, l, nr);
-  }
-
-  /// Inline scratch capacity for the batch-tail builder; combiner batches
-  /// are at most 2x the announcement-slot count.
-  static constexpr std::size_t kInlineBatch = 128;
-
-  /// Policy for the shared tree-driven sweep (persist/batch.hpp): the
-  /// partition recursion lives there; only the join discipline and the
-  /// off-tree bulk build are AVL-specific.
-  struct BatchSweep {
-    using Node = AvlTree::Node;
-    using KeyCompare = Cmp;
-    template <class B>
-    static const Node* join(B& b, const K& k, const V& v, const Node* l,
-                            const Node* r) {
-      return AvlTree::join(b, k, v, l, r);
-    }
-    template <class B>
-    static const Node* join2(B& b, const Node* l, const Node* r) {
-      return AvlTree::join2(b, l, r);
-    }
-    template <class B>
-    static const Node* build_inserts(B& b, std::span<const BatchOp> ops,
-                                     std::span<BatchOutcome> out,
-                                     std::size_t lo, std::size_t hi) {
-      return AvlTree::build_batch_inserts(b, ops, out, lo, hi);
-    }
-  };
-
-  // Batch tail that ran off the tree: erases are no-ops, the surviving
-  // inserts/assigns build their balanced subtree directly via the same
-  // midpoint scheme as from_sorted.
-  template <class B>
-  static const Node* build_batch_inserts(B& b, std::span<const BatchOp> ops,
-                                         std::span<BatchOutcome> out,
-                                         std::size_t lo, std::size_t hi) {
-    util::SmallVec<std::size_t, kInlineBatch> land;  // ops that insert
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (ops[i].kind == BatchOpKind::kErase) {
-        out[i] = BatchOutcome::kNoop;
-      } else {
-        out[i] = BatchOutcome::kInserted;
-        land.push_back(i);
-      }
-    }
-    if (land.empty()) return nullptr;
-    return build_land_rec(b, ops, land, 0, land.size());
-  }
-
-  template <class B>
-  static const Node* build_land_rec(
-      B& b, std::span<const BatchOp> ops,
-      const util::SmallVec<std::size_t, kInlineBatch>& land, std::size_t lo,
-      std::size_t hi) {
-    if (lo == hi) return nullptr;
-    const std::size_t mid = lo + (hi - lo) / 2;
-    const Node* l = build_land_rec(b, ops, land, lo, mid);
-    const Node* r = build_land_rec(b, ops, land, mid + 1, hi);
-    const BatchOp& op = ops[land[mid]];
-    return mk(b, op.key, *op.value, l, r);
-  }
-
-  template <class F>
-  static void for_each_rec(const Node* n, F& f) {
-    if (n == nullptr) return;
-    for_each_rec(n->left, f);
-    f(n->key, n->value);
-    for_each_rec(n->right, f);
-  }
-
-  template <class F>
-  static void for_each_range_rec(const Node* n, const K& lo, const K& hi,
-                                 F& f) {
-    if (n == nullptr) return;
-    Cmp cmp;
-    if (cmp(n->key, lo)) {  // entire left subtree < lo as well
-      for_each_range_rec(n->right, lo, hi, f);
-      return;
-    }
-    if (!cmp(n->key, hi)) {  // n->key >= hi
-      for_each_range_rec(n->left, lo, hi, f);
-      return;
-    }
-    for_each_range_rec(n->left, lo, hi, f);
-    f(n->key, n->value);
-    for_each_range_rec(n->right, lo, hi, f);
-  }
-
-  struct CheckResult {
-    bool ok;
-    std::uint64_t size;
-    std::uint32_t height;
-  };
-
-  static CheckResult check_rec(const Node* n, const K* lo, const K* hi) {
-    if (n == nullptr) return {true, 0, 0};
-    Cmp cmp;
-    if (lo != nullptr && !cmp(*lo, n->key)) return {false, 0, 0};
-    if (hi != nullptr && !cmp(n->key, *hi)) return {false, 0, 0};
-    if (n->pc_state_ != core::NodeState::kPublished) return {false, 0, 0};
-    const CheckResult l = check_rec(n->left, lo, &n->key);
-    if (!l.ok) return {false, 0, 0};
-    const CheckResult r = check_rec(n->right, &n->key, hi);
-    if (!r.ok) return {false, 0, 0};
-    const std::uint32_t h = 1 + std::max(l.height, r.height);
-    const std::uint64_t sz = 1 + l.size + r.size;
-    const bool balanced =
-        (l.height > r.height ? l.height - r.height : r.height - l.height) <= 1;
-    return {balanced && h == n->height && sz == n->size, sz, h};
-  }
-
-  static void collect(const Node* n, std::unordered_set<const Node*>& out) {
-    if (n == nullptr) return;
-    out.insert(n);
-    collect(n->left, out);
-    collect(n->right, out);
-  }
-
-  static void count_shared(const Node* n,
-                           const std::unordered_set<const Node*>& in,
-                           std::size_t& shared) {
-    if (n == nullptr) return;
-    if (in.contains(n)) {
-      shared += n->size;
-      return;
-    }
-    count_shared(n->left, in, shared);
-    count_shared(n->right, in, shared);
-  }
-
-  const Node* root_ = nullptr;
 };
+
+template <class K, class V, class Cmp = std::less<K>>
+using AvlTree = RotationTree<AvlRule, K, V, Cmp>;
 
 }  // namespace pathcopy::persist

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/small_vec.hpp"
 
 namespace pathcopy::persist {
 
@@ -113,8 +114,36 @@ inline void check_sorted_keys(std::span<const K> keys) {
 
 namespace detail {
 
+/// Inline scratch capacity for batch application; combiner batches are
+/// at most 2x the announcement-slot count, so this avoids per-install
+/// heap traffic in the common case.
+inline constexpr std::size_t kInlineBatch = 128;
+
+/// Op indices of one batch (e.g. its landing ops), kept off the heap.
+using BatchIndexVec = util::SmallVec<std::size_t, kInlineBatch>;
+
+/// Batch tail that ran off the tree: no key of ops[lo, hi) is present,
+/// so every erase is a no-op and every insert/assign lands. Records those
+/// outcomes and calls land(i) for each landing op in key order; the
+/// caller bulk-builds its subtree from them. Shared by every structure's
+/// off-tree batch builder.
+template <class K, class V, class F>
+void split_landing_ops(std::span<const BatchOp<K, V>> ops,
+                       std::span<BatchOutcome> out, std::size_t lo,
+                       std::size_t hi, F&& land) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (ops[i].kind == BatchOpKind::kErase) {
+      out[i] = BatchOutcome::kNoop;
+    } else {
+      out[i] = BatchOutcome::kInserted;
+      land(i);
+    }
+  }
+}
+
 /// Tree-driven sorted-batch sweep shared by the comparison-balanced
-/// binary trees (AVL, weight-balanced, red-black): ops[lo, hi) are
+/// binary trees (the rotation-balanced AVL and weight-balanced trees of
+/// rotation_tree.hpp, and the red-black tree): ops[lo, hi) are
 /// partitioned around each node's key with a binary search, untouched
 /// ranges return their subtree by pointer (an all-noop batch allocates
 /// nothing), and children reshaped by landing ops are relinked through
@@ -260,8 +289,9 @@ void read_batch_partition(const Node* n, std::span<const K> keys,
                             tails);
 }
 
-/// Read-side twin of apply_batch_rec for the internal binary trees (treap,
-/// AVL, weight-balanced, red-black — any node with key/value/left/right):
+/// Read-side twin of apply_batch_rec for the internal binary trees: the
+/// body of BinaryTree::get_sorted_batch (binary_tree.hpp), so it serves
+/// the treap, AVL, weight-balanced and red-black trees alike.
 /// keys[lo, hi) are partitioned around each node's key with the same binary
 /// search the write sweep uses, so a key-sorted probe batch shares its
 /// descent prefix and resolves in O(B + log n) visited nodes instead of
@@ -278,7 +308,7 @@ void read_batch_rec(const Node* n, std::span<const K> keys,
 }
 
 /// Bounded pruned in-order emit over [lo, hi) for the internal binary
-/// trees: the shared body behind each structure's scan(lo, hi, limit, out).
+/// trees: the body of BinaryTree::scan(lo, hi, limit, out).
 /// Stops as soon as `remaining` hits zero, so a limit-k scan over a huge
 /// range touches O(k + log n) nodes.
 template <class Cmp, class Node, class K, class V>

@@ -273,7 +273,7 @@ class BTree {
     return out;
   }
 
-  /// Descent-sharing batched lookup (see Treap::get_sorted_batch): the
+  /// Descent-sharing batched lookup (see BinaryTree::get_sorted_batch): the
   /// probe range is partitioned across children at each internal node and
   /// resolved by a linear merge against the sorted entries at each leaf.
   ReadProbeStats get_sorted_batch(std::span<const K> keys,
@@ -286,7 +286,7 @@ class BTree {
     return stats;
   }
 
-  /// Bounded range scan; see Treap::scan.
+  /// Bounded range scan; see BinaryTree::scan.
   std::size_t scan(const K& lo, const K& hi, std::size_t limit,
                    std::vector<std::pair<K, V>>& out) const {
     std::size_t remaining = limit;
@@ -1194,14 +1194,9 @@ class BTree {
                                          std::size_t hi) {
     std::vector<std::pair<K, V>> run;
     run.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (ctx.ops[i].kind == BatchOpKind::kErase) {
-        ctx.out[i] = BatchOutcome::kNoop;
-      } else {
-        ctx.out[i] = BatchOutcome::kInserted;
-        run.emplace_back(ctx.ops[i].key, *ctx.ops[i].value);
-      }
-    }
+    detail::split_landing_ops(ctx.ops, ctx.out, lo, hi, [&](std::size_t i) {
+      run.emplace_back(ctx.ops[i].key, *ctx.ops[i].value);
+    });
     if (run.empty()) return nullptr;
     std::vector<const Node*> nodes;
     std::vector<K> seps;

@@ -147,7 +147,7 @@ class ExternalBst {
     for_each_range_rec(root_, lo, hi, f);
   }
 
-  /// Bounded range scan; see Treap::scan.
+  /// Bounded range scan; see BinaryTree::scan.
   std::size_t scan(const K& lo, const K& hi, std::size_t limit,
                    std::vector<std::pair<K, V>>& out) const {
     std::size_t remaining = limit;
@@ -469,14 +469,9 @@ class ExternalBst {
                                          std::size_t hi) {
     std::vector<std::pair<K, V>> run;
     run.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (ctx.ops[i].kind == BatchOpKind::kErase) {
-        ctx.out[i] = BatchOutcome::kNoop;
-      } else {
-        ctx.out[i] = BatchOutcome::kInserted;
-        run.emplace_back(ctx.ops[i].key, *ctx.ops[i].value);
-      }
-    }
+    detail::split_landing_ops(ctx.ops, ctx.out, lo, hi, [&](std::size_t i) {
+      run.emplace_back(ctx.ops[i].key, *ctx.ops[i].value);
+    });
     if (run.empty()) return nullptr;
     return build_sorted_rec(b, run, 0, run.size());
   }

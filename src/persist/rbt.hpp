@@ -15,8 +15,13 @@
 // <= 2·log2(N+1) deterministically. The structure ablation (E8) measures
 // the resulting copy-cost difference.
 //
-// Size-augmented like every structure here: rank/kth/count_range are
-// O(log N), and a handle is a single root pointer.
+// This file owns the red-black machinery: Okasaki insertion, MSetRBT
+// deletion, the black-height join, the leveled-coloring bulk builders
+// and the virtual-leaf probe for the combining gate. Reads — lookups,
+// rank/select, range visits, batched probes, scans, sharing and
+// teardown — are the shared binary-tree core (persist/binary_tree.hpp),
+// so rank/kth/count_range are O(log N) and a handle is a single root
+// pointer, as for every structure here.
 //
 // Supports the sorted-batch protocol (persist/batch.hpp): the sweep is
 // tree-driven like the AVL port — ops partition around each node's key —
@@ -31,19 +36,37 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/node_base.hpp"
 #include "persist/batch.hpp"
+#include "persist/binary_tree.hpp"
 #include "util/assert.hpp"
-#include "util/small_vec.hpp"
 
 namespace pathcopy::persist {
 
+enum class RbColor : std::uint8_t { kRed = 0, kBlack = 1 };
+
+template <class K, class V>
+struct RbNode : core::PNode {
+  K key;
+  V value;
+  RbColor color;
+  std::uint64_t size;
+  const RbNode* left;
+  const RbNode* right;
+
+  RbNode(RbColor c, const RbNode* l, const K& k, const V& v, const RbNode* r)
+      : key(k), value(v), color(c),
+        size(1 + detail::size_of(l) + detail::size_of(r)),
+        left(l), right(r) {}
+};
+
 template <class K, class V, class Cmp = std::less<K>>
-class RbTree {
+class RbTree : public BinaryTree<RbTree<K, V, Cmp>, RbNode<K, V>, K, V, Cmp> {
+  using Base = BinaryTree<RbTree, RbNode<K, V>, K, V, Cmp>;
+
  public:
   using KeyType = K;
   using ValueType = V;
@@ -52,51 +75,8 @@ class RbTree {
   using BatchOpKind = persist::BatchOpKind;
   using BatchOutcome = persist::BatchOutcome;
   using ReadOutcome = persist::ReadOutcome<V>;
-  enum class Color : std::uint8_t { kRed = 0, kBlack = 1 };
-
-  struct Node : core::PNode {
-    K key;
-    V value;
-    Color color;
-    std::uint64_t size;
-    const Node* left;
-    const Node* right;
-
-    Node(Color c, const Node* l, const K& k, const V& v, const Node* r)
-        : key(k), value(v), color(c),
-          size(1 + size_of(l) + size_of(r)),
-          left(l), right(r) {}
-  };
-
-  RbTree() noexcept = default;
-
-  static RbTree from_root(const void* root) noexcept {
-    return RbTree{static_cast<const Node*>(root)};
-  }
-  const void* root_ptr() const noexcept { return root_; }
-  const Node* root_node() const noexcept { return root_; }
-
-  std::size_t size() const noexcept { return size_of(root_); }
-  bool empty() const noexcept { return root_ == nullptr; }
-
-  // ----- queries -----
-
-  const V* find(const K& key) const {
-    const Node* n = root_;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(key, n->key)) {
-        n = n->left;
-      } else if (cmp(n->key, key)) {
-        n = n->right;
-      } else {
-        return &n->value;
-      }
-    }
-    return nullptr;
-  }
-
-  bool contains(const K& key) const { return find(key) != nullptr; }
+  using Color = RbColor;
+  using Node = RbNode<K, V>;
 
   // ----- combining-gate clustering probe (core/combining.hpp) -----
   //
@@ -132,7 +112,7 @@ class RbTree {
                            std::size_t* ops_covered = nullptr) const {
     std::size_t covered = ops.size();
     unsigned runs = 0;
-    if (!ops.empty() && size_of(root_) <= kBatchVirtualLeaf) {
+    if (!ops.empty() && this->size() <= kBatchVirtualLeaf) {
       runs = 1;
     } else if (!ops.empty()) {
       Cmp cmp;
@@ -158,146 +138,23 @@ class RbTree {
     return runs;
   }
 
-  const Node* min_node() const {
-    const Node* n = root_;
-    while (n != nullptr && n->left != nullptr) n = n->left;
-    return n;
-  }
-
-  const Node* max_node() const {
-    const Node* n = root_;
-    while (n != nullptr && n->right != nullptr) n = n->right;
-    return n;
-  }
-
-  /// Largest key <= key, or nullptr.
-  const Node* floor_node(const K& key) const {
-    const Node* n = root_;
-    const Node* best = nullptr;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(key, n->key)) {
-        n = n->left;
-      } else {
-        best = n;
-        n = n->right;
-      }
-    }
-    return best;
-  }
-
-  /// Smallest key >= key, or nullptr.
-  const Node* ceiling_node(const K& key) const {
-    const Node* n = root_;
-    const Node* best = nullptr;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(n->key, key)) {
-        n = n->right;
-      } else {
-        best = n;
-        n = n->left;
-      }
-    }
-    return best;
-  }
-
-  /// Number of keys strictly less than key.
-  std::size_t rank(const K& key) const {
-    std::size_t r = 0;
-    const Node* n = root_;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(n->key, key)) {
-        r += 1 + size_of(n->left);
-        n = n->right;
-      } else {
-        n = n->left;
-      }
-    }
-    return r;
-  }
-
-  /// The i-th smallest key (0-based); nullptr when i >= size().
-  const Node* kth(std::size_t i) const {
-    const Node* n = root_;
-    while (n != nullptr) {
-      const std::size_t ls = size_of(n->left);
-      if (i < ls) {
-        n = n->left;
-      } else if (i == ls) {
-        return n;
-      } else {
-        i -= ls + 1;
-        n = n->right;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Keys in the half-open interval [lo, hi).
-  std::size_t count_range(const K& lo, const K& hi) const {
-    const std::size_t a = rank(lo);
-    const std::size_t b = rank(hi);
-    return b > a ? b - a : 0;
-  }
-
-  template <class F>
-  void for_each(F&& f) const {
-    for_each_rec(root_, f);
-  }
-
-  /// In-order visit restricted to [lo, hi): subtrees wholly outside the
-  /// interval are pruned at their root, so the visit costs O(hits + log n).
-  template <class F>
-  void for_each_range(const K& lo, const K& hi, F&& f) const {
-    for_each_range_rec(root_, lo, hi, f);
-  }
-
-  /// Descent-sharing batched lookup; see Treap::get_sorted_batch.
-  ReadProbeStats get_sorted_batch(std::span<const K> keys,
-                                  std::span<ReadOutcome> out) const {
-    PC_ASSERT(out.size() >= keys.size(),
-              "get_sorted_batch outcome span too small");
-    check_sorted_keys<Cmp, K>(keys);
-    ReadProbeStats stats;
-    detail::read_batch_rec<Cmp, Node, K, V>(root_, keys, out, 0, keys.size(),
-                                            stats);
-    return stats;
-  }
-
-  /// Bounded range scan; see Treap::scan.
-  std::size_t scan(const K& lo, const K& hi, std::size_t limit,
-                   std::vector<std::pair<K, V>>& out) const {
-    std::size_t remaining = limit;
-    detail::scan_range_rec<Cmp, Node, K, V>(root_, lo, hi, remaining, out);
-    return limit - remaining;
-  }
-
-  std::vector<std::pair<K, V>> items() const {
-    std::vector<std::pair<K, V>> out;
-    out.reserve(size());
-    for_each([&](const K& k, const V& v) { out.emplace_back(k, v); });
-    return out;
-  }
-
   // ----- updates -----
 
   template <class B>
   RbTree insert(B& b, const K& key, const V& value) const {
-    if (contains(key)) return *this;
-    return RbTree{make_black(b, ins(b, root_, key, value))};
+    if (this->contains(key)) return *this;
+    return with_root(make_black(b, ins(b, root_, key, value)));
   }
 
   template <class B>
   RbTree insert_or_assign(B& b, const K& key, const V& value) const {
-    return RbTree{make_black(b, ins(b, root_, key, value))};
+    return with_root(make_black(b, ins(b, root_, key, value)));
   }
 
   template <class B>
   RbTree erase(B& b, const K& key) const {
-    if (!contains(key)) return *this;
-    return RbTree{make_black(b, del(b, root_, key))};
+    if (!this->contains(key)) return *this;
+    return with_root(make_black(b, del(b, root_, key)));
   }
 
   /// O(n) bulk construction from strictly increasing (key, value) pairs.
@@ -310,7 +167,7 @@ class RbTree {
     std::vector<std::pair<K, V>> items(first, last);
     check_sorted_items<Cmp>(items);
     const std::size_t levels = levels_of(items.size());
-    return RbTree{build_sorted_rec(b, items, 0, items.size(), 1, levels)};
+    return with_root(build_sorted_rec(b, items, 0, items.size(), 1, levels));
   }
 
   /// Applies a key-sorted, key-unique op batch in one path-copying sweep
@@ -328,8 +185,9 @@ class RbTree {
     check_sorted_batch<Cmp>(ops);
     // The root is always black, so an untouched result stays shared and
     // a reshaped one is re-anchored for free (make_black on black = id).
-    return RbTree{make_black(b, detail::apply_batch_rec<BatchSweep>(
-                                    b, root_, ops, outcomes, 0, ops.size()))};
+    return with_root(make_black(
+        b, detail::apply_batch_rec<BatchSweep>(b, root_, ops, outcomes, 0,
+                                               ops.size())));
   }
 
   // ----- structural utilities -----
@@ -339,46 +197,23 @@ class RbTree {
   /// published builder state on every node.
   bool check_invariants() const {
     if (is_red(root_)) return false;
-    return check_rec(root_, nullptr, nullptr).ok;
+    return check_rec(root_, nullptr, nullptr, [](const Node* n) {
+      return !(n->color == kRed && (is_red(n->left) || is_red(n->right))) &&
+             black_height_of(n->left) == black_height_of(n->right);
+    });
   }
-
-  std::size_t height() const { return height_rec(root_); }
 
   /// Black nodes on any root-to-leaf path (0 for the empty tree).
-  std::size_t black_height() const {
-    std::size_t h = 0;
-    for (const Node* n = root_; n != nullptr; n = n->left) {
-      if (n->color == Color::kBlack) ++h;
-    }
-    return h;
-  }
-
-  static std::size_t shared_nodes(const RbTree& a, const RbTree& b) {
-    std::unordered_set<const Node*> seen;
-    collect(a.root_, seen);
-    std::size_t shared = 0;
-    count_shared(b.root_, seen, shared);
-    return shared;
-  }
-
-  template <class Backend>
-  static void destroy(const Node* n, Backend& backend) {
-    if (n == nullptr) return;
-    destroy(n->left, backend);
-    destroy(n->right, backend);
-    n->~Node();
-    backend.free_bytes(const_cast<Node*>(n), sizeof(Node), alignof(Node));
-  }
+  std::size_t black_height() const { return black_height_of(root_); }
 
  private:
-  explicit RbTree(const Node* root) noexcept : root_(root) {}
+  using Base::check_rec;
+  using Base::root_;
+  using Base::with_root;
 
   static constexpr Color kRed = Color::kRed;
   static constexpr Color kBlack = Color::kBlack;
 
-  static std::uint64_t size_of(const Node* n) noexcept {
-    return n == nullptr ? 0 : n->size;
-  }
   static bool is_red(const Node* n) noexcept {
     return n != nullptr && n->color == kRed;
   }
@@ -755,10 +590,6 @@ class RbTree {
     return join(b, pk, pv, l, rest);
   }
 
-  /// Inline scratch capacity for the batch-tail builder; combiner batches
-  /// are at most 2x the announcement-slot count.
-  static constexpr std::size_t kInlineBatch = 128;
-
   /// Policy for the shared tree-driven sweep (persist/batch.hpp): the
   /// partition recursion lives there; only the join discipline and the
   /// off-tree bulk build are red-black-specific.
@@ -789,25 +620,19 @@ class RbTree {
   static const Node* build_batch_inserts(B& b, std::span<const BatchOp> ops,
                                          std::span<BatchOutcome> out,
                                          std::size_t lo, std::size_t hi) {
-    util::SmallVec<std::size_t, kInlineBatch> land;  // ops that insert
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (ops[i].kind == BatchOpKind::kErase) {
-        out[i] = BatchOutcome::kNoop;
-      } else {
-        out[i] = BatchOutcome::kInserted;
-        land.push_back(i);
-      }
-    }
+    detail::BatchIndexVec land;  // ops that insert
+    detail::split_landing_ops(ops, out, lo, hi,
+                              [&](std::size_t i) { land.push_back(i); });
     if (land.empty()) return nullptr;
     return build_land_rec(b, ops, land, 0, land.size(), 1,
                           levels_of(land.size()));
   }
 
   template <class B>
-  static const Node* build_land_rec(
-      B& b, std::span<const BatchOp> ops,
-      const util::SmallVec<std::size_t, kInlineBatch>& land, std::size_t lo,
-      std::size_t hi, std::size_t depth, std::size_t levels) {
+  static const Node* build_land_rec(B& b, std::span<const BatchOp> ops,
+                                    const detail::BatchIndexVec& land,
+                                    std::size_t lo, std::size_t hi,
+                                    std::size_t depth, std::size_t levels) {
     if (lo == hi) return nullptr;
     const std::size_t mid = lo + (hi - lo) / 2;
     const Node* l = build_land_rec(b, ops, land, lo, mid, depth + 1, levels);
@@ -816,86 +641,6 @@ class RbTree {
     const Color c = (depth == levels && levels > 1) ? kRed : kBlack;
     return mk(b, c, l, op.key, *op.value, r);
   }
-
-  // ----- verification and traversal -----
-
-  template <class F>
-  static void for_each_rec(const Node* n, F& f) {
-    if (n == nullptr) return;
-    for_each_rec(n->left, f);
-    f(n->key, n->value);
-    for_each_rec(n->right, f);
-  }
-
-  template <class F>
-  static void for_each_range_rec(const Node* n, const K& lo, const K& hi,
-                                 F& f) {
-    if (n == nullptr) return;
-    Cmp cmp;
-    if (cmp(n->key, lo)) {  // entire left subtree < lo as well
-      for_each_range_rec(n->right, lo, hi, f);
-      return;
-    }
-    if (!cmp(n->key, hi)) {  // n->key >= hi
-      for_each_range_rec(n->left, lo, hi, f);
-      return;
-    }
-    for_each_range_rec(n->left, lo, hi, f);
-    f(n->key, n->value);
-    for_each_range_rec(n->right, lo, hi, f);
-  }
-
-  static std::size_t height_rec(const Node* n) {
-    if (n == nullptr) return 0;
-    return 1 + std::max(height_rec(n->left), height_rec(n->right));
-  }
-
-  struct CheckResult {
-    bool ok;
-    std::uint64_t size;
-    std::size_t black_height;
-  };
-
-  static CheckResult check_rec(const Node* n, const K* lo, const K* hi) {
-    if (n == nullptr) return {true, 0, 0};
-    Cmp cmp;
-    if (lo != nullptr && !cmp(*lo, n->key)) return {false, 0, 0};
-    if (hi != nullptr && !cmp(n->key, *hi)) return {false, 0, 0};
-    if (n->pc_state_ != core::NodeState::kPublished) return {false, 0, 0};
-    if (n->color == kRed && (is_red(n->left) || is_red(n->right))) {
-      return {false, 0, 0};
-    }
-    const CheckResult l = check_rec(n->left, lo, &n->key);
-    if (!l.ok) return {false, 0, 0};
-    const CheckResult r = check_rec(n->right, &n->key, hi);
-    if (!r.ok) return {false, 0, 0};
-    if (l.black_height != r.black_height) return {false, 0, 0};
-    const std::uint64_t sz = 1 + l.size + r.size;
-    const std::size_t bh =
-        l.black_height + (n->color == kBlack ? 1 : 0);
-    return {sz == n->size, sz, bh};
-  }
-
-  static void collect(const Node* n, std::unordered_set<const Node*>& out) {
-    if (n == nullptr) return;
-    out.insert(n);
-    collect(n->left, out);
-    collect(n->right, out);
-  }
-
-  static void count_shared(const Node* n,
-                           const std::unordered_set<const Node*>& in,
-                           std::size_t& shared) {
-    if (n == nullptr) return;
-    if (in.contains(n)) {
-      shared += n->size;
-      return;
-    }
-    count_shared(n->left, in, shared);
-    count_shared(n->right, in, shared);
-  }
-
-  const Node* root_ = nullptr;
 };
 
 }  // namespace pathcopy::persist

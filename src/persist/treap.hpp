@@ -12,6 +12,12 @@
 // core::Builder, path-copy via split/merge, and return the handle of the
 // new version, leaving *this valid and unchanged. Nodes are
 // size-augmented, giving O(log N) rank/select and O(1) size().
+//
+// This file owns what is treap-specific: the priorities, split/merge and
+// the single-pass insert/erase built on them, the priority-driven batch
+// sweep, and the join-based set algebra. Every read — lookups, rank/
+// select, range visits, batched probes, scans, sharing and teardown — is
+// the shared binary-tree core (persist/binary_tree.hpp).
 #pragma once
 
 #include <cstddef>
@@ -20,20 +26,39 @@
 #include <optional>
 #include <span>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/node_base.hpp"
 #include "persist/batch.hpp"
+#include "persist/binary_tree.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/small_vec.hpp"
 
 namespace pathcopy::persist {
 
+template <class K, class V>
+struct TreapNode : core::PNode {
+  K key;
+  V value;
+  std::uint64_t prio;
+  std::uint64_t size;  // nodes in this subtree, including this one
+  const TreapNode* left;
+  const TreapNode* right;
+
+  TreapNode(const K& k, const V& v, std::uint64_t p, const TreapNode* l,
+            const TreapNode* r)
+      : key(k), value(v), prio(p),
+        size(1 + detail::size_of(l) + detail::size_of(r)), left(l),
+        right(r) {}
+};
+
 template <class K, class V, class Cmp = std::less<K>>
-class Treap {
+class Treap
+    : public BinaryTree<Treap<K, V, Cmp>, TreapNode<K, V>, K, V, Cmp> {
+  using Base = BinaryTree<Treap, TreapNode<K, V>, K, V, Cmp>;
+
  public:
   using KeyType = K;
   using ValueType = V;
@@ -42,181 +67,11 @@ class Treap {
   using BatchOpKind = persist::BatchOpKind;
   using BatchOutcome = persist::BatchOutcome;
   using ReadOutcome = persist::ReadOutcome<V>;
-  struct Node : core::PNode {
-    K key;
-    V value;
-    std::uint64_t prio;
-    std::uint64_t size;  // nodes in this subtree, including this one
-    const Node* left;
-    const Node* right;
-
-    Node(const K& k, const V& v, std::uint64_t p, const Node* l, const Node* r)
-        : key(k), value(v), prio(p),
-          size(1 + size_of(l) + size_of(r)), left(l), right(r) {}
-  };
-
-  Treap() noexcept = default;
-
-  /// Rebinds a handle to a root loaded from an Atom (type-erased there).
-  static Treap from_root(const void* root) noexcept {
-    return Treap{static_cast<const Node*>(root)};
-  }
-  const void* root_ptr() const noexcept { return root_; }
-  const Node* root_node() const noexcept { return root_; }
-
-  std::size_t size() const noexcept { return size_of(root_); }
-  bool empty() const noexcept { return root_ == nullptr; }
+  using Node = TreapNode<K, V>;
 
   /// Deterministic priority: the tree shape depends only on the key set.
   static std::uint64_t priority_of(const K& key) {
     return util::mix64(static_cast<std::uint64_t>(std::hash<K>{}(key)));
-  }
-
-  // ----- queries (no builder, run on the immutable version) -----
-
-  const V* find(const K& key) const {
-    const Node* n = root_;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(key, n->key)) {
-        n = n->left;
-      } else if (cmp(n->key, key)) {
-        n = n->right;
-      } else {
-        return &n->value;
-      }
-    }
-    return nullptr;
-  }
-
-  bool contains(const K& key) const { return find(key) != nullptr; }
-
-  const Node* min_node() const {
-    const Node* n = root_;
-    while (n != nullptr && n->left != nullptr) n = n->left;
-    return n;
-  }
-
-  const Node* max_node() const {
-    const Node* n = root_;
-    while (n != nullptr && n->right != nullptr) n = n->right;
-    return n;
-  }
-
-  /// Largest key <= key, or nullptr.
-  const Node* floor_node(const K& key) const {
-    const Node* n = root_;
-    const Node* best = nullptr;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(key, n->key)) {
-        n = n->left;
-      } else {
-        best = n;  // n->key <= key
-        n = n->right;
-      }
-    }
-    return best;
-  }
-
-  /// Smallest key >= key, or nullptr.
-  const Node* ceiling_node(const K& key) const {
-    const Node* n = root_;
-    const Node* best = nullptr;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(n->key, key)) {
-        n = n->right;
-      } else {
-        best = n;  // n->key >= key
-        n = n->left;
-      }
-    }
-    return best;
-  }
-
-  /// Number of keys strictly less than key.
-  std::size_t rank(const K& key) const {
-    std::size_t r = 0;
-    const Node* n = root_;
-    Cmp cmp;
-    while (n != nullptr) {
-      if (cmp(n->key, key)) {
-        r += 1 + size_of(n->left);
-        n = n->right;
-      } else {
-        n = n->left;
-      }
-    }
-    return r;
-  }
-
-  /// The i-th smallest key (0-based); nullptr when i >= size().
-  const Node* kth(std::size_t i) const {
-    const Node* n = root_;
-    while (n != nullptr) {
-      const std::size_t ls = size_of(n->left);
-      if (i < ls) {
-        n = n->left;
-      } else if (i == ls) {
-        return n;
-      } else {
-        i -= ls + 1;
-        n = n->right;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Keys in the half-open interval [lo, hi).
-  std::size_t count_range(const K& lo, const K& hi) const {
-    const std::size_t a = rank(lo);
-    const std::size_t b = rank(hi);
-    return b > a ? b - a : 0;
-  }
-
-  /// In-order visit of (key, value).
-  template <class F>
-  void for_each(F&& f) const {
-    for_each_rec(root_, f);
-  }
-
-  /// In-order visit restricted to [lo, hi).
-  template <class F>
-  void for_each_range(const K& lo, const K& hi, F&& f) const {
-    for_each_range_rec(root_, lo, hi, f);
-  }
-
-  /// Resolves a key-sorted, key-unique probe batch against this snapshot
-  /// in one descent-sharing sweep: out[i] answers keys[i]. Read-only —
-  /// zero allocation, no builder — and returns the exact shared-vs-per-key
-  /// node accounting (see ReadProbeStats).
-  ReadProbeStats get_sorted_batch(std::span<const K> keys,
-                                  std::span<ReadOutcome> out) const {
-    PC_ASSERT(out.size() >= keys.size(),
-              "get_sorted_batch outcome span too small");
-    check_sorted_keys<Cmp, K>(keys);
-    ReadProbeStats stats;
-    detail::read_batch_rec<Cmp, Node, K, V>(root_, keys, out, 0, keys.size(),
-                                            stats);
-    return stats;
-  }
-
-  /// Bounded range scan: appends up to `limit` (key, value) pairs from
-  /// [lo, hi) in key order onto `out`; returns the number emitted. Early
-  /// exit makes a limit-k scan O(k + log n) regardless of range width.
-  std::size_t scan(const K& lo, const K& hi, std::size_t limit,
-                   std::vector<std::pair<K, V>>& out) const {
-    std::size_t remaining = limit;
-    detail::scan_range_rec<Cmp, Node, K, V>(root_, lo, hi, remaining, out);
-    return limit - remaining;
-  }
-
-  std::vector<std::pair<K, V>> items() const {
-    std::vector<std::pair<K, V>> out;
-    out.reserve(size());
-    for_each([&](const K& k, const V& v) { out.emplace_back(k, v); });
-    return out;
   }
 
   // ----- updates (path copying; *this is unchanged) -----
@@ -230,14 +85,16 @@ class Treap {
     bool inserted = false;
     const Node* nr =
         insert_rec(b, root_, key, value, priority_of(key), inserted);
-    return inserted ? Treap{nr} : *this;
+    return inserted ? with_root(nr) : *this;
   }
 
   /// Map-style insert: overwrites the value when the key is present
   /// (always produces a new version in that case).
   template <class B>
   Treap insert_or_assign(B& b, const K& key, const V& value) const {
-    if (contains(key)) return Treap{assign_rec(b, root_, key, value)};
+    if (this->contains(key)) {
+      return with_root(assign_rec(b, root_, key, value));
+    }
     return insert(b, key, value);
   }
 
@@ -249,21 +106,21 @@ class Treap {
   Treap erase(B& b, const K& key) const {
     bool erased = false;
     const Node* nr = erase_rec(b, root_, key, priority_of(key), erased);
-    return erased ? Treap{nr} : *this;
+    return erased ? with_root(nr) : *this;
   }
 
   /// Removes the smallest key; no-op on the empty treap.
   template <class B>
   Treap erase_min(B& b) const {
     if (root_ == nullptr) return *this;
-    return Treap{erase_min_rec(b, root_)};
+    return with_root(erase_min_rec(b, root_));
   }
 
   /// Splits into ({keys < key}, {keys >= key}).
   template <class B>
   static std::pair<Treap, Treap> split(B& b, const Treap& t, const K& key) {
     auto [lo, hi] = split_lt(b, t.root_, key);
-    return {Treap{lo}, Treap{hi}};
+    return {with_root(lo), with_root(hi)};
   }
 
   /// Joins two treaps; every key of lo must precede every key of hi.
@@ -272,7 +129,7 @@ class Treap {
     PC_DASSERT(lo.empty() || hi.empty() ||
                    Cmp{}(lo.max_node()->key, hi.min_node()->key),
                "merge requires disjoint ordered key ranges");
-    return Treap{merge_nodes(b, lo.root_, hi.root_)};
+    return with_root(merge_nodes(b, lo.root_, hi.root_));
   }
 
   /// O(n) bulk construction from strictly increasing (key, value) pairs.
@@ -292,7 +149,7 @@ class Treap {
     for (std::size_t i = 0; i < n; ++i) prio[i] = priority_of(items[i].first);
     const std::size_t root_idx = cartesian_scaffold(
         n, [&](std::size_t i) { return prio[i]; }, left, right, spine);
-    return Treap{build_rec(b, items, prio, left, right, root_idx)};
+    return with_root(build_rec(b, items, prio, left, right, root_idx));
   }
 
   /// Removes every key in [lo, hi). All removed nodes are superseded
@@ -302,11 +159,11 @@ class Treap {
   Treap erase_range(B& b, const K& lo, const K& hi) const {
     Cmp cmp;
     if (root_ == nullptr || !cmp(lo, hi)) return *this;
-    if (count_range(lo, hi) == 0) return *this;  // same-version no-op
+    if (this->count_range(lo, hi) == 0) return *this;  // same-version no-op
     auto [below, rest] = split_lt(b, root_, lo);
     auto [mid, above] = split_lt(b, rest, hi);
     supersede_subtree(b, mid);
-    return Treap{merge_nodes(b, below, above)};
+    return with_root(merge_nodes(b, below, above));
   }
 
   /// Applies a key-sorted, key-unique op batch in one path-copying sweep
@@ -327,13 +184,13 @@ class Treap {
               "apply_sorted_batch outcome span too small");
     if (ops.empty()) return *this;
     check_sorted_batch<Cmp>(ops);
-    util::SmallVec<std::uint64_t, kInlineBatch> prio;
+    util::SmallVec<std::uint64_t, detail::kInlineBatch> prio;
     prio.reserve(ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
       prio.push_back(priority_of(ops[i].key));
     }
     BatchCtx ctx{ops, outcomes, prio};
-    return Treap{apply_batch_rec(b, root_, ctx, 0, ops.size())};
+    return with_root(apply_batch_rec(b, root_, ctx, 0, ops.size()));
   }
 
   // ----- bulk set algebra (join-based, O(m log(n/m)) whp) -----
@@ -349,20 +206,20 @@ class Treap {
   /// Keys of x plus keys of y; on duplicates the value from x wins.
   template <class B>
   static Treap set_union(B& b, const Treap& x, const Treap& y) {
-    return Treap{union_rec(b, x.root_, /*a_is_x=*/true, y.root_,
-                           /*c_is_x=*/false)};
+    return with_root(union_rec(b, x.root_, /*a_is_x=*/true, y.root_,
+                               /*c_is_x=*/false));
   }
 
   /// Keys present in both x and y, with x's values.
   template <class B>
   static Treap set_intersect(B& b, const Treap& x, const Treap& y) {
-    return Treap{intersect_rec(b, x.root_, y.root_)};
+    return with_root(intersect_rec(b, x.root_, y.root_));
   }
 
   /// Keys of x that are absent from y.
   template <class B>
   static Treap set_difference(B& b, const Treap& x, const Treap& y) {
-    return Treap{difference_rec(b, x.root_, y.root_)};
+    return with_root(difference_rec(b, x.root_, y.root_));
   }
 
   // ----- structural utilities -----
@@ -370,58 +227,16 @@ class Treap {
   /// Full invariant check: BST order, heap priorities, size augmentation,
   /// and published state on every node. O(n).
   bool check_invariants() const {
-    return check_rec(root_, nullptr, nullptr).ok;
-  }
-
-  std::size_t height() const { return height_rec(root_); }
-
-  /// Number of nodes reachable from both versions — quantifies the
-  /// structural sharing that drives the paper's cache argument (Fig. 1).
-  static std::size_t shared_nodes(const Treap& a, const Treap& b) {
-    std::unordered_set<const Node*> seen;
-    collect(a.root_, seen);
-    std::size_t shared = 0;
-    count_shared(b.root_, seen, shared);
-    return shared;
-  }
-
-  /// Collects the addresses of nodes on the search path to key (used by
-  /// the cache-model instrumentation and sharing experiments).
-  std::vector<const Node*> path_to(const K& key) const {
-    std::vector<const Node*> path;
-    const Node* n = root_;
-    Cmp cmp;
-    while (n != nullptr) {
-      path.push_back(n);
-      if (cmp(key, n->key)) {
-        n = n->left;
-      } else if (cmp(n->key, key)) {
-        n = n->right;
-      } else {
-        break;
-      }
-    }
-    return path;
-  }
-
-  /// Teardown-only: frees every node of this version through the
-  /// allocator backend. Caller guarantees exclusive ownership (i.e. all
-  /// other versions have already been reclaimed).
-  template <class Backend>
-  static void destroy(const Node* n, Backend& backend) {
-    if (n == nullptr) return;
-    destroy(n->left, backend);
-    destroy(n->right, backend);
-    n->~Node();
-    backend.free_bytes(const_cast<Node*>(n), sizeof(Node), alignof(Node));
+    return check_rec(root_, nullptr, nullptr, [](const Node* n) {
+      return (n->left == nullptr || n->left->prio <= n->prio) &&
+             (n->right == nullptr || n->right->prio <= n->prio);
+    });
   }
 
  private:
-  explicit Treap(const Node* root) noexcept : root_(root) {}
-
-  static std::uint64_t size_of(const Node* n) noexcept {
-    return n == nullptr ? 0 : n->size;
-  }
+  using Base::check_rec;
+  using Base::root_;
+  using Base::with_root;
 
   // Splits into ({< key}, {>= key}), path-copying the search path. With
   // Supersede = false the copies are "pure": the input stays a live
@@ -542,15 +357,10 @@ class Treap {
     return merge_nodes(b, n->left, n->right);
   }
 
-  /// Inline scratch capacity for batch application; combiner batches are
-  /// at most 2x the announcement-slot count, so this avoids per-install
-  /// heap traffic in the common case.
-  static constexpr std::size_t kInlineBatch = 128;
-
   struct BatchCtx {
     std::span<const BatchOp> ops;
     std::span<BatchOutcome> out;
-    const util::SmallVec<std::uint64_t, kInlineBatch>& prio;
+    const util::SmallVec<std::uint64_t, detail::kInlineBatch>& prio;
   };
 
   // Core of apply_sorted_batch: applies ops[lo, hi) to subtree n. The
@@ -632,26 +442,17 @@ class Treap {
   static const Node* build_batch_inserts(B& b, BatchCtx& ctx, std::size_t lo,
                                          std::size_t hi) {
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    util::SmallVec<std::size_t, kInlineBatch> land;  // ops that insert
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (ctx.ops[i].kind == BatchOpKind::kErase) {
-        ctx.out[i] = BatchOutcome::kNoop;
-      } else {
-        ctx.out[i] = BatchOutcome::kInserted;
-        land.push_back(i);
-      }
-    }
+    detail::BatchIndexVec land;  // ops that insert
+    detail::split_landing_ops(ctx.ops, ctx.out, lo, hi,
+                              [&](std::size_t i) { land.push_back(i); });
     if (land.empty()) return nullptr;
     const std::size_t n = land.size();
-    util::SmallVec<std::size_t, kInlineBatch> left(n, kNone), right(n, kNone),
-        spine;
+    detail::BatchIndexVec left(n, kNone), right(n, kNone), spine;
     const std::size_t root_idx = cartesian_scaffold(
         n, [&](std::size_t i) { return ctx.prio[land[i]]; }, left, right,
         spine);
     return build_batch_rec(b, ctx, land, left, right, root_idx);
   }
-
-  using BatchIndexVec = util::SmallVec<std::size_t, kInlineBatch>;
 
   // Monotonic-stack cartesian-tree scaffolding shared by from_sorted and
   // the batch-tail builder: fills left/right child indices for items
@@ -679,9 +480,9 @@ class Treap {
 
   template <class B>
   static const Node* build_batch_rec(B& b, const BatchCtx& ctx,
-                                     const BatchIndexVec& land,
-                                     const BatchIndexVec& left,
-                                     const BatchIndexVec& right,
+                                     const detail::BatchIndexVec& land,
+                                     const detail::BatchIndexVec& left,
+                                     const detail::BatchIndexVec& right,
                                      std::size_t i) {
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     const Node* l = left[i] == kNone
@@ -811,81 +612,6 @@ class Treap {
                         : build_rec(b, items, prio, left, right, right[i]);
     return b.template create<Node>(items[i].first, items[i].second, prio[i], l, r);
   }
-
-  template <class F>
-  static void for_each_rec(const Node* n, F& f) {
-    if (n == nullptr) return;
-    for_each_rec(n->left, f);
-    f(n->key, n->value);
-    for_each_rec(n->right, f);
-  }
-
-  template <class F>
-  static void for_each_range_rec(const Node* n, const K& lo, const K& hi, F& f) {
-    if (n == nullptr) return;
-    Cmp cmp;
-    if (cmp(n->key, lo)) {  // entire left subtree < lo as well
-      for_each_range_rec(n->right, lo, hi, f);
-      return;
-    }
-    if (!cmp(n->key, hi)) {  // n->key >= hi
-      for_each_range_rec(n->left, lo, hi, f);
-      return;
-    }
-    for_each_range_rec(n->left, lo, hi, f);
-    f(n->key, n->value);
-    for_each_range_rec(n->right, lo, hi, f);
-  }
-
-  struct CheckResult {
-    bool ok;
-    std::uint64_t size;
-  };
-
-  static CheckResult check_rec(const Node* n, const K* lo, const K* hi) {
-    if (n == nullptr) return {true, 0};
-    Cmp cmp;
-    if (lo != nullptr && !cmp(*lo, n->key)) return {false, 0};
-    if (hi != nullptr && !cmp(n->key, *hi)) return {false, 0};
-    if (n->pc_state_ != core::NodeState::kPublished) return {false, 0};
-    if (n->left != nullptr && n->left->prio > n->prio) return {false, 0};
-    if (n->right != nullptr && n->right->prio > n->prio) return {false, 0};
-    const CheckResult l = check_rec(n->left, lo, &n->key);
-    if (!l.ok) return {false, 0};
-    const CheckResult r = check_rec(n->right, &n->key, hi);
-    if (!r.ok) return {false, 0};
-    const std::uint64_t sz = 1 + l.size + r.size;
-    return {sz == n->size, sz};
-  }
-
-  static std::size_t height_rec(const Node* n) {
-    if (n == nullptr) return 0;
-    const std::size_t l = height_rec(n->left);
-    const std::size_t r = height_rec(n->right);
-    return 1 + (l > r ? l : r);
-  }
-
-  static void collect(const Node* n, std::unordered_set<const Node*>& out) {
-    if (n == nullptr) return;
-    out.insert(n);
-    collect(n->left, out);
-    collect(n->right, out);
-  }
-
-  static void count_shared(const Node* n, const std::unordered_set<const Node*>& in,
-                           std::size_t& shared) {
-    if (n == nullptr) return;
-    if (in.contains(n)) {
-      // Everything below a shared node is shared as well (nodes are
-      // immutable, so a shared parent implies shared children).
-      shared += n->size;
-      return;
-    }
-    count_shared(n->left, in, shared);
-    count_shared(n->right, in, shared);
-  }
-
-  const Node* root_ = nullptr;
 };
 
 }  // namespace pathcopy::persist

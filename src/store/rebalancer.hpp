@@ -52,7 +52,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -482,25 +481,18 @@ class Rebalancer {
     return cuts;
   }
 
-  /// Resident-key cost of moving tablet t — exact via count_range when
-  /// the structure has it (keys below hi minus keys below lo, so the
-  /// unbounded last tablet needs no max-key edge case), the whole shard's
-  /// size (a conservative overestimate) otherwise. Runs on the owner's
-  /// current snapshot.
+  /// Resident-key cost of moving tablet t, exact on every ordered map:
+  /// keys below hi minus keys below lo (rank counts keys strictly below),
+  /// so the unbounded last tablet needs no max-key edge case. O(log n) on
+  /// the owner's current snapshot.
   std::uint64_t estimate_resident(const RouterT& r, std::size_t t) {
     const std::size_t s = r.owner(t);
     return map_->shard(s).read(
         ctxs_[s], [&](auto snap) -> std::uint64_t {
-          if constexpr (requires { snap.count_range(Key{}, Key{}); }) {
-            const Key mn = std::numeric_limits<Key>::min();
-            const Key* lo = r.tablet_lo(t);
-            const Key* hi = r.tablet_hi(t);
-            const std::size_t below_hi =
-                hi != nullptr ? snap.count_range(mn, *hi) : snap.size();
-            return below_hi - (lo != nullptr ? snap.count_range(mn, *lo) : 0);
-          } else {
-            return snap.size();
-          }
+          const Key* lo = r.tablet_lo(t);
+          const Key* hi = r.tablet_hi(t);
+          return (hi != nullptr ? snap.rank(*hi) : snap.size()) -
+                 (lo != nullptr ? snap.rank(*lo) : 0);
         });
   }
 

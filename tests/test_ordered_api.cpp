@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <thread>
 #include <vector>
@@ -63,6 +64,16 @@ const std::int64_t* kth_key_of(const DS& t, std::size_t i) {
     return t.kth_key(i);
   } else {
     const auto* n = t.kth(i);
+    return n == nullptr ? nullptr : &n->key;
+  }
+}
+
+template <class DS>
+const std::int64_t* floor_key_of(const DS& t, std::int64_t q) {
+  if constexpr (requires { t.floor_key(q); }) {
+    return t.floor_key(q);
+  } else {
+    const auto* n = t.floor_node(q);
     return n == nullptr ? nullptr : &n->key;
   }
 }
@@ -220,6 +231,31 @@ TYPED_TEST(OrderedApi, OptionalRangeQueriesMatchOracle) {
         ASSERT_NE(k, nullptr);
         ASSERT_EQ(*k, it->first);
       }
+    }
+  }
+  if constexpr (requires { t.floor_key(0); } || requires { t.floor_node(0); }) {
+    // Random probes plus one below the minimum and one above the maximum.
+    std::vector<std::int64_t> probes = {oracle.begin()->first - 1,
+                                        oracle.rbegin()->first + 1};
+    for (int probe = 0; probe < 50; ++probe) {
+      probes.push_back(rng.range(-220, 220));
+    }
+    for (const std::int64_t q : probes) {
+      const auto it = oracle.upper_bound(q);
+      const std::int64_t* k = floor_key_of(t, q);
+      if (it == oracle.begin()) {
+        ASSERT_EQ(k, nullptr) << q;
+      } else {
+        ASSERT_NE(k, nullptr) << q;
+        ASSERT_EQ(*k, std::prev(it)->first) << q;
+      }
+    }
+  }
+  if constexpr (requires { t.path_to(0); }) {
+    for (const auto& [k, v] : oracle) {
+      const auto path = t.path_to(k);
+      ASSERT_FALSE(path.empty()) << k;
+      ASSERT_EQ(path.back()->key, k);
     }
   }
 }

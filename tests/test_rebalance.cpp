@@ -33,6 +33,7 @@
 #include "alloc/malloc_alloc.hpp"
 #include "core/atom.hpp"
 #include "core/combining.hpp"
+#include "persist/external_bst.hpp"
 #include "persist/treap.hpp"
 #include "reclaim/epoch.hpp"
 #include "store/executor.hpp"
@@ -579,6 +580,54 @@ TYPED_TEST(RebalanceTyped, ContinuousOracleAcrossThrottledMoves) {
     typename Map::Session session(map, a);
     EXPECT_EQ(session.size(), 0u);
     EXPECT_TRUE(session.items().empty());
+  }
+  EXPECT_EQ(a.stats().live_blocks(), 0u);
+}
+
+/// The throttle prices a tablet move by its resident keys, which every
+/// ordered map can count exactly. ExternalBst has no count_range, so it
+/// is the map that would fall back to pricing the whole shard: here
+/// shard 0 holds a hot tablet and a cold one, so the first move carries
+/// fewer keys than the shard. Single-threaded, nothing changes the slice
+/// between the estimate and the extraction, so the admitted estimate
+/// must equal the keys moved.
+TEST(Rebalance, MoveEstimateIsTheTabletNotTheShard) {
+  using Eb = persist::ExternalBst<std::int64_t, std::int64_t>;
+  using EbMap = store::ShardedMap<core::Atom<Eb, Smr, MA>, TabR>;
+  constexpr std::int64_t kSpace = 1 << 16;
+  MA a;
+  {
+    // Shard 0 owns [0, kSpace/8) (hot below) and [kSpace/8, kSpace/4).
+    EbMap map(4, a,
+              TabR({kSpace / 8, kSpace / 4, kSpace / 2, 3 * kSpace / 4},
+                   {0, 0, 1, 2, 3}));
+    EbMap::Session session(map, a);
+    std::vector<std::pair<std::int64_t, std::int64_t>> items;
+    for (std::int64_t k = 0; k < kSpace; k += 8) items.emplace_back(k, k);
+    session.seed_sorted(items.begin(), items.end());
+
+    store::RebalanceConfig cfg;
+    cfg.min_samples = 256;
+    cfg.budget_keys = 1 << 20;  // admit every move
+    store::Rebalancer<EbMap> reb(map, a, cfg);
+    util::Xoshiro256 rng(5);
+    bool moved = false;
+    for (int round = 0; round < 200 && !moved; ++round) {
+      for (int i = 0; i < 1024; ++i) {
+        (void)session.find(rng.range(0, kSpace / 8 - 1));
+      }
+      const std::size_t shard0 = session.read_cut(
+          [](const store::ConsistentCut<core::Atom<Eb, Smr, MA>>& cut) {
+            return cut.snapshot(0).size();
+          });
+      if (reb.tick() != store::TickResult::kMove) continue;
+      moved = true;
+      ASSERT_GT(reb.stats().keys_moved, 0u);
+      ASSERT_LT(reb.stats().keys_moved, shard0);
+      EXPECT_EQ(reb.throttle().peak_interval_est(), reb.stats().keys_moved);
+    }
+    EXPECT_TRUE(moved) << "no tablet ever moved";
+    EXPECT_EQ(session.items(), items);
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
