@@ -5,7 +5,7 @@
 // an otherwise identical UC treap write-only workload:
 //
 //   malloc        — process-global operator new (the Java-allocator analogue)
-//   global-pool   — one mutex-protected free-list pool (worst case)
+//   global-pool   — one mutex-protected size-class pool (worst case)
 //   thread-cache  — per-thread magazines over the shared pool (the fix)
 //   arena+leaky   — per-thread bump arenas, no reclamation (GC-free upper
 //                   bound on allocation speed)

@@ -109,8 +109,8 @@ class Builder {
   /// sizeof(N), so superseding through a base pointer would report the
   /// wrong size class. Structures with several node kinds downcast
   /// before calling (BTree::supersede_node switches on kind; Hamt's
-  /// sites are all concretely typed). PoolBackend's debug size-class
-  /// registry asserts the claimed class at free time.
+  /// sites are all concretely typed). PoolBackend's size-class check
+  /// asserts the claimed class at free time.
   template <class N>
   void supersede(const N* n) noexcept {
     static_assert(std::is_base_of_v<PNode, N>, "nodes must derive from core::PNode");

@@ -2,8 +2,10 @@
 //
 // PC_ASSERT fires in all build types (the data structures here are subtle
 // enough that release-mode silent corruption is worse than the branch cost
-// on cold paths); PC_DASSERT compiles away outside debug builds and is used
-// on hot paths.
+// on cold paths). PC_DASSERT compiles away only when NDEBUG is defined,
+// which no build this repo configures does (RelWithDebInfo is -O2 -g), so
+// it runs in the tier-1 and benchmark builds too: a PC_DASSERT on a hot
+// path must cost O(1).
 #pragma once
 
 #include <cstdio>

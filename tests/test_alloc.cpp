@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <unordered_set>
@@ -10,6 +11,7 @@
 #include "alloc/pool_alloc.hpp"
 #include "alloc/thread_cache_alloc.hpp"
 #include "reclaim/retired.hpp"
+#include "util/rng.hpp"
 
 namespace pathcopy {
 namespace {
@@ -142,9 +144,11 @@ TEST(Pool, PopBatchCarvesWhenEmpty) {
   std::unordered_set<void*> seen(items, items + 32);
   EXPECT_EQ(seen.size(), 32u);
   pool.push_batch(2, items, 32);
-  // Popping again returns the pushed blocks.
-  void* again[32];
-  EXPECT_EQ(pool.pop_batch(2, again, 32), 32u);
+  // Popping again returns the pushed blocks, most recently pushed first.
+  void* again[16];
+  EXPECT_EQ(pool.pop_batch(2, again, 16), 16u);
+  EXPECT_EQ(std::unordered_set<void*>(again, again + 16),
+            std::unordered_set<void*>(items + 16, items + 32));
 }
 
 TEST(Pool, LockCounterAdvances) {
@@ -264,6 +268,77 @@ TEST(Pool, FreeBatchIsOneLockedTrip) {
   // The blocks are reusable: pop them back out.
   void* again[16];
   EXPECT_EQ(pool.pop_batch(alloc::PoolBackend::class_of(48), again, 16), 16u);
+}
+
+TEST(Pool, InterleavedClassesPopOnlyTheirOwnBlocks) {
+  // Three classes carved interleaved, across two to six slabs each, then
+  // freed in shuffled order: every class's stack must hold exactly its
+  // own blocks.
+  alloc::PoolBackend pool;
+  constexpr std::size_t kSizes[] = {32, 48, 112};
+  constexpr std::size_t kPerClass = 12000;
+  std::vector<std::pair<void*, std::size_t>> carved;
+  std::vector<std::unordered_set<void*>> owned(3);
+  for (std::size_t i = 0; i < kPerClass; ++i) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      void* p = pool.allocate(kSizes[c], 8);
+      carved.emplace_back(p, c);
+      owned[c].insert(p);
+    }
+  }
+  util::Xoshiro256 rng(17);
+  std::shuffle(carved.begin(), carved.end(), rng);
+  for (const auto& [p, c] : carved) pool.deallocate(p, kSizes[c], 8);
+  for (std::size_t c = 0; c < 3; ++c) {
+    std::vector<void*> popped(kPerClass);
+    ASSERT_EQ(pool.pop_batch(alloc::PoolBackend::class_of(kSizes[c]), popped.data(),
+                             kPerClass),
+              kPerClass);
+    EXPECT_EQ(std::unordered_set<void*>(popped.begin(), popped.end()), owned[c]);
+  }
+}
+
+// The size-class check: every free must name a block this pool carved,
+// with the class it was carved for.
+constexpr const char* kNeverCarved = "freed pointer was never carved from this pool";
+constexpr const char* kWrongClass =
+    "pointer freed with a different size class than it was allocated with";
+
+TEST(PoolDeathTest, DeallocateWithWrongClassAborts) {
+  alloc::PoolBackend pool;
+  void* p = pool.allocate(48, 8);
+  EXPECT_DEATH(pool.deallocate(p, 64, 8), kWrongClass);
+  pool.deallocate(p, 48, 8);
+}
+
+TEST(PoolDeathTest, FreeBatchWithWrongClassAborts) {
+  alloc::PoolBackend pool;
+  void* items[4];
+  ASSERT_EQ(pool.pop_batch(alloc::PoolBackend::class_of(48), items, 4), 4u);
+  EXPECT_DEATH(pool.free_batch(items, 4, 64, 8), kWrongClass);
+  pool.free_batch(items, 4, 48, 8);
+}
+
+TEST(PoolDeathTest, FreeingForeignPointerAborts) {
+  alignas(16) static char foreign[64];
+  alloc::PoolBackend pool;
+  pool.deallocate(pool.allocate(48, 8), 48, 8);  // the pool owns a slab
+  EXPECT_DEATH(pool.deallocate(foreign, 48, 8), kNeverCarved);
+}
+
+TEST(PoolDeathTest, FreeingInteriorPointerAborts) {
+  alloc::PoolBackend pool;
+  void* p = pool.allocate(48, 8);
+  EXPECT_DEATH(pool.deallocate(static_cast<char*>(p) + 16, 48, 8), kNeverCarved);
+  pool.deallocate(p, 48, 8);
+}
+
+TEST(PoolDeathTest, FreeingUncarvedBlockAborts) {
+  // The next block of the open slab: on a block boundary, not yet carved.
+  alloc::PoolBackend pool;
+  void* p = pool.allocate(48, 8);
+  EXPECT_DEATH(pool.deallocate(static_cast<char*>(p) + 48, 48, 8), kNeverCarved);
+  pool.deallocate(p, 48, 8);
 }
 
 TEST(Pool, FreeBatchOversizeFallsBackPerBlock) {

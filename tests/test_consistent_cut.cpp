@@ -118,9 +118,15 @@ TYPED_TEST(CutTyped, ConcurrentLockstepWriterNeverSkewsTheCut) {
     Map map(2, a, TabR({kSplit}, {0, 1}));
     std::atomic<bool> done{false};
     std::atomic<std::uint64_t> cuts_taken{0};
+    std::atomic<int> readers_started{0};
 
     std::thread writer([&] {
       typename Map::Session session(map, a);
+      // Write only once every reader has taken a cut: under load, thread
+      // start-up can otherwise outlast all kRounds and no cut overlaps.
+      while (readers_started.load(std::memory_order_acquire) < kReaders) {
+        std::this_thread::yield();
+      }
       for (std::int64_t i = 0; i < kRounds; ++i) {
         ASSERT_TRUE(session.insert(i, i));           // shard 0 first
         ASSERT_TRUE(session.insert(kSplit + i, i));  // then shard 1
@@ -133,6 +139,7 @@ TYPED_TEST(CutTyped, ConcurrentLockstepWriterNeverSkewsTheCut) {
       readers.emplace_back([&] {
         typename Map::Session session(map, a);
         store::VersionVector prev;
+        bool started = false;
         while (!done.load(std::memory_order_acquire)) {
           session.read_cut([&](const store::ConsistentCut<Uc>& cut) {
             const std::size_t n0 = cut.snapshot(0).size();
@@ -161,6 +168,10 @@ TYPED_TEST(CutTyped, ConcurrentLockstepWriterNeverSkewsTheCut) {
             prev = cut.clock();
           });
           cuts_taken.fetch_add(1, std::memory_order_relaxed);
+          if (!started) {
+            started = true;
+            readers_started.fetch_add(1, std::memory_order_release);
+          }
         }
       });
     }

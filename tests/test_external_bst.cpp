@@ -18,7 +18,9 @@ using E = persist::ExternalBst<std::int64_t, std::int64_t>;
 template <class Alloc>
 E insert_all(Alloc& a, E t, const std::vector<std::int64_t>& keys) {
   for (const auto k : keys) {
-    t = test::apply(a, [&](auto& b) { return t.insert(b, k, k * 10); });
+    // Unsigned, so full-range random keys wrap instead of overflowing.
+    const auto v = static_cast<std::int64_t>(static_cast<std::uint64_t>(k) * 10);
+    t = test::apply(a, [&](auto& b) { return t.insert(b, k, v); });
   }
   return t;
 }
