@@ -72,6 +72,14 @@ smoke bench_ablation_structure --quick
 SMOKE_TAG=recycle smoke bench_ablation_alloc --quick \
   --json "$build_dir/BENCH_alloc_recycle.json" --assert-recycle
 
+# Smoke: the store benchmark. run.sh builds benchmark/ into build-bench/
+# (its static_asserts pin the universal constructions' entry points),
+# runs every workload at 1/16 keys with 1 s windows plus the traced run,
+# and exits non-zero on a build error or a wrong per-op outcome; its
+# ctest covers the histogram self-test and compare_test.py.
+bash "$repo_root/benchmark/run.sh" --smoke --trace
+ctest --test-dir "$repo_root/build-bench" --output-on-failure
+
 # Smoke: the deterministic-scheduler model checker. A separate build tree
 # because PATHCOPY_MODELCHECK=ON compiles the PC_YIELD decision points
 # into the protocols (the tier-1 binaries above stay the unmodified

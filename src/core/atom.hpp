@@ -179,28 +179,9 @@ class Atom {
           if (old != &initial_empty_) builder.supersede(old);
         }
       }
-      builder.seal();
-      PC_YIELD("atom.install");
-      const void* expected = cur;
-      if (root_.compare_exchange_strong(expected, install,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        // Version is bumped after the root swings, so the counter always
-        // trails the root — the invariant the watermark reclaimer's
-        // pin-then-load protocol relies on. The window between the CAS
-        // and the bump is a model-check decision point: the pre-fix cut
-        // ABA lived exactly here.
-        PC_YIELD("atom.bump");
-        const std::uint64_t death =
-            version_.fetch_add(1, std::memory_order_seq_cst) + 1;
-        smr_->retire_bundle(ctx.smr_handle, death, cur, install,
-                            builder.commit());
-        ++ctx.stats.updates;
+      if (try_install(ctx, *smr_, builder, root_, version_, cur, install)) {
         return UpdateResult::kInstalled;
       }
-      ctx.stats.failed_attempt_nodes += builder.fresh_count();
-      builder.rollback();
-      ++ctx.stats.cas_failures;
       // Loop: reread the (new) current version and rebuild. The nodes we
       // just recycled sit in the builder's bin, so the retry's create()
       // calls reuse the same still-cache-hot blocks instead of paying
@@ -275,23 +256,14 @@ class Atom {
                                     std::span<ReadOutcome> out) const {
     PC_ASSERT(out.size() >= keys.size(), "multi_get outcome span too small");
     if (keys.empty()) return {};
-    VersionedView view = pin_versioned(ctx);  // bumps reads by 1...
-    ctx.stats.reads += keys.size() - 1;       // ...count every probe key
+    VersionedView view = pin_versioned(ctx);
     PC_YIELD("atom.mget.sweep");
-    const persist::ReadProbeStats st =
-        core::detail::resolve_sorted_probe<DS, Key, Value>(view.snapshot,
-                                                           keys, out);
-    ctx.stats.read_batches += 1;
-    ctx.stats.batched_reads += keys.size();
-    ctx.stats.read_batch_hist[OpStats::batch_bucket(keys.size())] += 1;
-    ctx.stats.probe_nodes_visited += st.nodes_visited;
-    ctx.stats.probe_nodes_saved += st.nodes_saved();
-    return st;
+    return core::detail::resolve_sorted_probe<DS, Key, Value>(
+        view.snapshot, keys, out, ctx.stats);
   }
 
-  /// Unguarded size probe — safe because size is read from the root node
-  /// itself, which a concurrent reclaimer cannot free while it is current;
-  /// callers needing linearizable reads should use read().
+  /// Size of the current version, read from its root under a pin: one
+  /// read(), so it is linearizable like any other read.
   std::size_t size(Ctx& ctx) const {
     return read(ctx, [](DS snapshot) { return snapshot.size(); });
   }

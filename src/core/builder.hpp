@@ -8,7 +8,8 @@
 //   * declares every node it copies *out of the current version* via
 //     builder.supersede(n).
 //
-// The universal construction then resolves the attempt:
+// try_install (below) then resolves the attempt — the one root CAS both
+// universal constructions share:
 //
 //   * CAS won  — commit(): superseded published nodes become a retire
 //     bundle for the reclaimer (they are still visible to readers of older
@@ -28,11 +29,13 @@
 // allocator only when the builder dies. set_recycling(false) restores the
 // immediate-deallocate behaviour for A/B measurement.
 //
-// seal() must be called after the candidate is final and before the CAS:
-// it downgrades surviving fresh nodes to kPublished while they are still
-// thread-private, so no post-publication write to shared memory occurs.
+// try_install calls seal() after the candidate is final and before the
+// CAS: it downgrades surviving fresh nodes to kPublished while they are
+// still thread-private, so no post-publication write to shared memory
+// occurs.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -42,8 +45,10 @@
 
 #include "core/node_base.hpp"
 #include "core/stats.hpp"
+#include "core/thread_context.hpp"
 #include "reclaim/retired.hpp"
 #include "util/assert.hpp"
+#include "util/modelcheck.hpp"
 
 namespace pathcopy::core {
 
@@ -270,5 +275,40 @@ class RecycleScope {
   const Builder<Alloc>* builder_;
   std::uint64_t base_;
 };
+
+/// Resolves one attempt of a universal construction's retry loop: seals
+/// the candidate and tries to swing `root` from `cur` to `next`. On a win
+/// it bumps `version`, hands the superseded nodes to the reclaimer as a
+/// bundle dying at the new version, counts the update and returns true.
+/// On a loss it counts the thrown-away nodes and the CAS failure, rolls
+/// the builder back (its blocks stay binned for the retry) and returns
+/// false; the caller re-pins and rebuilds.
+template <class Smr, class Alloc>
+bool try_install(ThreadContext<Smr, Alloc>& ctx, Smr& smr,
+                 Builder<Alloc>& builder, std::atomic<const void*>& root,
+                 std::atomic<std::uint64_t>& version, const void* cur,
+                 const void* next) {
+  builder.seal();
+  PC_YIELD("atom.install");
+  const void* expected = cur;
+  if (!root.compare_exchange_strong(expected, next, std::memory_order_seq_cst,
+                                    std::memory_order_relaxed)) {
+    ctx.stats.failed_attempt_nodes += builder.fresh_count();
+    ++ctx.stats.cas_failures;
+    builder.rollback();
+    return false;
+  }
+  // The version is bumped after the root swings, so the counter always
+  // trails the root — the invariant the watermark reclaimer's
+  // pin-then-load protocol relies on. The window between the CAS and the
+  // bump is a model-check decision point: the pre-fix cut ABA lived
+  // exactly here.
+  PC_YIELD("atom.bump");
+  const std::uint64_t death =
+      version.fetch_add(1, std::memory_order_seq_cst) + 1;
+  smr.retire_bundle(ctx.smr_handle, death, cur, next, builder.commit());
+  ++ctx.stats.updates;
+  return true;
+}
 
 }  // namespace pathcopy::core

@@ -62,6 +62,7 @@
 #include "util/assert.hpp"
 #include "util/modelcheck.hpp"
 #include "util/racy_cell.hpp"
+#include "util/small_vec.hpp"
 
 namespace pathcopy::core {
 
@@ -213,38 +214,7 @@ class CombiningAtom {
                      std::span<bool> results_out) {
     PC_ASSERT(results_out.size() >= reqs.size(),
               "execute_batch result span too small");
-    BuilderT builder(*ctx.alloc);
-    builder.set_recycling(ctx.recycle_fresh);
-    RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
-    std::size_t done = 0;
-    while (done < reqs.size()) {
-      const unsigned chunk = static_cast<unsigned>(
-          std::min<std::size_t>(reqs.size() - done, MaxThreads));
-      for (;;) {
-        builder.reset();
-        ++ctx.stats.attempts;
-        auto guard = smr_->pin(ctx.smr_handle, root_, version_);
-        const auto* vr = static_cast<const VersionRec*>(guard.root());
-        std::array<Gathered, kMaxGather> gathered;
-        unsigned g = gather_pending(vr, gathered);
-        for (unsigned i = 0; i < chunk; ++i) {
-          const BatchRequest& r = reqs[done + i];
-          PC_DASSERT(r.kind == OpKind::kErase || r.value.has_value(),
-                     "insert request without a value");
-          Gathered& e = gathered[g++];
-          e.slot = kRequestSlot;
-          e.seq = done + i;
-          e.kind = r.kind;
-          e.key = r.key;
-          e.value = r.value;
-        }
-        if (install_attempt(ctx, builder, vr, gathered, g, results_out) !=
-            nullptr) {
-          done += chunk;
-          break;
-        }
-      }
-    }
+    install_chunked(ctx, reqs, results_out, MaxThreads);
   }
 
   /// Bulk sorted ingest — the control-plane fast path behind shard
@@ -283,7 +253,7 @@ class CombiningAtom {
 #endif
       std::vector<BatchOp> ops;
       std::vector<BatchOutcome> outs;
-      Builder<Alloc> builder(*ctx.alloc);
+      BuilderT builder(*ctx.alloc);
       builder.set_recycling(ctx.recycle_fresh);
       RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
       std::size_t done = 0;
@@ -312,31 +282,15 @@ class CombiningAtom {
         ++ctx.stats.attempts;
         auto guard = smr_->pin(ctx.smr_handle, root_, version_);
         const auto* vr = static_cast<const VersionRec*>(guard.root());
-        DS ds = DS::from_root(vr->ds_root);
-        DS next = ds.apply_sorted_batch(builder,
-                                        std::span<const BatchOp>(ops),
-                                        std::span<BatchOutcome>(outs));
-        const VersionRec* nvr = builder.template create<VersionRec>(
-            next.root_ptr(), vr->version + 1, vr->applied_seq,
-            vr->last_result);
-        builder.supersede(vr);
-        builder.seal();
-        PC_YIELD("atom.install");
-        const void* expected = vr;
-        if (!root_.compare_exchange_strong(expected, nvr,
-                                           std::memory_order_seq_cst,
-                                           std::memory_order_relaxed)) {
-          ctx.stats.failed_attempt_nodes += builder.fresh_count();
-          builder.rollback();
-          ++ctx.stats.cas_failures;
+        DS next = DS::from_root(vr->ds_root)
+                      .apply_sorted_batch(builder,
+                                          std::span<const BatchOp>(ops),
+                                          std::span<BatchOutcome>(outs));
+        if (publish(ctx, builder, vr, next.root_ptr(), vr->applied_seq,
+                    vr->last_result) == nullptr) {
           chunk /= 2;
           continue;
         }
-        PC_YIELD("atom.bump");
-        const std::uint64_t death =
-            version_.fetch_add(1, std::memory_order_seq_cst) + 1;
-        smr_->retire_bundle(ctx.smr_handle, death, vr, nvr, builder.commit());
-        ++ctx.stats.updates;
         ctx.stats.batched_installs += 1;
         ctx.stats.batched_ops += n;
         ctx.stats.batch_hist[OpStats::batch_bucket(n)] += 1;
@@ -354,145 +308,34 @@ class CombiningAtom {
   /// `reqs` must be stably key-sorted with duplicates ALLOWED: same-key
   /// requests appear in application order (the ShardExecutor's k-way
   /// merge of many clients' key-sorted sub-batches is exactly that).
-  /// The whole run — plus any pending per-thread announcements, so
-  /// helping is preserved — is chain-collapsed to one effective op per
-  /// distinct key and applied through ONE install attempt per retry:
-  /// a backed-up lane pays one root CAS for N tickets. Results land in
-  /// `results_out` aligned with `reqs`, exactly as if the requests ran
-  /// one by one in span order. Falls back to execute_batch for runs
-  /// small enough for the fixed-size gather path, when batching is off,
-  /// or when the fanout gate prices the merged batch as unclustered.
+  /// Results land in `results_out` aligned with `reqs`, exactly as if the
+  /// requests ran one by one in span order. A run longer than MaxThreads
+  /// goes in as ONE install attempt per retry (plus any pending
+  /// announcements, so helping is preserved) when the sorted sweep is on:
+  /// a backed-up lane pays one root CAS for N tickets. Same-key chains
+  /// collapse to one effective op per distinct key; if the fanout gate
+  /// prices the collapsed run as unclustered, that same install applies
+  /// it per op instead. Shorter runs, structures without the sweep, and
+  /// set_batch_apply(false) take execute_batch's chunks of MaxThreads.
   void execute_sorted(Ctx& ctx, std::span<const BatchRequest> reqs,
                       std::span<bool> results_out) {
     PC_ASSERT(results_out.size() >= reqs.size(),
               "execute_sorted result span too small");
-    if constexpr (!kHasBatchApply) {
-      execute_batch(ctx, reqs, results_out);
-    } else {
-      if (reqs.size() <= MaxThreads ||
-          !batch_apply_.load(std::memory_order_relaxed)) {
-        // execute_batch applies chunks in span order, so semantics are
-        // identical; below one chunk there is nothing to coalesce.
-        execute_batch(ctx, reqs, results_out);
-        return;
-      }
-      using BatchOp = typename DS::BatchOp;
-      using BatchOutcome = typename DS::BatchOutcome;
+    std::size_t chunk = MaxThreads;
+    if constexpr (kHasBatchApply) {
 #ifndef NDEBUG
-      {
-        typename DS::KeyCompare cmp;
-        for (std::size_t i = 1; i < reqs.size(); ++i) {
-          PC_DASSERT(!cmp(reqs[i].key, reqs[i - 1].key),
-                     "execute_sorted requires key-sorted requests");
-        }
+      typename DS::KeyCompare cmp;
+      for (std::size_t i = 1; i < reqs.size(); ++i) {
+        PC_DASSERT(!cmp(reqs[i].key, reqs[i - 1].key),
+                   "execute_sorted requires key-sorted requests");
       }
 #endif
-      const std::size_t n = reqs.size();
-      // Entry layout mirrors the gather path's convention — pending
-      // announcements first (ascending slot), then requests in span
-      // order — so the stable key-sort keeps every same-key chain in
-      // the order the fixed path would apply it.
-      std::vector<Gathered> entries;
-      std::vector<unsigned> order;
-      std::vector<BatchOp> ops;
-      std::vector<BatchOutcome> outs;
-      std::vector<unsigned> chain_begin, chain_end;
-      typename DS::KeyCompare cmp;
-      BuilderT builder(*ctx.alloc);
-      builder.set_recycling(ctx.recycle_fresh);
-      RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
-      for (;;) {
-        builder.reset();
-        ++ctx.stats.attempts;
-        auto guard = smr_->pin(ctx.smr_handle, root_, version_);
-        const auto* vr = static_cast<const VersionRec*>(guard.root());
-        std::array<Gathered, kMaxGather> gathered;
-        const unsigned ga = gather_pending(vr, gathered);
-        entries.clear();
-        entries.reserve(ga + n);
-        for (unsigned i = 0; i < ga; ++i) entries.push_back(gathered[i]);
-        for (std::size_t i = 0; i < n; ++i) {
-          const BatchRequest& r = reqs[i];
-          PC_DASSERT(r.kind == OpKind::kErase || r.value.has_value(),
-                     "insert request without a value");
-          Gathered& e = entries.emplace_back();
-          e.slot = kRequestSlot;
-          e.seq = i;
-          e.kind = r.kind;
-          e.key = r.key;
-          e.value = r.value;
-        }
-        const std::size_t total = entries.size();
-        order.resize(total);
-        for (std::size_t i = 0; i < total; ++i) {
-          order[i] = static_cast<unsigned>(i);
-        }
-        std::stable_sort(order.begin(), order.end(),
-                         [&](unsigned a, unsigned b) {
-                           return cmp(entries[a].key, entries[b].key);
-                         });
-        ops.resize(total);
-        outs.assign(total, BatchOutcome::kNoop);
-        chain_begin.resize(total);
-        chain_end.resize(total);
-        const unsigned nb = collapse_chains(entries.data(), order.data(),
-                                            total, ops.data(),
-                                            chain_begin.data(),
-                                            chain_end.data());
-        DS ds = DS::from_root(vr->ds_root);
-        if (batch_gate_declines(ds,
-                                std::span<const BatchOp>(ops.data(), nb))) {
-          // Unclustered on a wide structure: the chunked gather path's
-          // per-op fallback prices each chunk on its own.
-          ++ctx.stats.batch_declines;
-          builder.rollback();
-          execute_batch(ctx, reqs, results_out);
-          return;
-        }
-        std::array<std::uint64_t, MaxThreads> applied = vr->applied_seq;
-        std::array<bool, MaxThreads> results = vr->last_result;
-        const std::uint64_t created_before = builder.created_count();
-        const std::uint64_t size_before = ds.size();
-        std::uint64_t landed = 0;
-        DS next = ds.apply_sorted_batch(
-            builder, std::span<const BatchOp>(ops.data(), nb),
-            std::span<BatchOutcome>(outs.data(), nb));
-        replay_chains(entries.data(), order.data(), ops.data(), outs.data(),
-                      nb, chain_begin.data(), chain_end.data(), applied,
-                      results, results_out, landed);
-        const std::uint64_t created_by_ops =
-            builder.created_count() - created_before;
-        const VersionRec* nvr = builder.template create<VersionRec>(
-            next.root_ptr(), vr->version + 1, applied, results);
-        builder.supersede(vr);
-        builder.seal();
-        PC_YIELD("atom.install");
-        const void* expected = vr;
-        if (!root_.compare_exchange_strong(expected, nvr,
-                                           std::memory_order_seq_cst,
-                                           std::memory_order_relaxed)) {
-          ctx.stats.failed_attempt_nodes += builder.fresh_count();
-          builder.rollback();
-          ++ctx.stats.cas_failures;
-          continue;
-        }
-        PC_YIELD("atom.bump");
-        const std::uint64_t death =
-            version_.fetch_add(1, std::memory_order_seq_cst) + 1;
-        smr_->retire_bundle(ctx.smr_handle, death, vr, nvr, builder.commit());
-        ++ctx.stats.updates;
-        ctx.stats.combined_ops += total;
-        ctx.stats.batched_installs += 1;
-        ctx.stats.batched_ops += total;
-        ctx.stats.batch_hist[OpStats::batch_bucket(total)] += 1;
-        const std::uint64_t height_est = std::bit_width(size_before + 1);
-        const std::uint64_t per_op_est = landed * (height_est + 1);
-        if (per_op_est > created_by_ops) {
-          ctx.stats.spine_copies_saved += per_op_est - created_by_ops;
-        }
-        return;
+      if (reqs.size() > MaxThreads &&
+          batch_apply_.load(std::memory_order_relaxed)) {
+        chunk = reqs.size();
       }
     }
+    install_chunked(ctx, reqs, results_out, chunk);
   }
 
   /// Disables/enables the sorted-batch fast path (per-op fallback). For
@@ -515,7 +358,7 @@ class CombiningAtom {
   /// installed version — bench pre-fill, not for concurrent use.
   template <class It>
   void seed_sorted(Ctx& ctx, It first, It last) {
-    Builder<Alloc> builder(*ctx.alloc);
+    BuilderT builder(*ctx.alloc);
     builder.set_recycling(ctx.recycle_fresh);
     RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
     for (;;) {
@@ -525,24 +368,10 @@ class CombiningAtom {
       PC_ASSERT(vr->ds_root == nullptr,
                 "seed_sorted requires an empty structure");
       DS next = DS::from_sorted(builder, first, last);
-      const VersionRec* nvr = builder.template create<VersionRec>(
-          next.root_ptr(), vr->version + 1, vr->applied_seq, vr->last_result);
-      builder.supersede(vr);
-      builder.seal();
-      PC_YIELD("atom.install");
-      const void* expected = vr;
-      if (root_.compare_exchange_strong(expected, nvr,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        PC_YIELD("atom.bump");
-        const std::uint64_t death =
-            version_.fetch_add(1, std::memory_order_seq_cst) + 1;
-        smr_->retire_bundle(ctx.smr_handle, death, vr, nvr, builder.commit());
-        ++ctx.stats.updates;
+      if (publish(ctx, builder, vr, next.root_ptr(), vr->applied_seq,
+                  vr->last_result) != nullptr) {
         return;
       }
-      ctx.stats.failed_attempt_nodes += builder.fresh_count();
-      builder.rollback();
     }
   }
 
@@ -600,18 +429,10 @@ class CombiningAtom {
                                     std::span<ReadOutcome> out) const {
     PC_ASSERT(out.size() >= keys.size(), "multi_get outcome span too small");
     if (keys.empty()) return {};
-    VersionedView view = pin_versioned(ctx);  // bumps reads by 1...
-    ctx.stats.reads += keys.size() - 1;       // ...count every probe key
+    VersionedView view = pin_versioned(ctx);
     PC_YIELD("combining.mget.sweep");
-    const persist::ReadProbeStats st =
-        core::detail::resolve_sorted_probe<DS, Key, Value>(view.snapshot,
-                                                           keys, out);
-    ctx.stats.read_batches += 1;
-    ctx.stats.batched_reads += keys.size();
-    ctx.stats.read_batch_hist[OpStats::batch_bucket(keys.size())] += 1;
-    ctx.stats.probe_nodes_visited += st.nodes_visited;
-    ctx.stats.probe_nodes_saved += st.nodes_saved();
-    return st;
+    return core::detail::resolve_sorted_probe<DS, Key, Value>(
+        view.snapshot, keys, out, ctx.stats);
   }
 
   Smr& reclaimer() noexcept { return *smr_; }
@@ -634,8 +455,9 @@ class CombiningAtom {
     util::RacyCell<std::optional<Value>> value;
   };
 
-  /// A stable copy of one pending announcement taken during the gather
-  /// scan, so sorting/deduping works on data no owner can re-write.
+  /// One entry of an install: a stable copy of a pending announcement
+  /// taken during the gather scan, so sorting/deduping works on data no
+  /// owner can re-write, or a caller's request (slot == kRequestSlot).
   struct Gathered {
     unsigned slot;
     std::uint64_t seq;
@@ -646,13 +468,17 @@ class CombiningAtom {
 
   using BuilderT = Builder<Alloc>;
   static constexpr bool kHasBatchApply = SupportsSortedBatch<DS, BuilderT>;
-  /// Sentinel slot id marking a Gathered entry as an execute_batch
-  /// request; its seq field is then the request index, and its response
-  /// goes to the caller's result span instead of the VersionRec arrays.
+  /// Sentinel slot id marking a Gathered entry as a caller's request; its
+  /// seq field is then the request index, and its response goes to the
+  /// caller's result span instead of the VersionRec arrays.
   static constexpr unsigned kRequestSlot = MaxThreads;
-  /// One install can absorb every announcement slot plus one
-  /// execute_batch chunk (itself capped at MaxThreads requests).
+  /// Inline capacity of an install's entry list and scratch: every
+  /// announcement slot plus one chunk of at most MaxThreads requests, so
+  /// run_op and execute_batch installs never touch the heap. Only a whole
+  /// coalesced run (execute_sorted) longer than this spills.
   static constexpr unsigned kMaxGather = 2 * MaxThreads;
+  template <class T>
+  using Scratch = util::SmallVec<T, kMaxGather>;
   /// Smallest gathered batch worth the sorted sweep: at B=2 the sort +
   /// chain-collapse bookkeeping costs more than the one or two shared
   /// spine levels save (measured in bench_batch_combining), so tiny
@@ -700,10 +526,7 @@ class CombiningAtom {
         ++ctx.stats.helped_completions;
         return vr->last_result[slot];
       }
-      std::array<Gathered, kMaxGather> gathered;
-      const unsigned g = gather_pending(vr, gathered);
-      const VersionRec* nvr =
-          install_attempt(ctx, builder, vr, gathered, g, {});
+      const VersionRec* nvr = install(ctx, builder, vr, {}, {});
       if (nvr != nullptr) {
         PC_DASSERT(nvr->applied_seq[slot] >= seq,
                    "own announcement must be gathered");
@@ -712,25 +535,43 @@ class CombiningAtom {
     }
   }
 
+  /// The retry loop behind execute_batch and execute_sorted: installs
+  /// `reqs` in span order, `chunk` requests per install, retrying each
+  /// chunk until its CAS lands.
+  void install_chunked(Ctx& ctx, std::span<const BatchRequest> reqs,
+                       std::span<bool> results_out, std::size_t chunk) {
+    BuilderT builder(*ctx.alloc);
+    builder.set_recycling(ctx.recycle_fresh);
+    RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
+    for (std::size_t done = 0; done < reqs.size();) {
+      const std::size_t n = std::min(chunk, reqs.size() - done);
+      for (;;) {
+        builder.reset();
+        ++ctx.stats.attempts;
+        auto guard = smr_->pin(ctx.smr_handle, root_, version_);
+        const auto* vr = static_cast<const VersionRec*>(guard.root());
+        if (install(ctx, builder, vr, reqs.subspan(done, n),
+                    results_out.subspan(done, n)) != nullptr) {
+          break;
+        }
+      }
+      done += n;
+    }
+  }
+
   /// Scans every announcement slot for pending (announced, not yet
-  /// applied relative to vr) operations and copies them into `out` in
+  /// applied relative to vr) operations and appends them to `out` in
   /// ascending slot order. Torn payloads — an owner re-announcing while
   /// we read — are skipped: the owner can only have moved on because some
   /// install absorbed its previous op, so our CAS against vr is already
   /// doomed and any choice here is discarded.
-  unsigned gather_pending(const VersionRec* vr,
-                          std::array<Gathered, kMaxGather>& out) {
-    unsigned g = 0;
+  void gather_pending(const VersionRec* vr, Scratch<Gathered>& out) {
     const unsigned live = next_slot_.load(std::memory_order_acquire);
     for (unsigned i = 0; i < live && i < MaxThreads; ++i) {
       const std::uint64_t si = slots_[i].seq.load(std::memory_order_acquire);
       if (si <= vr->applied_seq[i]) continue;
-      Gathered& e = out[g];
-      e.slot = i;
-      e.seq = si;
-      e.kind = slots_[i].kind.load();
-      e.key = slots_[i].key.load();
-      e.value = slots_[i].value.load();
+      const Gathered e{i, si, slots_[i].kind.load(), slots_[i].key.load(),
+                       slots_[i].value.load()};
       // The multi-word payload copy above can interleave with the owner
       // re-announcing; the seq re-read below is what rejects the torn
       // copy. This is the window the model checker explores.
@@ -741,45 +582,80 @@ class CombiningAtom {
       if (e.kind == OpKind::kInsert && !e.value.has_value()) {
         continue;  // torn read straddled a re-announce; CAS is doomed
       }
-      ++g;
+      out.push_back(e);
     }
-    return g;
   }
 
-  /// Builds a candidate absorbing gathered[0, g) on top of vr and tries
-  /// to install it. Returns the new VersionRec on success (stats and
-  /// retirement done); nullptr after a lost CAS (builder rolled back).
-  const VersionRec* install_attempt(Ctx& ctx, BuilderT& builder,
-                                    const VersionRec* vr,
-                                    std::array<Gathered, kMaxGather>& gathered,
-                                    unsigned g, std::span<bool> results_out) {
+  /// The one combining install: builds a candidate on top of vr that
+  /// absorbs every pending announcement (ascending slot order) and then
+  /// `reqs` (span order; request i answers in results_out[i]), and
+  /// commits it through try_install. The candidate takes the sorted
+  /// sweep when the structure has one, batching is on, and the fanout
+  /// gate accepts the collapsed batch: entries are key-sorted (stably, so
+  /// each same-key chain keeps entry order), each chain collapses to the
+  /// one effective op that leaves the structure as per-op application
+  /// would, the batch goes through one shared spine, and every chained
+  /// op's response is replayed from its key's pre-batch presence.
+  /// Otherwise the per-op loop applies the entries in order. Returns the
+  /// installed VersionRec, or nullptr after a lost CAS.
+  const VersionRec* install(Ctx& ctx, BuilderT& builder, const VersionRec* vr,
+                            std::span<const BatchRequest> reqs,
+                            std::span<bool> results_out) {
+    Scratch<Gathered> entries;
+    gather_pending(vr, entries);
+    entries.reserve(entries.size() + reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const BatchRequest& r = reqs[i];
+      PC_DASSERT(r.kind == OpKind::kErase || r.value.has_value(),
+                 "insert request without a value");
+      entries.push_back(Gathered{kRequestSlot, i, r.kind, r.key, r.value});
+    }
+    const std::size_t g = entries.size();
     DS ds = DS::from_root(vr->ds_root);
     std::array<std::uint64_t, MaxThreads> applied = vr->applied_seq;
     std::array<bool, MaxThreads> results = vr->last_result;
     const std::uint64_t created_before = builder.created_count();
     std::uint64_t size_before = 0;
-    bool used_batch = false;
     std::uint64_t landed = 0;  // ops with a structural effect
+    bool used_batch = false;
     if constexpr (kHasBatchApply) {
       if (g >= kMinBatchApply && batch_apply_.load(std::memory_order_relaxed)) {
-        size_before = ds.size();
-        std::optional<DS> applied_ds = apply_gathered_batch(
-            builder, ds, gathered, g, applied, results, results_out, landed);
-        if (applied_ds.has_value()) {
-          ds = *applied_ds;
-          used_batch = true;
-        } else {
-          // Fanout gate declined (unclustered batch on a wide structure);
-          // fall through to the per-op loop below.
+        using BatchOp = typename DS::BatchOp;
+        using BatchOutcome = typename DS::BatchOutcome;
+        typename DS::KeyCompare cmp;
+        Scratch<unsigned> order;
+        order.reserve(g);
+        for (std::size_t i = 0; i < g; ++i) {
+          order.push_back(static_cast<unsigned>(i));
+        }
+        std::stable_sort(order.data(), order.data() + g,
+                         [&](unsigned a, unsigned b) {
+                           return cmp(entries[a].key, entries[b].key);
+                         });
+        Scratch<BatchOp> ops(g, BatchOp{});
+        Scratch<unsigned> chain_begin(g, 0), chain_end(g, 0);
+        const unsigned nb = collapse_chains(entries.data(), order.data(), g,
+                                            ops.data(), chain_begin.data(),
+                                            chain_end.data());
+        const std::span<const BatchOp> batch(ops.data(), nb);
+        if (batch_gate_declines(ds, batch)) {
           ++ctx.stats.batch_declines;
+        } else {
+          Scratch<BatchOutcome> outs(nb, BatchOutcome::kNoop);
+          size_before = ds.size();
+          ds = ds.apply_sorted_batch(builder, batch,
+                                     std::span<BatchOutcome>(outs.data(), nb));
+          replay_chains(entries.data(), order.data(), ops.data(), outs.data(),
+                        nb, chain_begin.data(), chain_end.data(), applied,
+                        results, results_out, landed);
+          used_batch = true;
         }
       }
     }
     if (!used_batch) {
-      // Per-op fallback: one root-to-leaf path copy per gathered op, in
-      // gather order (the legacy combining loop).
-      for (unsigned t = 0; t < g; ++t) {
-        const Gathered& e = gathered[t];
+      // Per-op loop: one root-to-leaf path copy per entry, in entry order.
+      for (std::size_t t = 0; t < g; ++t) {
+        const Gathered& e = entries[t];
         DS next = e.kind == OpKind::kInsert
                       ? ds.insert(builder, e.key, *e.value)
                       : ds.erase(builder, e.key);
@@ -790,26 +666,9 @@ class CombiningAtom {
     }
     const std::uint64_t created_by_ops =
         builder.created_count() - created_before;
-
-    const VersionRec* nvr = builder.template create<VersionRec>(
-        ds.root_ptr(), vr->version + 1, applied, results);
-    builder.supersede(vr);
-    builder.seal();
-    PC_YIELD("atom.install");
-    const void* expected = vr;
-    if (!root_.compare_exchange_strong(expected, nvr,
-                                       std::memory_order_seq_cst,
-                                       std::memory_order_relaxed)) {
-      ctx.stats.failed_attempt_nodes += builder.fresh_count();
-      builder.rollback();
-      ++ctx.stats.cas_failures;
-      return nullptr;
-    }
-    PC_YIELD("atom.bump");
-    const std::uint64_t death =
-        version_.fetch_add(1, std::memory_order_seq_cst) + 1;
-    smr_->retire_bundle(ctx.smr_handle, death, vr, nvr, builder.commit());
-    ++ctx.stats.updates;
+    const VersionRec* nvr =
+        publish(ctx, builder, vr, ds.root_ptr(), applied, results);
+    if (nvr == nullptr) return nullptr;
     ctx.stats.combined_ops += g;
     if (used_batch) {
       ctx.stats.batched_installs += 1;
@@ -828,8 +687,23 @@ class CombiningAtom {
     return nvr;
   }
 
+  /// Wraps a candidate structure root and its response arrays in the
+  /// VersionRec that succeeds vr, and commits it through try_install.
+  /// Returns the installed record, or nullptr after a lost CAS.
+  const VersionRec* publish(
+      Ctx& ctx, BuilderT& builder, const VersionRec* vr, const void* ds_root,
+      const std::array<std::uint64_t, MaxThreads>& applied,
+      const std::array<bool, MaxThreads>& results) {
+    const VersionRec* nvr = builder.template create<VersionRec>(
+        ds_root, vr->version + 1, applied, results);
+    builder.supersede(vr);
+    return try_install(ctx, *smr_, builder, root_, version_, vr, nvr)
+               ? nvr
+               : nullptr;
+  }
+
   /// Routes one op's response: announcement slots publish through the
-  /// VersionRec arrays, execute_batch requests through the caller's span.
+  /// VersionRec arrays, caller requests through the caller's span.
   static void emit_result(const Gathered& e, bool res,
                           std::array<std::uint64_t, MaxThreads>& applied,
                           std::array<bool, MaxThreads>& results,
@@ -842,61 +716,10 @@ class CombiningAtom {
     }
   }
 
-  /// Sorts the gathered ops by key, collapses each same-key chain (in
-  /// gather order) to the one effective op whose application leaves the
-  /// structure exactly as applying the chain per-op would, applies the
-  /// batch through one shared spine, and back-fills every chained op's
-  /// response by replaying the chain against the key's pre-batch presence
-  /// (recovered from the batch outcome). Returns nullopt — nothing
-  /// applied, nothing allocated — when the fanout gate prices the batch
-  /// as unclustered on a wide structure; the caller then runs the per-op
-  /// loop on the original gather order.
-  std::optional<DS> apply_gathered_batch(
-      BuilderT& builder, DS ds, std::array<Gathered, kMaxGather>& gathered,
-      unsigned g, std::array<std::uint64_t, MaxThreads>& applied,
-      std::array<bool, MaxThreads>& results, std::span<bool> results_out,
-      std::uint64_t& landed) {
-    using BatchOp = typename DS::BatchOp;
-    using BatchOutcome = typename DS::BatchOutcome;
-    typename DS::KeyCompare cmp;
-
-    // Key-sort; the gather scan emitted ascending slots (then requests in
-    // issue order), so a stable sort keeps that order inside each
-    // same-key chain — "later op wins" for the structural effect, earlier
-    // ops respond as if they ran first.
-    std::array<unsigned, kMaxGather> order;
-    for (unsigned i = 0; i < g; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.begin() + g,
-                     [&](unsigned a, unsigned b) {
-                       return cmp(gathered[a].key, gathered[b].key);
-                     });
-
-    std::array<BatchOp, kMaxGather> ops;
-    std::array<BatchOutcome, kMaxGather> outs;
-    std::array<unsigned, kMaxGather> chain_begin, chain_end;
-    const unsigned nb = collapse_chains(gathered.data(), order.data(), g,
-                                        ops.data(), chain_begin.data(),
-                                        chain_end.data());
-
-    if (batch_gate_declines(ds, std::span<const BatchOp>(ops.data(), nb))) {
-      return std::nullopt;
-    }
-
-    DS next = ds.apply_sorted_batch(
-        builder, std::span<const BatchOp>(ops.data(), nb),
-        std::span<BatchOutcome>(outs.data(), nb));
-
-    replay_chains(gathered.data(), order.data(), ops.data(), outs.data(), nb,
-                  chain_begin.data(), chain_end.data(), applied, results,
-                  results_out, landed);
-    return next;
-  }
-
-  /// Chain collapse, shared by the fixed-size gather path and the
-  /// unbounded coalesced path (execute_sorted): given gathered entries
-  /// and a key-sorted *stable* order[0, g), emits one effective BatchOp
-  /// per distinct key plus the chain's [begin, end) range in `order`.
-  /// A member template so it only instantiates when kHasBatchApply.
+  /// Chain collapse: given an install's entries and a key-sorted
+  /// *stable* order[0, g), emits one effective BatchOp per distinct key
+  /// plus the chain's [begin, end) range in `order`. A member template so
+  /// it only instantiates when kHasBatchApply.
   template <class DS2 = DS>
   static unsigned collapse_chains(const Gathered* gathered,
                                   const unsigned* order, std::size_t g,
@@ -980,8 +803,7 @@ class CombiningAtom {
 
   /// Back-fills every chained op's response by replaying its chain
   /// against the key's pre-batch presence (recovered from the outcome of
-  /// the one op that structurally ran). Shared by apply_gathered_batch
-  /// and execute_sorted.
+  /// the one op that structurally ran).
   template <class DS2 = DS>
   static void replay_chains(const Gathered* gathered, const unsigned* order,
                             const typename DS2::BatchOp* ops,

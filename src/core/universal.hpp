@@ -43,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/stats.hpp"
 #include "persist/batch.hpp"
 
 namespace pathcopy::core {
@@ -124,24 +125,33 @@ concept SupportsSortedReadBatch =
 namespace detail {
 
 /// One probe batch against one pinned snapshot: the shared body of
-/// Atom::multi_get and CombiningAtom::multi_get. Batch-capable structures
-/// get the descent-sharing sweep; everything else degrades to per-key
-/// find() (stats stay zero — there is no sharing to account for). Pure
-/// reads either way: no builder, no allocation.
+/// Atom::multi_get and CombiningAtom::multi_get, including their OpStats
+/// accounting. Batch-capable structures get the descent-sharing sweep;
+/// everything else degrades to per-key find() (probe stats stay zero —
+/// there is no sharing to account for). Pure reads either way: no
+/// builder, no allocation. `keys` is non-empty, and the caller's
+/// pin_versioned already counted one read.
 template <class DS, class K, class V>
 persist::ReadProbeStats resolve_sorted_probe(
     const DS& snapshot, std::span<const K> keys,
-    std::span<persist::ReadOutcome<V>> out) {
+    std::span<persist::ReadOutcome<V>> out, OpStats& stats) {
+  persist::ReadProbeStats st;
   if constexpr (SupportsSortedReadBatch<DS>) {
-    return snapshot.get_sorted_batch(keys, out);
+    st = snapshot.get_sorted_batch(keys, out);
   } else {
     persist::check_sorted_keys<typename DS::KeyCompare, K>(keys);
     for (std::size_t i = 0; i < keys.size(); ++i) {
       const V* v = snapshot.find(keys[i]);
       if (v != nullptr) out[i].value = *v;
     }
-    return {};
   }
+  stats.reads += keys.size() - 1;
+  stats.read_batches += 1;
+  stats.batched_reads += keys.size();
+  stats.read_batch_hist[OpStats::batch_bucket(keys.size())] += 1;
+  stats.probe_nodes_visited += st.nodes_visited;
+  stats.probe_nodes_saved += st.nodes_saved();
+  return st;
 }
 
 }  // namespace detail

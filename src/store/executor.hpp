@@ -21,8 +21,8 @@
 //   * the join ticket is a plain atomic countdown (see BatchTicket).
 //
 // And it coalesces: on each wakeup the worker drains the ENTIRE lane
-// into a local run and k-way-merges every drained ticket's key-sorted
-// sub-batch into one mega-batch, which the backend's execute_sorted
+// into a local run and merges every drained ticket's sub-batch into one
+// key-sorted mega-batch, which the backend's execute_sorted
 // entry collapses (cross-ticket same-key chains included) and installs
 // with ONE root CAS — a backed-up lane does one sorted install for N
 // tickets instead of N. Per-op outcomes are back-filled exactly per
@@ -175,10 +175,9 @@ class ShardExecutor {
   /// through the backend's bulk ingest_sorted path when it has one and
   /// never coalesces it — it is a barrier in the lane's FIFO.
   ///
-  /// presorted marks a client sub-batch whose reqs are stably key-sorted
-  /// (same-key requests in submission order) — Session's split_batch
-  /// emits exactly that. Only presorted tasks are eligible for
-  /// cross-ticket coalescing; an unsorted task executes alone.
+  /// Any other batch task may coalesce with its lane neighbours,
+  /// whatever the order of its reqs: the merge is a stable sort by key,
+  /// which keeps each key's ops in submission order.
   ///
   /// Read tasks coalesce unconditionally (the worker re-sorts the merged
   /// probe, so per-task ordering is presentation only): every read task
@@ -196,7 +195,6 @@ class ShardExecutor {
     ReadOutcome* read_results = nullptr;  // non-null marks a read task
     BatchTicket* ticket = nullptr;
     bool sorted_unique = false;
-    bool presorted = false;
     bool poison = false;  // internal: stop() sentinel, never submitted
     bool read_done = false;  // internal: absorbed by an earlier merged sweep
     std::chrono::steady_clock::time_point enqueued;  // sampled; see submit
@@ -362,12 +360,11 @@ class ShardExecutor {
     for (std::thread& w : workers_) w.join();
   }
 
-  /// A task the coalescer may merge: a presorted client sub-batch.
-  /// Seeds and sorted_unique migrations are barriers; unsorted tasks
-  /// (direct executor users) execute alone.
+  /// A task the coalescer may merge: a client batch task. Seeds and
+  /// sorted_unique migrations are barriers.
   static bool coalescible(const Task& t) {
     return t.seed == nullptr && !t.sorted_unique && !t.poison &&
-           t.read_results == nullptr && t.presorted;
+           t.read_results == nullptr;
   }
 
   static bool is_read(const Task& t) { return t.read_results != nullptr; }
@@ -413,7 +410,7 @@ class ShardExecutor {
     spin_budget = std::max(spin_budget / 2, kSpinMin);
   }
 
-  /// Runs one non-coalesced task (seed / migration / unsorted batch).
+  /// Runs one non-coalesced task (seed / migration / lone batch task).
   void exec_single(Uc& uc, Ctx& ctx, const Task& task,
                    std::unique_ptr<bool[]>& scratch,
                    std::size_t& scratch_cap) {
@@ -458,11 +455,11 @@ class ShardExecutor {
     if (task.ticket != nullptr) task.ticket->complete_one();
   }
 
-  /// Coalesces run[first, last): k-way-merges the tasks' key-sorted
-  /// request spans into one mega-batch (stable by key, then drain order,
-  /// then in-task order — i.e. exactly submission order per key), hands
-  /// it to the backend's execute_sorted in one go, and scatters each
-  /// op's outcome back through its own task's scatter map. Cross-key ops
+  /// Coalesces run[first, last): merges the tasks' request spans into
+  /// one key-sorted mega-batch (stable by key, then drain order, then
+  /// in-task order — i.e. exactly submission order per key), hands it to
+  /// the backend's execute_sorted in one go, and scatters each op's
+  /// outcome back through its own task's scatter map. Cross-key ops
   /// commute, so the outcomes equal running the tasks one by one.
   void exec_coalesced(Uc& uc, Ctx& ctx, std::span<Task> tasks,
                       std::vector<std::pair<std::uint32_t, std::uint32_t>>&
@@ -482,8 +479,8 @@ class ShardExecutor {
         morder.emplace_back(t, i);
       }
     }
-    // Each task's span is already key-sorted, so a stable sort of the
-    // concatenation by key IS the k-way merge.
+    // A stable sort of the concatenation by key keeps every key's ops in
+    // (task, in-task) order; for key-sorted spans it IS the k-way merge.
     std::stable_sort(morder.begin(), morder.end(),
                      [&](const auto& a, const auto& b) {
                        return key_less(tasks[a.first].reqs[a.second].key,

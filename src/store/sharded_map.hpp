@@ -904,9 +904,10 @@ class ShardedMap<Uc, RouterT>::Session {
                            std::span<const BatchRequest> reqs,
                            std::span<bool> results_out) {
     using Task = typename ShardExecutor<Uc>::Task;
-    // Even a 1-shard map goes through split_batch: the sub-batches come
-    // out stably key-sorted, which is what makes them `presorted` —
-    // eligible for the executor's cross-ticket coalescing merge.
+    // Even a 1-shard map goes through split_batch, which builds each
+    // sub-batch and its scatter map. The sub-batches come out stably
+    // key-sorted, so the executor's cross-ticket merge of them is a
+    // k-way merge.
     split_batch(e, reqs);
     scatter_and_join(
         exec, [&](std::size_t s) { return !split_[s].empty(); },
@@ -915,7 +916,6 @@ class ShardedMap<Uc, RouterT>::Session {
           task.reqs = std::span<const BatchRequest>(sub_reqs_by_shard_[s]);
           task.scatter = split_[s].data();
           task.results = results_out.data();
-          task.presorted = true;
           return task;
         },
         [&](std::size_t s) { run_sub_batch_sync(s, results_out); });

@@ -7,6 +7,7 @@
 // per-key "net effect" counters must reconcile with the final contents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -454,6 +455,90 @@ TYPED_TEST(CombiningMatrix, BatchMatchesPerOpOnRandomStreams) {
     EXPECT_EQ(a1.stats().live_blocks(), 0u);
     EXPECT_EQ(a2.stats().live_blocks(), 0u);
   }
+}
+
+// Coalesced runs (execute_sorted) against a twin that takes
+// execute_batch's per-op chunks: dense runs build long same-key chains,
+// sparse runs are the unclustered batches the fanout gate of the wide
+// structures (BTree<8>, RbTree) declines. Every run longer than one
+// chunk must be one install whether the gate accepts it or not: a
+// declined run takes the per-op loop inside that same install, under
+// the one pin. Then a bulk ingest of fresh keys and of their erases
+// must land every op.
+TYPED_TEST(CombiningMatrix, ExecuteSortedMatchesExecuteBatchOnCoalescedRuns) {
+  using DS = TypeParam;
+  using CA = core::CombiningAtom<DS, reclaim::EpochReclaimer,
+                                 alloc::MallocAlloc>;
+  using Req = typename CA::BatchRequest;
+  using K = typename CA::OpKind;
+  alloc::MallocAlloc a1, a2;
+  {
+    reclaim::EpochReclaimer smr1, smr2;
+    CA sorted(smr1, a1), twin(smr2, a2);
+    twin.set_batch_apply(false);
+    typename CA::Ctx c1(smr1, a1), c2(smr2, a2);
+    util::Xoshiro256 rng(2718);
+    std::uint64_t long_runs = 0;
+    for (int run = 0; run < 120; ++run) {
+      const bool dense = run % 2 == 0;
+      const std::int64_t key_range = dense ? 63 : 1000000;
+      const int n = 1 + static_cast<int>(rng.range(0, 299));
+      std::vector<Req> reqs;
+      for (int i = 0; i < n; ++i) {
+        const std::int64_t k = rng.range(0, key_range);
+        if (rng.chance(2, 3)) {
+          reqs.push_back(Req{K::kInsert, k, k * 7 + run});
+        } else {
+          reqs.push_back(Req{K::kErase, k, std::nullopt});
+        }
+      }
+      std::stable_sort(reqs.begin(), reqs.end(),
+                       [](const Req& x, const Req& y) { return x.key < y.key; });
+      auto out1 = std::make_unique<bool[]>(n);
+      auto out2 = std::make_unique<bool[]>(n);
+      const std::uint64_t v_before = sorted.version();
+      sorted.execute_sorted(c1, reqs, std::span<bool>(out1.get(), n));
+      twin.execute_batch(c2, reqs, std::span<bool>(out2.get(), n));
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(out1[i], out2[i]) << "run " << run << " op " << i;
+      }
+      if (n > 32) {
+        ++long_runs;
+        ASSERT_EQ(sorted.version(), v_before + 1)
+            << "run " << run << " of " << n << " ops took several installs";
+      }
+    }
+    ASSERT_GT(long_runs, 0u);
+    if constexpr (core::ReportsBatchFanout<DS>) {
+      EXPECT_GT(c1.stats.batch_declines, 0u) << "no run reached the gate";
+    }
+    ASSERT_EQ(sorted.read(c1, [](DS t) { return t.items(); }),
+              twin.read(c2, [](DS t) { return t.items(); }));
+    ASSERT_TRUE(sorted.read(c1, [](DS t) { return t.check_invariants(); }));
+
+    // Bulk ingest: 5000 keys above every key used so far, then their
+    // erases. Each op lands.
+    constexpr std::size_t kBulk = 5000;
+    std::vector<Req> ins, ers;
+    for (std::size_t i = 0; i < kBulk; ++i) {
+      const std::int64_t k = 2000000 + 3 * static_cast<std::int64_t>(i);
+      ins.push_back(Req{K::kInsert, k, k});
+      ers.push_back(Req{K::kErase, k, std::nullopt});
+    }
+    auto out = std::make_unique<bool[]>(kBulk);
+    for (const auto* reqs : {&ins, &ers}) {
+      const std::span<bool> res(out.get(), kBulk);
+      std::fill(res.begin(), res.end(), false);
+      sorted.ingest_sorted(c1, *reqs, res);
+      for (std::size_t i = 0; i < kBulk; ++i) {
+        ASSERT_TRUE(out[i]) << "bulk op " << i << " did not land";
+      }
+    }
+    ASSERT_EQ(sorted.read(c1, [](DS t) { return t.items(); }),
+              twin.read(c2, [](DS t) { return t.items(); }));
+  }
+  EXPECT_EQ(a1.stats().live_blocks(), 0u);
+  EXPECT_EQ(a2.stats().live_blocks(), 0u);
 }
 
 // Contended 4-thread net-effect run with the batch path hot (gather

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -28,6 +29,7 @@
 #include "alloc/malloc_alloc.hpp"
 #include "core/atom.hpp"
 #include "core/combining.hpp"
+#include "persist/btree.hpp"
 #include "persist/treap.hpp"
 #include "reclaim/epoch.hpp"
 #include "store/executor.hpp"
@@ -334,7 +336,6 @@ TEST(Executor, ForcedHotCoalescingMatchesSequentialOracleExactly) {
       task.reqs = std::span<const Req>(tickets_reqs[t]);
       task.results = results[t].get();
       task.ticket = &ticket;
-      task.presorted = true;
       ASSERT_TRUE(exec.submit(0, task));
     }
     exec.resume();
@@ -370,6 +371,86 @@ TEST(Executor, ForcedHotCoalescingMatchesSequentialOracleExactly) {
   }
   EXPECT_EQ(a1.stats().live_blocks(), 0u);
   EXPECT_EQ(a2.stats().live_blocks(), 0u);
+}
+
+// The store-level route to a coalesced run that the fanout gate declines:
+// a B-tree shard holding every 8th key of [0, 2^20) and four 40-op
+// tickets of uniform random keys parked in one lane. resume() merges
+// them into one 160-op run that lands about one op per leaf, so the
+// gate sends it per op, inside the install that pinned the root.
+// Outcomes and contents must equal a sequential oracle.
+TEST(Executor, GateDeclinedCoalescedRunMatchesSequentialOracle) {
+  using BUc = core::CombiningAtom<persist::BTree<std::int64_t, std::int64_t, 8>,
+                                  Epoch, MA>;
+  using Req = typename BUc::BatchRequest;
+  using K = typename BUc::OpKind;
+  constexpr std::int64_t kSpan = std::int64_t{1} << 20;
+  constexpr int kTickets = 4;
+  constexpr int kOps = 40;
+  std::map<std::int64_t, std::int64_t> oracle;
+  std::vector<std::pair<std::int64_t, std::int64_t>> seed;
+  for (std::int64_t k = 0; k < kSpan; k += 8) {
+    seed.emplace_back(k, k);
+    oracle.emplace(k, k);
+  }
+  MA a;
+  {
+    Map<BUc> map(1, a, TabR::uniform(0, kSpan, 1));
+    typename Map<BUc>::Session session(map, a);
+    session.seed_sorted(seed.begin(), seed.end());
+    typename store::ShardExecutor<BUc>::Options opts;
+    opts.start_paused = true;
+    store::ShardExecutor<BUc> exec(map, shared_alloc_factory<BUc>(a), opts);
+    util::Xoshiro256 rng(8191);
+    std::vector<std::vector<Req>> tickets_reqs(kTickets);
+    for (auto& reqs : tickets_reqs) {
+      for (int i = 0; i < kOps; ++i) {
+        const std::int64_t k = rng.range(0, kSpan - 1);
+        if (rng.chance(1, 2)) {
+          reqs.push_back(Req{K::kInsert, k, -k});
+        } else {
+          reqs.push_back(Req{K::kErase, k, std::nullopt});
+        }
+      }
+      std::stable_sort(reqs.begin(), reqs.end(),
+                       [](const Req& x, const Req& y) { return x.key < y.key; });
+    }
+    std::array<std::array<bool, kOps>, kTickets> results{};
+    std::deque<store::BatchTicket> tickets;
+    for (int t = 0; t < kTickets; ++t) {
+      store::BatchTicket& ticket = tickets.emplace_back();
+      ticket.arm(1);
+      typename store::ShardExecutor<BUc>::Task task;
+      task.reqs = std::span<const Req>(tickets_reqs[t]);
+      task.results = results[t].data();
+      task.ticket = &ticket;
+      ASSERT_TRUE(exec.submit(0, task));
+    }
+    exec.resume();
+    for (auto& t : tickets) t.join();
+
+    for (int t = 0; t < kTickets; ++t) {
+      for (int i = 0; i < kOps; ++i) {
+        const Req& r = tickets_reqs[t][i];
+        const bool landed = r.kind == K::kInsert
+                                ? oracle.emplace(r.key, *r.value).second
+                                : oracle.erase(r.key) > 0;
+        ASSERT_EQ(results[t][i], landed) << "ticket " << t << " op " << i;
+      }
+    }
+    ASSERT_EQ(session.items(),
+              (std::vector<std::pair<std::int64_t, std::int64_t>>(
+                  oracle.begin(), oracle.end())));
+
+    store::ShardStatsBoard board(1);
+    exec.stop();
+    exec.fold_into(board);
+    const core::OpStats total = board.total();
+    EXPECT_EQ(total.exec_coalesced_installs, 1u);
+    EXPECT_EQ(total.exec_coalesced_tasks, static_cast<std::uint64_t>(kTickets));
+    EXPECT_GE(total.batch_declines, 1u);
+  }
+  EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
 TEST(Executor, SubmitAfterStopIsRefusedNotFatal) {
