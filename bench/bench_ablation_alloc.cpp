@@ -13,7 +13,6 @@
 // Run twice: with real threads on this host, and in the simulator where
 // the allocator term can be dialed to show the collapse at paper scale.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -23,7 +22,7 @@
 #include "alloc/malloc_alloc.hpp"
 #include "alloc/pool_alloc.hpp"
 #include "alloc/thread_cache_alloc.hpp"
-#include "bench_util/batch_stats.hpp"
+#include "bench_util/json_rows.hpp"
 #include "bench_util/runner.hpp"
 #include "core/atom.hpp"
 #include "model/sim.hpp"
@@ -31,6 +30,7 @@
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
 #include "reclaim/retired.hpp"
+#include "store/shard_stats.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -158,10 +158,7 @@ struct RecycleArm {
   std::size_t threads = 0;
   std::uint64_t ops = 0;
   double ops_per_sec = 0.0;
-  std::uint64_t cas_failures = 0;
-  std::uint64_t failed_attempt_nodes = 0;
-  std::uint64_t recycled_nodes = 0;
-  double recycle_ratio = 0.0;
+  core::OpStats stats;  // the workers' counters, folded
   std::uint64_t pool_lock_trips = 0;
   double trips_per_op = 0.0;
 };
@@ -177,7 +174,7 @@ RecycleArm run_recycle_arm(const char* cell, const char* arm, bool recycle_on,
     alloc::PoolBackend pool;
     reclaim::EpochReclaimer smr;
     core::Atom<T, reclaim::EpochReclaimer, alloc::ThreadCache> atom(smr, pool);
-    bench::OpStatsAccumulator acc;
+    store::ShardStatsBoard board(1);
     const auto run = bench::run_timed(
         threads, std::chrono::milliseconds(duration_ms),
         [&](std::size_t tid, const std::atomic<bool>& stop) -> std::uint64_t {
@@ -196,24 +193,17 @@ RecycleArm run_recycle_arm(const char* cell, const char* arm, bool recycle_on,
             }
             ++ops;
           }
-          acc.add(ctx.stats);
+          board.add(0, ctx.stats);
           return ops;
         });
     // Snapshot after the workers' caches flushed (their teardown trips are
     // part of the free path) but before the reclaimer's final drain_all,
     // which frees whatever survived the run identically in both arms.
     r.pool_lock_trips = pool.lock_acquisitions();
-    const core::OpStats s = acc.snapshot();
+    r.stats = board.total();
     r.ops = run.total_ops;
     r.ops_per_sec = run.ops_per_sec();
-    r.cas_failures = s.cas_failures;
-    r.failed_attempt_nodes = s.failed_attempt_nodes;
-    r.recycled_nodes = s.recycled_nodes;
-    r.recycle_ratio = s.recycle_ratio();
-    r.trips_per_op =
-        r.ops == 0 ? 0.0
-                   : static_cast<double>(r.pool_lock_trips) /
-                         static_cast<double>(r.ops);
+    r.trips_per_op = core::OpStats::ratio(r.pool_lock_trips, r.ops);
   }
   reclaim::set_batched_free(true);  // restore the process default
   return r;
@@ -223,58 +213,12 @@ void print_recycle_row(const RecycleArm& r) {
   std::printf("%-12s  %-9s  %3zut  %9.0f  %9llu  %11llu  %9llu  %7.1f%%  "
               "%9llu  %8.3f\n",
               r.cell, r.arm, r.threads, r.ops_per_sec,
-              static_cast<unsigned long long>(r.cas_failures),
-              static_cast<unsigned long long>(r.failed_attempt_nodes),
-              static_cast<unsigned long long>(r.recycled_nodes),
-              100.0 * r.recycle_ratio,
+              static_cast<unsigned long long>(r.stats.cas_failures),
+              static_cast<unsigned long long>(r.stats.failed_attempt_nodes),
+              static_cast<unsigned long long>(r.stats.recycled_nodes),
+              100.0 * r.stats.recycle_ratio(),
               static_cast<unsigned long long>(r.pool_lock_trips),
               r.trips_per_op);
-}
-
-void write_recycle_json(const char* path, const std::vector<RecycleArm>& arms,
-                        int duration_ms) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_ablation_alloc: cannot open %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"bench\": \"alloc_recycle\",\n");
-  std::fprintf(f, "  \"duration_ms\": %d,\n  \"cells\": [\n", duration_ms);
-  for (std::size_t i = 0; i < arms.size(); ++i) {
-    const RecycleArm& r = arms[i];
-    std::fprintf(
-        f,
-        "    {\"cell\": \"%s\", \"arm\": \"%s\", \"threads\": %zu, "
-        "\"ops\": %llu, \"ops_per_sec\": %.0f, \"cas_failures\": %llu, "
-        "\"failed_attempt_nodes\": %llu, \"recycled_nodes\": %llu, "
-        "\"recycle_ratio\": %.4f, \"pool_lock_trips\": %llu, "
-        "\"trips_per_op\": %.4f}%s\n",
-        r.cell, r.arm, r.threads, static_cast<unsigned long long>(r.ops),
-        r.ops_per_sec, static_cast<unsigned long long>(r.cas_failures),
-        static_cast<unsigned long long>(r.failed_attempt_nodes),
-        static_cast<unsigned long long>(r.recycled_nodes), r.recycle_ratio,
-        static_cast<unsigned long long>(r.pool_lock_trips), r.trips_per_op,
-        i + 1 < arms.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  double base_tpo = 0.0, rec_tpo = 0.0, rec_ratio = 0.0;
-  for (const RecycleArm& r : arms) {
-    if (std::strcmp(r.cell, "contended") != 0) continue;
-    if (std::strcmp(r.arm, "baseline") == 0) base_tpo = r.trips_per_op;
-    if (std::strcmp(r.arm, "recycled") == 0) {
-      rec_tpo = r.trips_per_op;
-      rec_ratio = r.recycle_ratio;
-    }
-  }
-  std::fprintf(f,
-               "  \"summary\": {\"contended_recycle_ratio\": %.4f, "
-               "\"trips_per_op_baseline\": %.4f, "
-               "\"trips_per_op_recycled\": %.4f, "
-               "\"trips_reduction_x\": %.2f}\n}\n",
-               rec_ratio, base_tpo, rec_tpo,
-               rec_tpo == 0.0 ? 0.0 : base_tpo / rec_tpo);
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
 }
 
 std::vector<RecycleArm> recycle_section(int duration_ms, std::size_t threads) {
@@ -292,7 +236,8 @@ std::vector<RecycleArm> recycle_section(int duration_ms, std::size_t threads) {
     RecycleArm base =
         run_recycle_arm("contended", "baseline", false, threads, ms);
     RecycleArm rec = run_recycle_arm("contended", "recycled", true, threads, ms);
-    if ((base.cas_failures == 0 || rec.cas_failures == 0) && attempt < 3) {
+    if ((base.stats.cas_failures == 0 || rec.stats.cas_failures == 0) &&
+        attempt < 3) {
       ms *= 2;
       continue;
     }
@@ -307,10 +252,10 @@ std::vector<RecycleArm> recycle_section(int duration_ms, std::size_t threads) {
   return arms;
 }
 
-// Exit non-zero unless the contended cell shows the loop closed: some
+// False unless the contended cell shows the loop closed: some
 // failed-attempt nodes were recycled and the batched retire path costs
 // measurably fewer backend lock trips per op than the per-node baseline.
-void assert_recycle(const std::vector<RecycleArm>& arms) {
+bool assert_recycle(const std::vector<RecycleArm>& arms) {
   const RecycleArm* base = nullptr;
   const RecycleArm* rec = nullptr;
   for (const RecycleArm& r : arms) {
@@ -320,32 +265,34 @@ void assert_recycle(const std::vector<RecycleArm>& arms) {
   }
   if (base == nullptr || rec == nullptr) {
     std::fprintf(stderr, "assert-recycle: contended cell missing\n");
-    std::exit(1);
+    return false;
   }
-  if (rec->cas_failures > 0 && rec->recycled_nodes == 0) {
+  const core::OpStats& s = rec->stats;
+  if (s.cas_failures > 0 && s.recycled_nodes == 0) {
     std::fprintf(stderr,
                  "assert-recycle: CAS failures occurred but no nodes were "
                  "recycled\n");
-    std::exit(1);
+    return false;
   }
-  if (rec->recycle_ratio <= 0.0 && rec->failed_attempt_nodes > 0) {
+  if (s.recycle_ratio() <= 0.0 && s.failed_attempt_nodes > 0) {
     std::fprintf(stderr, "assert-recycle: recycle ratio is zero\n");
-    std::exit(1);
+    return false;
   }
   if (rec->trips_per_op >= base->trips_per_op) {
     std::fprintf(stderr,
                  "assert-recycle: batched free path took %.4f lock trips/op, "
                  "baseline %.4f — no reduction\n",
                  rec->trips_per_op, base->trips_per_op);
-    std::exit(1);
+    return false;
   }
   std::printf("assert-recycle: ok (ratio %.1f%%, trips/op %.4f -> %.4f, "
               "%.1fx fewer)\n",
-              100.0 * rec->recycle_ratio, base->trips_per_op,
+              100.0 * s.recycle_ratio(), base->trips_per_op,
               rec->trips_per_op,
               rec->trips_per_op == 0.0
                   ? 0.0
                   : base->trips_per_op / rec->trips_per_op);
+  return true;
 }
 
 void simulated(const std::vector<std::size_t>& procs) {
@@ -383,20 +330,40 @@ int main(int argc, char** argv) {
   bool do_assert = false;
   const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--assert-recycle") == 0) do_assert = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else if (std::strcmp(argv[i], "--assert-recycle") == 0) {
+      do_assert = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
+    } else {
+      std::fprintf(stderr,
+                   "usage: bench_ablation_alloc [--quick] [--json PATH]"
+                   " [--assert-recycle]\n");
+      return 2;
     }
   }
   if (quick) duration_ms = 100;
   const std::vector<std::size_t> procs = quick
                                              ? std::vector<std::size_t>{1, 4}
                                              : std::vector<std::size_t>{1, 2, 4, 8};
+  bench::JsonRows json(json_path, "bench_ablation_alloc",
+                       {{"section", "recycle"}, {"duration_ms", duration_ms}});
   real_threads(duration_ms, procs);
   const std::vector<RecycleArm> arms = recycle_section(duration_ms, 4);
-  if (json_path != nullptr) write_recycle_json(json_path, arms, duration_ms);
-  if (do_assert) assert_recycle(arms);
+  for (const RecycleArm& r : arms) {
+    json.row("recycle",
+             {{"cell", r.cell},
+              {"arm", r.arm},
+              {"threads", r.threads},
+              {"ops", r.ops},
+              {"ops_per_sec", r.ops_per_sec},
+              {"recycle_ratio", r.stats.recycle_ratio()},
+              {"pool_lock_trips", r.pool_lock_trips},
+              {"trips_per_op", r.trips_per_op}},
+             r.stats);
+  }
+  if (do_assert && !assert_recycle(arms)) return 1;
   simulated({1, 8, 16, 32, 63});
   return 0;
 }

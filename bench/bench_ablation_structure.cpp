@@ -189,6 +189,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       duration_ms = 100;
       procs = {1, 4};
+    } else {
+      std::fprintf(stderr, "usage: bench_ablation_structure [--quick]\n");
+      return 2;
     }
   }
   using Treap = persist::Treap<std::int64_t, std::int64_t>;

@@ -47,6 +47,7 @@
 #include "persist/treap.hpp"
 #include "persist/wbt.hpp"
 #include "reclaim/epoch.hpp"
+#include "store/shard_stats.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -104,7 +105,7 @@ ModeResult run_install_path(const Config& cfg, unsigned batch, bool batched,
   const std::int64_t key_space =
       hot_range > 0 ? hot_range
                     : static_cast<std::int64_t>(2 * cfg.initial_keys);
-  bench::OpStatsAccumulator acc;
+  store::ShardStatsBoard board(1);
   const auto run = bench::run_timed(
       1, std::chrono::milliseconds(cfg.duration_ms),
       [&](std::size_t, const std::atomic<bool>& stop) -> std::uint64_t {
@@ -133,12 +134,12 @@ ModeResult run_install_path(const Config& cfg, unsigned batch, bool batched,
               std::span<bool>(results, batch));
           ops += batch;
         }
-        acc.add(ctx.stats);
+        board.add(0, ctx.stats);
         return ops;
       });
   ModeResult res;
   res.ops_per_sec = run.ops_per_sec();
-  res.stats = acc.snapshot();
+  res.stats = board.total();
   return res;
 }
 
@@ -234,7 +235,7 @@ ModeResult run_threads(const Config& cfg, std::size_t procs, int update_pct,
   Harness h(cfg, batched);
   h.atom.set_gather_window(true);
   const auto key_space = static_cast<std::int64_t>(2 * cfg.initial_keys);
-  bench::OpStatsAccumulator acc;
+  store::ShardStatsBoard board(1);
   const auto run = bench::run_timed(
       procs, std::chrono::milliseconds(cfg.duration_ms),
       [&](std::size_t tid, const std::atomic<bool>& stop) -> std::uint64_t {
@@ -256,12 +257,12 @@ ModeResult run_threads(const Config& cfg, std::size_t procs, int update_pct,
           }
           ++ops;
         }
-        acc.add(ctx.stats);
+        board.add(0, ctx.stats);
         return ops;
       });
   ModeResult res;
   res.ops_per_sec = run.ops_per_sec();
-  res.stats = acc.snapshot();
+  res.stats = board.total();
   return res;
 }
 
@@ -290,7 +291,8 @@ void section_threads(const Config& cfg) {
   }
   std::printf("\nhighest-contention cell (last threads row, first upd%% "
               "column):\n");
-  bench::print_batch_histogram(stdout, contended_stats);
+  bench::print_histogram(stdout, "batch", contended_stats.batch_hist,
+                         contended_stats.batched_installs);
   bench::print_recycle_stats(stdout, contended_stats);
   std::printf("batched installs: %llu of %llu installs; spine-copy savings "
               "are vs a ~lg(n) copies per landing op estimate.\n",
@@ -322,6 +324,12 @@ int main(int argc, char** argv) {
       threads_only = true;
     } else if (std::strcmp(argv[i], "--matrix-only") == 0) {
       matrix_only = true;
+    } else {
+      std::fprintf(stderr,
+                   "usage: bench_batch_combining [--quick] [--duration-ms N]"
+                   " [--initial N] [--install-only | --threads-only |"
+                   " --matrix-only]\n");
+      return 2;
     }
   }
 

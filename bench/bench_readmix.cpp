@@ -35,6 +35,7 @@
 #include "alloc/pool_alloc.hpp"
 #include "alloc/thread_cache_alloc.hpp"
 #include "bench_util/batch_stats.hpp"
+#include "bench_util/json_rows.hpp"
 #include "bench_util/runner.hpp"
 #include "core/atom.hpp"
 #include "core/combining.hpp"
@@ -139,6 +140,7 @@ struct ProbeCell {
   double perkey_ns = 0;    // per-op baseline, ns per key
   double multiget_ns = 0;  // ns per key through the sweep
   double saved_share = 0;  // nodes saved / per-key counterfactual
+  core::OpStats stats;     // the sweep run's counters
 };
 
 /// Pre-generates kBatchPool sorted-unique probe key sets of size `batch`.
@@ -197,7 +199,7 @@ ProbeCell run_probe_cell(ProbeAtom& atom, reclaim::EpochReclaimer& smr,
   cell.perkey_keys_per_sec = perkey.ops_per_sec();
 
   // The sweep: same key sets, one pin + one descent-sharing probe each.
-  bench::OpStatsAccumulator acc;
+  store::ShardStatsBoard board(1);
   const auto mget = bench::run_timed(
       1, std::chrono::milliseconds(duration_ms),
       [&](std::size_t, const std::atomic<bool>& stop) -> std::uint64_t {
@@ -214,7 +216,7 @@ ProbeCell run_probe_cell(ProbeAtom& atom, reclaim::EpochReclaimer& smr,
           keys += sets[s].size();
           s = (s + 1) % sets.size();
         }
-        acc.add(ctx.stats);
+        board.add(0, ctx.stats);
         return keys;
       });
   cell.multiget_keys_per_sec = mget.ops_per_sec();
@@ -227,13 +229,10 @@ ProbeCell run_probe_cell(ProbeAtom& atom, reclaim::EpochReclaimer& smr,
   cell.multiget_ns = cell.multiget_keys_per_sec == 0
                          ? 0
                          : 1e9 / cell.multiget_keys_per_sec;
-  const core::OpStats st = acc.snapshot();
-  const std::uint64_t counterfactual =
-      st.probe_nodes_visited + st.probe_nodes_saved;
-  cell.saved_share = counterfactual == 0
-                         ? 0
-                         : static_cast<double>(st.probe_nodes_saved) /
-                               static_cast<double>(counterfactual);
+  cell.stats = board.total();
+  cell.saved_share = core::OpStats::ratio(
+      cell.stats.probe_nodes_saved,
+      cell.stats.probe_nodes_visited + cell.stats.probe_nodes_saved);
   return cell;
 }
 
@@ -361,6 +360,12 @@ int main(int argc, char** argv) {
   }
 
   if (multiget) {
+    bench::JsonRows json(json_path, "bench_readmix",
+                         {{"mode", "multiget"},
+                          {"resident_keys", kProbeKeys},
+                          {"probe_ms", probe_ms},
+                          {"cell_ms", duration_ms},
+                          {"clients", clients}});
     std::printf("### batched read path: sorted multi-get sweeps & read "
                 "coalescing\n\n");
     std::printf("== probe path: %zu resident keys (even), per-key reads vs "
@@ -401,6 +406,16 @@ int main(int argc, char** argv) {
                   r.locality, r.batch, r.cell.perkey_keys_per_sec,
                   r.cell.multiget_keys_per_sec, r.cell.ratio, r.cell.perkey_ns,
                   r.cell.multiget_ns, 100.0 * r.cell.saved_share);
+      json.row("probe",
+               {{"locality", r.locality},
+                {"batch", r.batch},
+                {"perkey_keys_per_sec", r.cell.perkey_keys_per_sec},
+                {"multiget_keys_per_sec", r.cell.multiget_keys_per_sec},
+                {"ratio", r.cell.ratio},
+                {"perkey_ns_per_key", r.cell.perkey_ns},
+                {"multiget_ns_per_key", r.cell.multiget_ns},
+                {"nodes_saved_share", r.cell.saved_share}},
+               r.cell.stats);
     }
 
     std::printf("\n== read coalescing: %zu clients over 4 executor-backed "
@@ -411,44 +426,11 @@ int main(int argc, char** argv) {
                 "(%.0f probe keys/s)\n",
                 co.tickets_per_wake, co.keys_per_sec);
 
-    if (json_path != nullptr) {
-      std::FILE* f = std::fopen(json_path, "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n", json_path);
-        return 2;
-      }
-      std::fprintf(f, "[\n");
-      std::fprintf(f,
-                   "  {\"row\": \"meta\", \"bench\": \"bench_readmix\", "
-                   "\"mode\": \"multiget\", \"resident_keys\": %zu, "
-                   "\"probe_ms\": %d, \"cell_ms\": %d, \"clients\": %zu, "
-                   "\"hw_threads\": %zu}",
-                   kProbeKeys, probe_ms, duration_ms, clients,
-                   bench::hardware_threads());
-      for (const auto& r : rows) {
-        std::fprintf(
-            f,
-            ",\n  {\"row\": \"probe\", \"locality\": \"%s\", \"batch\": %u, "
-            "\"perkey_keys_per_sec\": %.0f, \"multiget_keys_per_sec\": %.0f, "
-            "\"ratio\": %.3f, \"perkey_ns_per_key\": %.1f, "
-            "\"multiget_ns_per_key\": %.1f, \"nodes_saved_share\": %.4f}",
-            r.locality, r.batch, r.cell.perkey_keys_per_sec,
-            r.cell.multiget_keys_per_sec, r.cell.ratio, r.cell.perkey_ns,
-            r.cell.multiget_ns, r.cell.saved_share);
-      }
-      std::fprintf(
-          f,
-          ",\n  {\"row\": \"coalesce\", \"read_tickets_per_wake\": %.3f, "
-          "\"read_sweeps\": %llu, \"read_tickets\": %llu, "
-          "\"probe_keys_per_sec\": %.0f, \"mean_probe_batch\": %.2f}",
-          co.tickets_per_wake,
-          static_cast<unsigned long long>(co.total.exec_read_sweeps),
-          static_cast<unsigned long long>(co.total.exec_read_tasks),
-          co.keys_per_sec, co.total.mean_read_batch());
-      std::fprintf(f, "\n]\n");
-      std::fclose(f);
-      std::printf("json rows written to %s\n", json_path);
-    }
+    json.row("coalesce",
+             {{"read_tickets_per_wake", co.tickets_per_wake},
+              {"probe_keys_per_sec", co.keys_per_sec},
+              {"mean_probe_batch", co.total.mean_read_batch()}},
+             co.total);
 
     if (assert_coalesce) {
       const ProbeCell& hot64 = rows[3].cell;

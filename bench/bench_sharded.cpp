@@ -54,6 +54,7 @@
 
 #include "alloc/pool_alloc.hpp"
 #include "alloc/thread_cache_alloc.hpp"
+#include "bench_util/json_rows.hpp"
 #include "bench_util/runner.hpp"
 #include "bench_util/workloads.hpp"
 #include "core/atom.hpp"
@@ -222,13 +223,10 @@ std::unique_ptr<store::ShardStatsBoard> sweep_backend(const Config& cfg,
     }
     const core::OpStats& bt =
         cfg.run_async ? async_cell.total : sync_cell.total;
-    const double batched_pct =
-        bt.updates == 0 ? 0.0
-                        : 100.0 * static_cast<double>(bt.batched_installs) /
-                              static_cast<double>(bt.updates);
     std::printf("%-9s  %6zu  %13.0f  %13.0f  %13.0f  %10.2f  %8.1f%%\n",
                 name, s, per_op.ops_per_sec, sync_cell.ops_per_sec,
-                async_cell.ops_per_sec, bt.mean_batch_size(), batched_pct);
+                async_cell.ops_per_sec, bt.mean_batch_size(),
+                100.0 * bt.batched_share());
     if (s == cfg.shards.back()) {
       widest = cfg.run_async ? std::move(async_board) : std::move(sync_board);
     }
@@ -332,13 +330,9 @@ void sweep_structures(const Config& cfg, std::size_t shards) {
     const Cell batch =
         run_cell<Uc>(cfg, shards, Mode::kBatchSync, batch_board);
     const core::OpStats& bt = batch.total;
-    const double batched_pct =
-        bt.updates == 0 ? 0.0
-                        : 100.0 * static_cast<double>(bt.batched_installs) /
-                              static_cast<double>(bt.updates);
     std::printf("%-8s  %13.0f  %13.0f  %10.2f  %8.1f%%  %9llu\n", name,
                 per_op.ops_per_sec, batch.ops_per_sec, bt.mean_batch_size(),
-                batched_pct,
+                100.0 * bt.batched_share(),
                 static_cast<unsigned long long>(bt.batch_declines));
   };
   row("treap", std::type_identity<Treap>{});
@@ -368,7 +362,6 @@ void sweep_structures(const Config& cfg, std::size_t shards) {
 // submit_mutex_locks_per_op: 0.
 
 struct LaneCell {
-  std::size_t shards = 0;
   double sync_ops = 0.0;
   double async_ops = 0.0;
   core::OpStats total;  // async cell's board total (workers folded in)
@@ -376,7 +369,6 @@ struct LaneCell {
 
 LaneCell run_lane_cell(const Config& cfg, std::size_t shards) {
   LaneCell cell;
-  cell.shards = shards;
   {
     store::ShardStatsBoard sync_board(shards);
     cell.sync_ops =
@@ -397,9 +389,16 @@ int lanes_section(const Config& cfg) {
   std::printf("%6s  %13s  %13s  %8s  %11s  %11s  %16s  %8s\n", "shards",
               "sync ops/s", "async ops/s", "tkt/wake", "co-installs",
               "co-tickets", "wakes(spin/park)", "task-us");
+  bench::JsonRows json(
+      cfg.lanes_json, "bench_sharded",
+      {{"section", "executor-lanes"},
+       {"threads", cfg.threads},
+       {"batch", cfg.batch},
+       {"cell_ms", cfg.duration_ms},
+       {"sample_every", store::ShardExecutor<CombUc>::kSampleEvery},
+       {"submit_mutex_locks_per_op", 0}});
   std::vector<std::size_t> sweep{1};
   if (cfg.shards.back() > 1) sweep.push_back(cfg.shards.back());
-  std::vector<LaneCell> cells;
   double best_tpw = 0.0;
   for (const std::size_t s : sweep) {
     const LaneCell c = run_lane_cell(cfg, s);
@@ -413,54 +412,14 @@ int lanes_section(const Config& cfg) {
                 static_cast<unsigned long long>(t.exec_spin_wakes),
                 static_cast<unsigned long long>(t.exec_parks),
                 t.mean_task_us());
+    json.row("lanes",
+             {{"shards", s},
+              {"sync_ops", c.sync_ops},
+              {"async_ops", c.async_ops},
+              {"tickets_per_wake", t.tickets_per_wake()},
+              {"mean_task_us", t.mean_task_us()}},
+             t);
     best_tpw = std::max(best_tpw, t.tickets_per_wake());
-    cells.push_back(c);
-  }
-  if (cfg.lanes_json != nullptr) {
-    std::FILE* f = std::fopen(cfg.lanes_json, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", cfg.lanes_json);
-      return 2;
-    }
-    std::fprintf(
-        f,
-        "{\n  \"bench\": \"bench_sharded executor-lanes\",\n"
-        "  \"threads\": %zu, \"batch\": %u, \"cell_ms\": %d, "
-        "\"hw_threads\": %zu,\n"
-        "  \"sample_every\": %u,\n"
-        "  \"submit_mutex_locks_per_op\": 0,\n"
-        "  \"cells\": [\n",
-        cfg.threads, cfg.batch, cfg.duration_ms, bench::hardware_threads(),
-        static_cast<unsigned>(store::ShardExecutor<CombUc>::kSampleEvery));
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const LaneCell& c = cells[i];
-      const core::OpStats& t = c.total;
-      std::fprintf(
-          f,
-          "    {\"shards\": %zu, \"sync_ops\": %.0f, \"async_ops\": %.0f, "
-          "\"tickets_per_wake\": %.3f, \"coalesced_installs\": %llu, "
-          "\"coalesced_tickets\": %llu, \"wakes\": %llu, "
-          "\"spin_wakes\": %llu, \"parks\": %llu, \"task_samples\": %llu, "
-          "\"mean_task_us\": %.1f}%s\n",
-          c.shards, c.sync_ops, c.async_ops, t.tickets_per_wake(),
-          static_cast<unsigned long long>(t.exec_coalesced_installs),
-          static_cast<unsigned long long>(t.exec_coalesced_tasks),
-          static_cast<unsigned long long>(t.exec_wakes),
-          static_cast<unsigned long long>(t.exec_spin_wakes),
-          static_cast<unsigned long long>(t.exec_parks),
-          static_cast<unsigned long long>(t.exec_task_samples),
-          t.mean_task_us(), i + 1 < cells.size() ? "," : "");
-    }
-    // Pre-lane baseline for the async/sync ratio acceptance: the
-    // condvar+mutex executor at the previous HEAD, --quick on the
-    // 1-vCPU CI host. Host-specific — compare ratios, not absolutes.
-    std::fprintf(
-        f,
-        "  ],\n"
-        "  \"cv_baseline_quick_1vcpu\": {\"sync_64_shards1\": 415728, "
-        "\"async_64_shards1\": 503274, \"sync_64_shards4\": 371375, "
-        "\"async_64_shards4\": 363210}\n}\n");
-    std::fclose(f);
   }
   if (cfg.assert_coalesce) {
     if (best_tpw <= 1.0) {
@@ -551,16 +510,7 @@ std::vector<std::int64_t> skew_sample(const Config& cfg, Skew skew,
 
 struct SkewCell {
   double ops_per_sec = 0.0;
-  std::uint64_t migrations = 0;
-  std::uint64_t keys_moved = 0;
-  std::uint64_t splits = 0;            // boundary-only flips (tablet row)
-  std::uint64_t assignment_moves = 0;  // single-tablet moves (tablet row)
-  std::uint64_t budget_deferrals = 0;
-  std::uint64_t pressure_deferrals = 0;
-  std::uint64_t peak_interval_keys = 0;
-  std::uint64_t peak_interval_est = 0;    // admitted-estimate window peak
-  std::uint64_t oversize_escapes = 0;     // full-bucket over-budget admits
-  std::uint64_t budget_keys = 0;
+  store::RebalanceStats rebalance;  // zero for the static policies
   /// Hottest shard's share of a fresh offered-load sample under the
   /// cell's FINAL topology, as a multiple of the ideal 1/S share —
   /// 1.0 = perfectly balanced; ~S = everything on one shard. This is
@@ -624,18 +574,8 @@ SkewCell run_skew_cell(const Config& cfg, Skew skew, std::size_t shards,
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         reb.tick();
       }
-      const store::RebalanceStats& st = reb.stats();
-      cell.migrations = st.migrations;
-      cell.keys_moved = st.keys_moved;
-      cell.splits = st.splits;
-      cell.assignment_moves = st.assignment_moves;
-      cell.budget_deferrals = st.budget_deferrals;
-      cell.pressure_deferrals = st.pressure_deferrals;
-      cell.peak_interval_keys = reb.throttle().peak_interval_keys();
-      cell.peak_interval_est = reb.throttle().peak_interval_est();
-      cell.oversize_escapes = reb.throttle().oversize_escapes();
-      cell.budget_keys = reb.throttle().budget_keys();
-      board.set_rebalance_summary(reb.summary());
+      cell.rebalance = reb.stats();
+      board.set_rebalance_stats(cell.rebalance);
       reb.fold_into(board);
     });
   }
@@ -699,97 +639,11 @@ SkewCell run_skew_cell(const Config& cfg, Skew skew, std::size_t shards,
   return cell;
 }
 
-/// The --json sink: a flat array of row objects, one per (skew, policy)
-/// sweep row, written as rows complete. The machine-readable counterpart
-/// of the printed skew table (BENCH_sharded_skew.json is one of these).
-class JsonSink {
- public:
-  explicit JsonSink(const char* path) {
-    if (path == nullptr) return;
-    f_ = std::fopen(path, "w");
-    if (f_ == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", path);
-      std::exit(2);
-    }
-    std::fprintf(f_, "[\n");
-  }
-  ~JsonSink() {
-    if (f_ == nullptr) return;
-    std::fprintf(f_, "\n]\n");
-    std::fclose(f_);
-  }
-  JsonSink(const JsonSink&) = delete;
-  JsonSink& operator=(const JsonSink&) = delete;
-
-  void meta(const Config& cfg, std::size_t shards) {
-    if (f_ == nullptr) return;
-    sep();
-    std::fprintf(f_,
-                 "  {\"row\": \"meta\", \"bench\": \"bench_sharded\", "
-                 "\"threads\": %zu, \"shards\": %zu, \"initial_keys\": %zu, "
-                 "\"cell_ms\": %d, \"hw_threads\": %zu}",
-                 cfg.threads, shards, cfg.initial_keys, cfg.duration_ms * 3,
-                 bench::hardware_threads());
-  }
-
-  /// One printed table row, plus the representative cell's rebalancing
-  /// detail (rep = the cell whose final topology the max/ideal column
-  /// reports; migrations/keys_moved are the row's three-mode sums).
-  void row(Skew skew, const char* policy, std::size_t shards,
-           const SkewCell& per_op, const SkewCell& sync_cell,
-           const SkewCell& async_cell, const SkewCell& rep,
-           std::uint64_t migrations, std::uint64_t keys_moved,
-           std::size_t resident) {
-    if (f_ == nullptr) return;
-    sep();
-    std::fprintf(
-        f_,
-        "  {\"row\": \"skew\", \"skew\": \"%s\", \"policy\": \"%s\", "
-        "\"shards\": %zu, \"per_op_ops\": %.0f, \"sync_ops\": %.0f, "
-        "\"async_ops\": %.0f, \"migrations\": %llu, \"keys_moved\": %llu, "
-        "\"resident\": %zu, \"max_ideal\": %.4f, \"splits\": %llu, "
-        "\"assignment_moves\": %llu, \"budget_deferrals\": %llu, "
-        "\"pressure_deferrals\": %llu, \"peak_interval_keys\": %llu, "
-        "\"peak_interval_est\": %llu, \"oversize_escapes\": %llu, "
-        "\"budget_keys\": %llu}",
-        skew_name(skew), policy, shards, per_op.ops_per_sec,
-        sync_cell.ops_per_sec, async_cell.ops_per_sec,
-        static_cast<unsigned long long>(migrations),
-        static_cast<unsigned long long>(keys_moved), resident,
-        rep.max_load_share, static_cast<unsigned long long>(rep.splits),
-        static_cast<unsigned long long>(rep.assignment_moves),
-        static_cast<unsigned long long>(rep.budget_deferrals),
-        static_cast<unsigned long long>(rep.pressure_deferrals),
-        static_cast<unsigned long long>(rep.peak_interval_keys),
-        static_cast<unsigned long long>(rep.peak_interval_est),
-        static_cast<unsigned long long>(rep.oversize_escapes),
-        static_cast<unsigned long long>(rep.budget_keys));
-  }
-
- private:
-  void sep() {
-    if (!first_) std::fprintf(f_, ",\n");
-    first_ = false;
-  }
-  std::FILE* f_ = nullptr;
-  bool first_ = true;
-};
-
-/// The adaptive-tablet row's representative cell (each cell is one
-/// fresh store, so "keys moved vs resident" and "peak interval vs
-/// budget" are per-cell statements).
-struct SkewSummary {
-  std::uint64_t migrations = 0;
-  double share = 0.0;  // final max/ideal load share
-  std::uint64_t keys_moved = 0;
-  std::uint64_t peak_est = 0;
-  std::uint64_t escapes = 0;
-  std::uint64_t budget = 0;
-};
-
-/// Runs the router policies over one skew; returns the adaptive-tablet
-/// row's summary (for --assert-migrated).
-SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
+/// Runs the router policies over one skew, printing the table and
+/// writing one "skew" row per cell (each cell is one fresh store, so its
+/// rebalancing counters and max/ideal are per-cell statements). Returns
+/// the adaptive-tablet row's representative cell (for --assert-migrated).
+SkewCell skew_sweep(const Config& cfg, Skew skew, bench::JsonRows& json) {
   const std::size_t shards = cfg.shards.back();
   const std::int64_t key_space = key_space_of(cfg);
   std::optional<bench::ZipfGen> zipf;
@@ -803,7 +657,7 @@ SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
   std::printf("%-15s  %13s  %13s  %13s  %10s  %10s  %9s\n", "router",
               "per-op ops/s", "sync-64 ops/s", "async-64 ops/s", "migrations",
               "keys-moved", "max/ideal");
-  SkewSummary sum;
+  SkewCell adaptive;
   std::unique_ptr<store::ShardStatsBoard> detail_board;
   // The adaptive row goes last so its board (with the rebalance footer)
   // is the one printed below the table.
@@ -830,10 +684,26 @@ SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
     if (cfg.run_async) {
       async_cell = run_one(Mode::kBatchAsync, *async_board);
     }
-    const std::uint64_t migrations =
-        per_op.migrations + sync_cell.migrations + async_cell.migrations;
-    const std::uint64_t keys_moved =
-        per_op.keys_moved + sync_cell.keys_moved + async_cell.keys_moved;
+    const auto row = [&](const char* mode, const SkewCell& c) {
+      json.row("skew",
+               {{"skew", skew_name(skew)},
+                {"policy", name},
+                {"mode", mode},
+                {"shards", shards},
+                {"resident", cfg.initial_keys},
+                {"ops_per_sec", c.ops_per_sec},
+                {"max_ideal", c.max_load_share}},
+               c.rebalance);
+    };
+    row("per-op", per_op);
+    if (cfg.run_sync) row("sync", sync_cell);
+    if (cfg.run_async) row("async", async_cell);
+    const std::uint64_t migrations = per_op.rebalance.migrations +
+                                     sync_cell.rebalance.migrations +
+                                     async_cell.rebalance.migrations;
+    const std::uint64_t keys_moved = per_op.rebalance.keys_moved +
+                                     sync_cell.rebalance.keys_moved +
+                                     async_cell.rebalance.keys_moved;
     // The final topology's offered-load balance (hottest shard's share
     // vs the ideal 1/S) — the structural quantity rebalancing fixes,
     // and on core-starved hosts, where the scheduler masks most of the
@@ -848,15 +718,8 @@ SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
                 static_cast<unsigned long long>(migrations),
                 static_cast<unsigned long long>(keys_moved),
                 rep.max_load_share);
-    json.row(skew, name, shards, per_op, sync_cell, async_cell, rep,
-             migrations, keys_moved, cfg.initial_keys);
     if (policy == RouterPolicy::kAdaptiveTablet) {
-      sum.migrations = rep.migrations;
-      sum.share = rep.max_load_share;
-      sum.keys_moved = rep.keys_moved;
-      sum.peak_est = rep.peak_interval_est;
-      sum.escapes = rep.oversize_escapes;
-      sum.budget = rep.budget_keys;
+      adaptive = rep;
       detail_board = cfg.run_async  ? std::move(async_board)
                      : cfg.run_sync ? std::move(sync_board)
                                     : std::move(per_op_board);
@@ -871,7 +734,62 @@ SkewSummary skew_sweep(const Config& cfg, Skew skew, JsonSink& json) {
                                : "per-op");
     detail_board->print(stdout);
   }
-  return sum;
+  return adaptive;
+}
+
+/// The skew sweep over every requested distribution. --assert-migrated
+/// gates each adaptive-tablet row: it actually reached balance
+/// (max/ideal <= 1.3), bought with at most a quarter of the resident
+/// keys, and never more than one throttle budget of keys inside one
+/// interval.
+int skew_section(const Config& cfg) {
+  bench::JsonRows json(cfg.json_path, "bench_sharded",
+                       {{"section", "skew"},
+                        {"threads", cfg.threads},
+                        {"shards", cfg.shards.back()},
+                        {"initial_keys", cfg.initial_keys},
+                        {"batch", cfg.batch},
+                        {"cell_ms", cfg.duration_ms * 3}});
+  for (const Skew skew : cfg.skews) {
+    const SkewCell rep = skew_sweep(cfg, skew, json);
+    if (!cfg.assert_migrated) continue;
+    const store::RebalanceStats& r = rep.rebalance;
+    if (r.migrations == 0) {
+      std::fprintf(stderr,
+                   "FAIL: adaptive-tablet cells completed without a flip\n");
+      return 1;
+    }
+    if (rep.max_load_share > 1.3) {
+      std::fprintf(stderr,
+                   "FAIL: continuous rebalancing left the load unbalanced "
+                   "(max/ideal %.2f, want <= 1.3)\n",
+                   rep.max_load_share);
+      return 1;
+    }
+    if (r.keys_moved * 4 > cfg.initial_keys) {
+      std::fprintf(stderr,
+                   "FAIL: continuous rebalancing migrated %llu keys "
+                   "(> 25%% of %zu resident)\n",
+                   static_cast<unsigned long long>(r.keys_moved),
+                   cfg.initial_keys);
+      return 1;
+    }
+    // The policy bound is on *admitted estimates*: actual keys moved
+    // (peak_interval_keys, printed in the stats line) may drift past the
+    // estimate by whatever the tablet gained between planning and the
+    // pinned extraction — honest reporting, not an over-admission.
+    // Estimates exceed the budget only via the documented full-bucket
+    // oversize escape.
+    if (r.peak_interval_est > r.budget_keys && r.oversize_escapes == 0) {
+      std::fprintf(stderr,
+                   "FAIL: throttle admitted estimates of %llu keys in one "
+                   "interval (budget %llu, no oversize escape)\n",
+                   static_cast<unsigned long long>(r.peak_interval_est),
+                   static_cast<unsigned long long>(r.budget_keys));
+      return 1;
+    }
+  }
+  return 0;
 }
 
 }  // namespace
@@ -935,48 +853,6 @@ int main(int argc, char** argv) {
   }
   if (cfg.skews.empty()) cfg.skews.push_back(Skew::kZipf);
 
-  // Gate one skew's summary against the --assert-migrated contract:
-  // the adaptive-tablet row actually reached balance (max/ideal <= 1.3),
-  // bought with at most a quarter of the resident keys, and never more
-  // than one throttle budget of keys inside one interval.
-  const auto check_summary = [&cfg](const SkewSummary& sum) -> int {
-    if (sum.migrations == 0) {
-      std::fprintf(stderr,
-                   "FAIL: adaptive-tablet cells completed without a flip\n");
-      return 1;
-    }
-    if (sum.share > 1.3) {
-      std::fprintf(stderr,
-                   "FAIL: continuous rebalancing left the load unbalanced "
-                   "(max/ideal %.2f, want <= 1.3)\n",
-                   sum.share);
-      return 1;
-    }
-    if (sum.keys_moved * 4 > cfg.initial_keys) {
-      std::fprintf(stderr,
-                   "FAIL: continuous rebalancing migrated %llu keys "
-                   "(> 25%% of %zu resident)\n",
-                   static_cast<unsigned long long>(sum.keys_moved),
-                   cfg.initial_keys);
-      return 1;
-    }
-    // The policy bound is on *admitted estimates*: actual keys moved
-    // (peak_interval_keys, printed in the stats line) may drift past the
-    // estimate by whatever the tablet gained between planning and the
-    // pinned extraction — honest reporting, not an over-admission.
-    // Estimates exceed the budget only via the documented full-bucket
-    // oversize escape.
-    if (sum.peak_est > sum.budget && sum.escapes == 0) {
-      std::fprintf(stderr,
-                   "FAIL: throttle admitted estimates of %llu keys in one "
-                   "interval (budget %llu, no oversize escape)\n",
-                   static_cast<unsigned long long>(sum.peak_est),
-                   static_cast<unsigned long long>(sum.budget));
-      return 1;
-    }
-    return 0;
-  };
-
   if (cfg.lanes_only) {
     // Lanes-only mode (the CI coalescing smoke): the executor-lanes
     // section plus its assert and JSON artifact, nothing else.
@@ -986,15 +862,7 @@ int main(int argc, char** argv) {
   if (cfg.skew_only) {
     // Skew-sweep-only mode (the CI rebalancing smoke): the router
     // policies over the requested distribution(s), nothing else.
-    JsonSink json(cfg.json_path);
-    json.meta(cfg, cfg.shards.back());
-    for (const Skew skew : cfg.skews) {
-      const SkewSummary sum = skew_sweep(cfg, skew, json);
-      if (cfg.assert_migrated) {
-        if (const int rc = check_summary(sum); rc != 0) return rc;
-      }
-    }
-    return 0;
+    return skew_section(cfg);
   }
 
   std::printf("### store: sharded treap, %zu threads, 100%% updates, "
@@ -1031,13 +899,5 @@ int main(int argc, char** argv) {
 
   sweep_structures(cfg, cfg.shards.back());
 
-  JsonSink json(cfg.json_path);
-  json.meta(cfg, cfg.shards.back());
-  for (const Skew skew : cfg.skews) {
-    const SkewSummary sum = skew_sweep(cfg, skew, json);
-    if (cfg.assert_migrated) {
-      if (const int rc = check_summary(sum); rc != 0) return rc;
-    }
-  }
-  return 0;
+  return skew_section(cfg);
 }

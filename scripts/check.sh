@@ -58,8 +58,10 @@ SMOKE_TAG=multiget smoke bench_readmix --quick --multiget \
 # the adaptive-tablet row runs Rebalancer::tick() against live traffic;
 # the sweep's own asserts fail the gate unless balance was reached
 # (max/ideal <= 1.3x) while moving <= 25% of resident keys, never
-# exceeding the per-interval migration budget.
-SMOKE_TAG=skew smoke bench_sharded --quick --skew zipf --assert-migrated
+# exceeding the per-interval migration budget. The skew rows land in the
+# JSON next to the log.
+SMOKE_TAG=skew smoke bench_sharded --quick --skew zipf --assert-migrated \
+  --json "$build_dir/BENCH_sharded_skew.json"
 
 # Smoke: the structure ablation (E8 + E8b batch matrix) covers every
 # persistent structure's per-op and sorted-batch install paths.
@@ -71,6 +73,13 @@ smoke bench_ablation_structure --quick
 # per-node baseline; the JSON lands next to the log for inspection.
 SMOKE_TAG=recycle smoke bench_ablation_alloc --quick \
   --json "$build_dir/BENCH_alloc_recycle.json" --assert-recycle
+
+# Gate: the four JSON files the smokes above wrote must parse. Every
+# BENCH_*.json comes from one row writer (src/bench_util/json_rows.hpp),
+# so a malformed row fails here instead of reaching a checked-in artifact.
+for artifact in executor_lanes readmix_multiget sharded_skew alloc_recycle; do
+  python3 -m json.tool "$build_dir/BENCH_$artifact.json" > /dev/null
+done
 
 # Smoke: the store benchmark. run.sh builds benchmark/ into build-bench/
 # (its static_asserts pin the universal constructions' entry points),

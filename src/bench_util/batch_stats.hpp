@@ -1,60 +1,40 @@
-// Aggregation + rendering for the combining UC's batch counters.
+// Rendering for the combining UC's batch and multi_get counters.
 //
-// Worker threads own plain OpStats; benches fold them into one
-// accumulator at join time and render the batch-size histogram and
-// spine-copy savings that bench_batch_combining (and future combining
-// benches) report alongside throughput.
+// Worker threads own plain OpStats; benches fold them into a
+// store::ShardStatsBoard (one shard for a single atom) at join time and
+// render the size histograms, spine-copy savings and recycling summary
+// that bench_batch_combining and bench_readmix report alongside
+// throughput.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
-#include <mutex>
 
 #include "core/stats.hpp"
 
 namespace pathcopy::bench {
 
-/// Mutex-guarded fold target for per-thread OpStats. Workers call add()
-/// once, after their run (not per-op), so the lock is cold.
-class OpStatsAccumulator {
- public:
-  void add(const core::OpStats& s) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    total_ += s;
-  }
-
-  core::OpStats snapshot() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return total_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  core::OpStats total_;
-};
-
-/// One-line batch-size histogram: share of batched installs per bucket.
-inline void print_batch_histogram(std::FILE* out, const core::OpStats& s) {
-  std::fprintf(out, "batch-size histogram (of %llu batched installs):",
-               static_cast<unsigned long long>(s.batched_installs));
-  if (s.batched_installs == 0) {
-    std::fprintf(out, " (none)\n");
-    return;
-  }
-  for (unsigned i = 0; i < core::OpStats::kBatchHistBuckets; ++i) {
-    if (s.batch_hist[i] == 0) continue;
+/// One-line size histogram: each non-empty bucket's share of `total`
+/// (the batched installs or probe sweeps the histogram counts).
+inline void print_histogram(
+    std::FILE* out, const char* what,
+    const std::array<std::uint64_t, core::OpStats::kBatchHistBuckets>& hist,
+    std::uint64_t total) {
+  std::fprintf(out, "%s size histogram (of %llu):", what,
+               static_cast<unsigned long long>(total));
+  if (total == 0) std::fprintf(out, " (none)");
+  for (unsigned i = 0; i < hist.size(); ++i) {
+    if (hist[i] == 0) continue;
     std::fprintf(out, "  %s:%.1f%%", core::OpStats::batch_bucket_label(i),
-                 100.0 * static_cast<double>(s.batch_hist[i]) /
-                     static_cast<double>(s.batched_installs));
+                 100.0 * core::OpStats::ratio(hist[i], total));
   }
   std::fprintf(out, "\n");
 }
 
 /// Mean spine copies saved per batched install (0 when none ran).
 inline double spine_savings_per_install(const core::OpStats& s) {
-  return s.batched_installs == 0
-             ? 0.0
-             : static_cast<double>(s.spine_copies_saved) /
-                   static_cast<double>(s.batched_installs);
+  return core::OpStats::ratio(s.spine_copies_saved, s.batched_installs);
 }
 
 /// One-line failed-install recycling summary: how many fresh nodes losing
@@ -85,15 +65,7 @@ inline void print_read_stats(std::FILE* out, const core::OpStats& s) {
                s.mean_read_batch(), 100.0 * s.read_batched_share(),
                static_cast<unsigned long long>(s.probe_nodes_visited),
                static_cast<unsigned long long>(s.probe_nodes_saved));
-  std::fprintf(out, "probe-size histogram (of %llu sweeps):",
-               static_cast<unsigned long long>(s.read_batches));
-  for (unsigned i = 0; i < core::OpStats::kBatchHistBuckets; ++i) {
-    if (s.read_batch_hist[i] == 0) continue;
-    std::fprintf(out, "  %s:%.1f%%", core::OpStats::batch_bucket_label(i),
-                 100.0 * static_cast<double>(s.read_batch_hist[i]) /
-                     static_cast<double>(s.read_batches));
-  }
-  std::fprintf(out, "\n");
+  print_histogram(out, "probe", s.read_batch_hist, s.read_batches);
   if (s.exec_read_sweeps > 0) {
     std::fprintf(out,
                  "read coalescing: %llu merged sweeps absorbed %llu read "

@@ -37,6 +37,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -59,6 +60,22 @@ struct BatchRequest {
   OpKind kind;
   K key;
   std::optional<V> value;  // engaged for inserts
+};
+
+/// The strict key order the store layer sorts, merges and routes by: the
+/// structure's KeyCompare when it names one, else std::less. The session
+/// splitter, the executor's lane merge and the rebalancer's planner each
+/// hold one of these, so the three always agree.
+template <class DS>
+struct KeyLess {
+  template <class K>
+  bool operator()(const K& a, const K& b) const {
+    if constexpr (requires { typename DS::KeyCompare; }) {
+      return typename DS::KeyCompare{}(a, b);
+    } else {
+      return std::less<K>{}(a, b);
+    }
+  }
 };
 
 namespace detail {

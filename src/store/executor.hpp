@@ -344,13 +344,7 @@ class ShardExecutor {
       Uc& uc, Ctx& ctx, std::span<const BatchRequest> reqs,
       std::span<bool> out) { uc.execute_sorted(ctx, reqs, out); };
 
-  static bool key_less(const Key& a, const Key& b) {
-    if constexpr (requires { typename Uc::Structure::KeyCompare; }) {
-      return typename Uc::Structure::KeyCompare{}(a, b);
-    } else {
-      return a < b;
-    }
-  }
+  static constexpr core::KeyLess<typename Uc::Structure> key_less{};
 
   void poison_and_join() {
     resume();  // parked-paused workers must run to drain

@@ -51,7 +51,6 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -96,18 +95,6 @@ struct RebalanceConfig {
   /// tick() defers while any executor lane is deeper than this (client
   /// sub-batches are stacking up; a migration would stall them more).
   std::size_t max_lane_depth = 8;
-};
-
-struct RebalanceStats {
-  std::uint64_t plans = 0;        // tick() calls that had enough samples
-  std::uint64_t migrations = 0;   // executed topology flips (all kinds)
-  std::uint64_t splits = 0;       // boundary-only flips (zero keys moved)
-  std::uint64_t assignment_moves = 0;  // single-tablet continuous moves
-  std::uint64_t keys_moved = 0;   // keys extracted + re-installed
-  std::uint64_t budget_deferrals = 0;    // tick()s the throttle held back
-  std::uint64_t pressure_deferrals = 0;  // tick()s client pressure held back
-  std::uint64_t peak_interval_keys = 0;  // most keys moved in one interval
-  double last_imbalance = 0.0;    // hottest-shard share multiple at last plan
 };
 
 /// Keys-moved-per-interval admission meter for continuous migration.
@@ -329,29 +316,21 @@ class Rebalancer {
     const std::uint64_t before = stats_.keys_moved;
     flip_to(cur.with_owner(t_hot, c));
     throttle_.charge(stats_.keys_moved - before);
-    stats_.peak_interval_keys = throttle_.peak_interval_keys();
     ++stats_.assignment_moves;
     after_flip();
     return TickResult::kMove;
   }
 
-  const RebalanceStats& stats() const noexcept { return stats_; }
-  const MigrationThrottle& throttle() const noexcept { return throttle_; }
-
-  /// Board-ready roll-up of this rebalancer's run (see shard_stats.hpp).
-  RebalanceSummary summary() const {
-    RebalanceSummary s;
-    s.migrations = stats_.migrations;
-    s.splits = stats_.splits;
-    s.assignment_moves = stats_.assignment_moves;
-    s.keys_moved = stats_.keys_moved;
-    s.budget_deferrals = stats_.budget_deferrals;
-    s.pressure_deferrals = stats_.pressure_deferrals;
+  /// This rebalancer's run so far, with the throttle's window peaks and
+  /// the current tablet table filled in.
+  RebalanceStats stats() const {
+    RebalanceStats s = stats_;
     s.peak_interval_keys = throttle_.peak_interval_keys();
     s.peak_interval_est = throttle_.peak_interval_est();
     s.oversize_escapes = throttle_.oversize_escapes();
     s.budget_keys = throttle_.budget_keys();
-    s.tablets_per_shard = map_->router().tablets_per_shard(map_->shard_count());
+    s.tablets_per_shard =
+        map_->router().tablets_per_shard(map_->shard_count());
     return s;
   }
 
@@ -545,13 +524,7 @@ class Rebalancer {
     }
   }
 
-  static bool key_less(const Key& a, const Key& b) {
-    if constexpr (requires { typename Uc::Structure::KeyCompare; }) {
-      return typename Uc::Structure::KeyCompare{}(a, b);
-    } else {
-      return std::less<Key>{}(a, b);
-    }
-  }
+  static constexpr core::KeyLess<Structure> key_less{};
 
   /// Keys installed per watermark bump: small enough that parked traffic
   /// resumes every few milliseconds as the big cold-destination install

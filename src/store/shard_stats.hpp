@@ -2,48 +2,61 @@
 //
 // Each Session owns plain per-shard counters (one OpStats per shard, no
 // atomics on the hot path). At the end of a run every worker folds its
-// session into a ShardStatsBoard — a mutex-guarded, per-shard accumulator
-// — and the bench/report side reads per-shard and whole-store totals from
-// one place. This is the sharded analogue of bench_util's
-// OpStatsAccumulator, kept in src/store because the per-shard breakdown
-// (which shard absorbed the installs, where the CAS failures concentrate,
-// who formed batches) is store-layer vocabulary, not bench plumbing.
+// counters into a ShardStatsBoard — a mutex-guarded, per-shard
+// accumulator that Session::fold_into, ShardExecutor::fold_into and
+// Rebalancer::fold_into all add() to — and the bench/report side reads
+// per-shard and whole-store totals from one place. A one-shard board is
+// the fold target of the single-atom benches too. The counters are
+// listed once: OpStats's in PC_OPSTATS_COUNTERS (core/stats.hpp), the
+// Rebalancer's in PC_REBALANCE_COUNTERS below.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/stats.hpp"
 #include "util/assert.hpp"
 
+/// X(name, description) for every RebalanceStats counter, in field order.
+#define PC_REBALANCE_COUNTERS(X)                                             \
+  X(plans, "tick() calls that had enough samples")                           \
+  X(migrations, "executed topology flips (all kinds)")                       \
+  X(splits, "boundary-only flips (zero keys moved)")                         \
+  X(assignment_moves, "single-tablet continuous moves")                      \
+  X(keys_moved, "keys extracted and re-installed")                           \
+  X(budget_deferrals, "tick()s the throttle held back")                      \
+  X(pressure_deferrals, "tick()s client pressure held back")                 \
+  X(peak_interval_keys, "most keys moved in one throttle interval")          \
+  X(peak_interval_est, "most admitted-estimate keys in one interval")        \
+  X(oversize_escapes, "full-bucket admits of an over-budget move")           \
+  X(budget_keys, "the configured per-interval key budget")
+
 namespace pathcopy::store {
 
-/// One-shot roll-up of a Rebalancer run, printed as a footer under the
-/// per-shard table. tablets_per_shard counts the final table's tablets
-/// per shard; the counters separate cheap flips (splits: boundary
-/// refinements that move zero keys; assignment moves: single-tablet
-/// reassignments) from the keys they carried, and surface how often the
-/// migration throttle held a planned move back (budget exhausted vs
-/// client backpressure).
-/// peak_interval_keys is the most keys moved inside one throttle
-/// interval; peak_interval_est is the admitted-estimate window the
-/// budget actually bounds (and what CI asserts — actuals may drift
-/// past the estimate while writers run between plan and extraction).
-struct RebalanceSummary {
-  std::vector<std::size_t> tablets_per_shard;
-  std::uint64_t migrations = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t assignment_moves = 0;
-  std::uint64_t keys_moved = 0;
-  std::uint64_t budget_deferrals = 0;
-  std::uint64_t pressure_deferrals = 0;
-  std::uint64_t peak_interval_keys = 0;
-  std::uint64_t peak_interval_est = 0;
-  std::uint64_t oversize_escapes = 0;
-  std::uint64_t budget_keys = 0;  // the configured per-interval cap
+/// One Rebalancer run: Rebalancer::stats() fills it in, the board prints
+/// it as a footer under the per-shard table, and bench rows carry it.
+/// The counters separate cheap flips (splits: boundary refinements that
+/// move zero keys; assignment moves: single-tablet reassignments) from
+/// the keys they carried, and show how often the migration throttle held
+/// a planned move back (budget exhausted vs client backpressure).
+/// peak_interval_est is the admitted-estimate window the budget actually
+/// bounds (and what CI asserts); actual keys (peak_interval_keys) may
+/// drift past it while writers run between plan and extraction.
+struct RebalanceStats {
+  PC_REBALANCE_COUNTERS(PC_STATS_FIELD)
+  double last_imbalance = 0.0;  // hottest-shard share multiple at last plan
+  std::vector<std::size_t> tablets_per_shard;  // the final tablet table
+
+  /// Calls f(name, value) for every counter, in field order.
+  template <class F>
+  void for_each_counter(F&& f) const {
+    PC_REBALANCE_COUNTERS(PC_STATS_VISIT)
+  }
 };
 
 class ShardStatsBoard {
@@ -56,14 +69,6 @@ class ShardStatsBoard {
     PC_ASSERT(shard < per_shard_.size(), "shard index out of range");
     const std::lock_guard<std::mutex> lock(mu_);
     per_shard_[shard] += s;
-  }
-
-  /// Folds a whole Session (anything exposing shard_stats(i)).
-  template <class Session>
-  void add_session(const Session& session) {
-    for (std::size_t i = 0; i < per_shard_.size(); ++i) {
-      add(i, session.shard_stats(i));
-    }
   }
 
   std::size_t shards() const noexcept { return per_shard_.size(); }
@@ -80,11 +85,10 @@ class ShardStatsBoard {
     return t;
   }
 
-  /// Attaches a Rebalancer roll-up; print() renders it as a footer.
-  void set_rebalance_summary(RebalanceSummary s) {
+  /// Attaches a Rebalancer run; print() renders it as a footer.
+  void set_rebalance_stats(RebalanceStats s) {
     const std::lock_guard<std::mutex> lock(mu_);
     rebalance_ = std::move(s);
-    have_rebalance_ = true;
   }
 
   /// Wall-clock length of the measured run; lets print() turn the read
@@ -94,7 +98,8 @@ class ShardStatsBoard {
     elapsed_s_ = s;
   }
 
-  /// Two per-shard tables, each kept under 120 columns.
+  /// Two per-shard tables, each kept under 120 columns, each printed
+  /// from its column list (kWriteColumns, kReadColumns) with a total row.
   ///
   /// WRITE section: installs, retry pressure, batch formation, the
   /// executor pipeline ("tkt/wake": mean tickets a worker wakeup
@@ -116,42 +121,19 @@ class ShardStatsBoard {
   /// version moved mid-validation); "epo-wait" counts ops/cuts that
   /// parked on a migrating topology.
   void print(std::FILE* out) const {
-    std::fprintf(out,
-                 "%6s  %10s  %9s  %11s  %9s  %10s  %8s  %8s  %7s  %7s  %8s\n",
-                 "shard", "installs", "noops", "cas-fail/op", "batched%",
-                 "mean batch", "tkt/wake", "task-us", "mig-in", "mig-out",
-                 "recycled");
+    std::vector<core::OpStats> rows;
+    std::optional<RebalanceStats> reb;
+    double elapsed_s = 0.0;
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      rows = per_shard_;
+      reb = rebalance_;
+      elapsed_s = elapsed_s_;
+    }
     core::OpStats t;
-    for (std::size_t i = 0; i < per_shard_.size(); ++i) {
-      const core::OpStats s = shard(i);
-      t += s;
-      print_row(out, i, s);
-    }
-    std::fprintf(out,
-                 "%6s  %10llu  %9llu  %11.3f  %8.1f%%  %10.2f  %8.2f  "
-                 "%8.1f  %7llu  %7llu  %8llu\n",
-                 "total", static_cast<unsigned long long>(t.updates),
-                 static_cast<unsigned long long>(t.noop_updates),
-                 t.failure_ratio(), batched_pct(t), t.mean_batch_size(),
-                 t.tickets_per_wake(), t.mean_task_us(),
-                 static_cast<unsigned long long>(t.mig_keys_in),
-                 static_cast<unsigned long long>(t.mig_keys_out),
-                 static_cast<unsigned long long>(t.recycled_nodes));
-    if (t.reads > 0) {
-      double elapsed = 0.0;
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        elapsed = elapsed_s_;
-      }
-      std::fprintf(out,
-                   "%6s  %11s  %10s  %9s  %10s  %11s  %11s  %9s  %8s\n",
-                   "shard", "reads", "reads/s", "rd-batch%", "mean-probe",
-                   "rd-tkt/wake", "saved-nodes", "cut-retry", "epo-wait");
-      for (std::size_t i = 0; i < per_shard_.size(); ++i) {
-        print_read_row(out, i, shard(i), elapsed);
-      }
-      print_read_total(out, t, elapsed);
-    }
+    for (const core::OpStats& s : rows) t += s;
+    print_table(out, kWriteColumns, rows, t, elapsed_s);
+    if (t.reads > 0) print_table(out, kReadColumns, rows, t, elapsed_s);
     if (t.exec_wakes > 0) {
       std::fprintf(
           out,
@@ -168,31 +150,15 @@ class ShardStatsBoard {
           static_cast<unsigned long long>(t.exec_read_tasks),
           static_cast<unsigned long long>(t.exec_task_samples));
     }
-    RebalanceSummary reb;
-    bool have = false;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      reb = rebalance_;
-      have = have_rebalance_;
-    }
-    if (!have) return;
-    std::fprintf(out,
-                 "rebalance: %llu flips (%llu splits, %llu moves), "
-                 "%llu keys moved, deferrals budget=%llu pressure=%llu, "
-                 "peak interval keys=%llu (est %llu, escapes %llu)/%llu\n",
-                 static_cast<unsigned long long>(reb.migrations),
-                 static_cast<unsigned long long>(reb.splits),
-                 static_cast<unsigned long long>(reb.assignment_moves),
-                 static_cast<unsigned long long>(reb.keys_moved),
-                 static_cast<unsigned long long>(reb.budget_deferrals),
-                 static_cast<unsigned long long>(reb.pressure_deferrals),
-                 static_cast<unsigned long long>(reb.peak_interval_keys),
-                 static_cast<unsigned long long>(reb.peak_interval_est),
-                 static_cast<unsigned long long>(reb.oversize_escapes),
-                 static_cast<unsigned long long>(reb.budget_keys));
-    if (!reb.tablets_per_shard.empty()) {
+    if (!reb.has_value()) return;
+    std::fprintf(out, "rebalance:");
+    reb->for_each_counter([out](const char* name, std::uint64_t v) {
+      std::fprintf(out, " %s=%llu", name, static_cast<unsigned long long>(v));
+    });
+    std::fprintf(out, "\n");
+    if (!reb->tablets_per_shard.empty()) {
       std::fprintf(out, "tablets/shard:");
-      for (const std::size_t c : reb.tablets_per_shard) {
+      for (const std::size_t c : reb->tablets_per_shard) {
         std::fprintf(out, " %zu", c);
       }
       std::fprintf(out, "\n");
@@ -200,58 +166,81 @@ class ShardStatsBoard {
   }
 
  private:
-  static double batched_pct(const core::OpStats& s) {
-    return s.updates == 0 ? 0.0
-                          : 100.0 * static_cast<double>(s.batched_installs) /
-                                static_cast<double>(s.updates);
+  /// One table column: header, printf width and precision, and its value
+  /// for one row's counters over a run of elapsed_s seconds.
+  struct Column {
+    const char* header;
+    int width;
+    int precision;
+    double (*value)(const core::OpStats& s, double elapsed_s);
+  };
+
+  template <std::uint64_t core::OpStats::*Counter>
+  static double count(const core::OpStats& s, double) {
+    return static_cast<double>(s.*Counter);
   }
 
-  static void print_row(std::FILE* out, std::size_t i,
-                        const core::OpStats& s) {
-    std::fprintf(out,
-                 "%6zu  %10llu  %9llu  %11.3f  %8.1f%%  %10.2f  %8.2f  "
-                 "%8.1f  %7llu  %7llu  %8llu\n",
-                 i, static_cast<unsigned long long>(s.updates),
-                 static_cast<unsigned long long>(s.noop_updates),
-                 s.failure_ratio(), batched_pct(s), s.mean_batch_size(),
-                 s.tickets_per_wake(), s.mean_task_us(),
-                 static_cast<unsigned long long>(s.mig_keys_in),
-                 static_cast<unsigned long long>(s.mig_keys_out),
-                 static_cast<unsigned long long>(s.recycled_nodes));
+  template <double (core::OpStats::*Figure)() const noexcept>
+  static double figure(const core::OpStats& s, double) {
+    return (s.*Figure)();
   }
 
-  static void print_read_row(std::FILE* out, std::size_t i,
-                             const core::OpStats& s, double elapsed) {
-    std::fprintf(out,
-                 "%6zu  %11llu  %10.0f  %8.1f%%  %10.2f  %11.2f  %11llu  "
-                 "%9llu  %8llu\n",
-                 i, static_cast<unsigned long long>(s.reads),
-                 elapsed > 0.0 ? static_cast<double>(s.reads) / elapsed : 0.0,
-                 100.0 * s.read_batched_share(), s.mean_read_batch(),
-                 s.read_tickets_per_wake(),
-                 static_cast<unsigned long long>(s.probe_nodes_saved),
-                 static_cast<unsigned long long>(s.cut_retries),
-                 static_cast<unsigned long long>(s.epoch_retries));
-  }
+  static constexpr Column kWriteColumns[] = {
+      {"installs", 10, 0, count<&core::OpStats::updates>},
+      {"noops", 9, 0, count<&core::OpStats::noop_updates>},
+      {"cas-fail/op", 11, 3, figure<&core::OpStats::failure_ratio>},
+      {"batched%", 9, 1,
+       [](const core::OpStats& s, double) { return 100.0 * s.batched_share(); }},
+      {"mean batch", 10, 2, figure<&core::OpStats::mean_batch_size>},
+      {"tkt/wake", 8, 2, figure<&core::OpStats::tickets_per_wake>},
+      {"task-us", 8, 1, figure<&core::OpStats::mean_task_us>},
+      {"mig-in", 7, 0, count<&core::OpStats::mig_keys_in>},
+      {"mig-out", 7, 0, count<&core::OpStats::mig_keys_out>},
+      {"recycled", 8, 0, count<&core::OpStats::recycled_nodes>},
+  };
 
-  static void print_read_total(std::FILE* out, const core::OpStats& t,
-                               double elapsed) {
-    std::fprintf(out,
-                 "%6s  %11llu  %10.0f  %8.1f%%  %10.2f  %11.2f  %11llu  "
-                 "%9llu  %8llu\n",
-                 "total", static_cast<unsigned long long>(t.reads),
-                 elapsed > 0.0 ? static_cast<double>(t.reads) / elapsed : 0.0,
-                 100.0 * t.read_batched_share(), t.mean_read_batch(),
-                 t.read_tickets_per_wake(),
-                 static_cast<unsigned long long>(t.probe_nodes_saved),
-                 static_cast<unsigned long long>(t.cut_retries),
-                 static_cast<unsigned long long>(t.epoch_retries));
+  static constexpr Column kReadColumns[] = {
+      {"reads", 11, 0, count<&core::OpStats::reads>},
+      {"reads/s", 10, 0,
+       [](const core::OpStats& s, double elapsed_s) {
+         return elapsed_s > 0.0 ? static_cast<double>(s.reads) / elapsed_s
+                                : 0.0;
+       }},
+      {"rd-batch%", 9, 1,
+       [](const core::OpStats& s, double) {
+         return 100.0 * s.read_batched_share();
+       }},
+      {"mean-probe", 10, 2, figure<&core::OpStats::mean_read_batch>},
+      {"rd-tkt/wake", 11, 2, figure<&core::OpStats::read_tickets_per_wake>},
+      {"saved-nodes", 11, 0, count<&core::OpStats::probe_nodes_saved>},
+      {"cut-retry", 9, 0, count<&core::OpStats::cut_retries>},
+      {"epo-wait", 8, 0, count<&core::OpStats::epoch_retries>},
+  };
+
+  /// The header, one row per shard, and the total row, all from `cols`.
+  static void print_table(std::FILE* out, std::span<const Column> cols,
+                          const std::vector<core::OpStats>& rows,
+                          const core::OpStats& total, double elapsed_s) {
+    std::fprintf(out, "%6s", "shard");
+    for (const Column& c : cols) std::fprintf(out, "  %*s", c.width, c.header);
+    for (std::size_t i = 0; i <= rows.size(); ++i) {
+      const bool is_total = i == rows.size();
+      if (is_total) {
+        std::fprintf(out, "\n%6s", "total");
+      } else {
+        std::fprintf(out, "\n%6zu", i);
+      }
+      for (const Column& c : cols) {
+        std::fprintf(out, "  %*.*f", c.width, c.precision,
+                     c.value(is_total ? total : rows[i], elapsed_s));
+      }
+    }
+    std::fprintf(out, "\n");
   }
 
   mutable std::mutex mu_;
   std::vector<core::OpStats> per_shard_;
-  RebalanceSummary rebalance_;
-  bool have_rebalance_ = false;
+  std::optional<RebalanceStats> rebalance_;
   double elapsed_s_ = 0.0;
 };
 

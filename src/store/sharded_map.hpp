@@ -65,7 +65,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -640,13 +639,7 @@ class ShardedMap<Uc, RouterT>::Session {
   }
 
  private:
-  static bool key_less(const Key& a, const Key& b) {
-    if constexpr (requires { typename Structure::KeyCompare; }) {
-      return typename Structure::KeyCompare{}(a, b);
-    } else {
-      return std::less<Key>{}(a, b);
-    }
-  }
+  static constexpr core::KeyLess<Structure> key_less{};
 
   /// The tablet table of the settled epoch a cut was taken under (its
   /// epoch token is that epoch). Never map_->router(): a flip after the
@@ -701,7 +694,7 @@ class ShardedMap<Uc, RouterT>::Session {
   bool key_route_stable(const Epoch* e, const Key& key) const {
     const std::size_t shards = map_->shard_count();
     return e->is_settled() || !e->moves(key, shards) ||
-           e->is_ready_for(e->router(key, shards), key, &Session::key_less);
+           e->is_ready_for(e->router(key, shards), key, key_less);
   }
 
   /// Enters an epoch under which `key`'s owner is stable. A mid-flip

@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "alloc/arena_alloc.hpp"
 #include "alloc/malloc_alloc.hpp"
 #include "core/atom.hpp"
+#include "core/stats.hpp"
 #include "core/universal.hpp"
 #include "persist/treap.hpp"
 #include "reclaim/epoch.hpp"
@@ -275,6 +278,42 @@ TEST(AtomStats, FailureRatioComputation) {
   sum += s;
   EXPECT_EQ(sum.updates, 20u);
   EXPECT_EQ(sum.cas_failures, 10u);
+  for (const double figure :
+       {zero.tickets_per_wake(), zero.mean_task_us(), zero.mean_read_batch(),
+        zero.read_batched_share(), zero.read_tickets_per_wake(),
+        zero.mean_batch_size(), zero.batched_share(), zero.recycle_ratio()}) {
+    EXPECT_DOUBLE_EQ(figure, 0.0);
+  }
+
+  // Every listed counter and both histograms get a distinct value; the
+  // struct is summed twice, and each counter read back by name.
+  core::OpStats all;
+  std::map<std::string, std::uint64_t> want;
+  std::uint64_t next = 1;
+#define PC_TEST_SET(name, what) \
+  all.name = next;              \
+  want[#name] = next++;
+  PC_OPSTATS_COUNTERS(PC_TEST_SET)
+#undef PC_TEST_SET
+  for (unsigned i = 0; i < core::OpStats::kBatchHistBuckets; ++i) {
+    all.batch_hist[i] = next++;
+    all.read_batch_hist[i] = next++;
+  }
+  core::OpStats twice;
+  twice += all;
+  twice += all;
+  std::set<std::string> seen;
+  twice.for_each_counter([&](const char* name, std::uint64_t value) {
+    EXPECT_TRUE(seen.insert(name).second) << name << " visited twice";
+    ASSERT_EQ(want.count(name), 1u) << name;
+    EXPECT_EQ(value, 2 * want[name]) << name;
+  });
+  EXPECT_EQ(seen.size(), want.size());
+  EXPECT_EQ(seen.size(), std::size_t{0 PC_OPSTATS_COUNTERS(PC_STATS_COUNT)});
+  for (unsigned i = 0; i < core::OpStats::kBatchHistBuckets; ++i) {
+    EXPECT_EQ(twice.batch_hist[i], 2 * all.batch_hist[i]);
+    EXPECT_EQ(twice.read_batch_hist[i], 2 * all.read_batch_hist[i]);
+  }
 }
 
 }  // namespace

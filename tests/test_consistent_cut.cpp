@@ -334,7 +334,7 @@ TEST(CutStats, RetryCounterRidesTheStatsBoard) {
     (void)session.size();
     (void)session.size();
     store::ShardStatsBoard board(2);
-    board.add_session(session);
+    session.fold_into(board);
     EXPECT_EQ(board.total().cut_reads, 4u);  // 2 cuts × 2 shards
     EXPECT_EQ(board.total().cut_retries,
               session.shard_stats(0).cut_retries +

@@ -624,7 +624,7 @@ TEST(Rebalance, MoveEstimateIsTheTabletNotTheShard) {
       moved = true;
       ASSERT_GT(reb.stats().keys_moved, 0u);
       ASSERT_LT(reb.stats().keys_moved, shard0);
-      EXPECT_EQ(reb.throttle().peak_interval_est(), reb.stats().keys_moved);
+      EXPECT_EQ(reb.stats().peak_interval_est, reb.stats().keys_moved);
     }
     EXPECT_TRUE(moved) << "no tablet ever moved";
     EXPECT_EQ(session.items(), items);

@@ -277,7 +277,7 @@ TYPED_TEST(StoreTyped, StatsRollupsMatchSessionCounters) {
     EXPECT_EQ(by_shard.attempts, total.attempts);
     EXPECT_EQ(by_shard.reads, total.reads);
     store::ShardStatsBoard board(3);
-    board.add_session(session);
+    session.fold_into(board);
     EXPECT_EQ(board.total().updates, total.updates);
     // Every op completed exactly once, whichever backend ran it.
     EXPECT_EQ(total.updates + total.noop_updates + total.helped_completions,

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <unordered_set>
 
+#include "bench_util/json_rows.hpp"
 #include "bench_util/runner.hpp"
 #include "bench_util/table.hpp"
 #include "bench_util/workloads.hpp"
+#include "core/stats.hpp"
 #include "util/rng.hpp"
 
 namespace pathcopy {
@@ -146,6 +153,61 @@ TEST(Table, PrintTableShape) {
   EXPECT_NE(out.find("451 940"), std::string::npos);
   EXPECT_NE(out.find("0.89x"), std::string::npos);
   EXPECT_NE(out.find("UC 4p"), std::string::npos);
+}
+
+TEST(JsonRows, OneArrayMetaFirstEveryCounterOnceNanAsNull) {
+  const std::string path = testing::TempDir() + "json_rows_test.json";
+  core::OpStats stats;
+  stats.updates = 7;
+  {
+    bench::JsonRows json(path.c_str(), "test_workloads", {{"cell_ms", 5}});
+    json.row("cell",
+             {{"name", "a \"quoted\" cell"},
+              {"count", 42},
+              {"nan", std::nan("")}},
+             stats);
+  }
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+
+  // One array of two flat objects: outside strings, the bracket depth
+  // first returns to zero at the last character that is not whitespace.
+  int depth = 0;
+  int objects = 0;
+  bool in_string = false;
+  std::size_t closed_at = std::string::npos;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      if (c == '\\') ++i;
+      if (c == '"') in_string = false;
+      continue;
+    }
+    if (c == '"') in_string = true;
+    if (c == '{' && depth == 1) ++objects;
+    if (c == '[' || c == '{') ++depth;
+    if (c == ']' || c == '}') --depth;
+    if (depth == 0 && closed_at == std::string::npos && c == ']') closed_at = i;
+  }
+  ASSERT_FALSE(text.empty());
+  EXPECT_EQ(text.front(), '[');
+  EXPECT_EQ(closed_at, text.find_last_not_of(" \n"));
+  EXPECT_EQ(depth, 0);
+  EXPECT_EQ(objects, 2);
+
+  EXPECT_LT(text.find("{\"row\": \"meta\", \"bench\": \"test_workloads\""),
+            text.find("\"row\": \"cell\""));
+  EXPECT_NE(text.find("\"count\": 42,"), std::string::npos);
+  EXPECT_NE(text.find("\"nan\": null,"), std::string::npos);
+  EXPECT_NE(text.find("\"updates\": 7,"), std::string::npos);
+  stats.for_each_counter([&](const char* name, std::uint64_t) {
+    const std::string key = "\"" + std::string(name) + "\": ";
+    const std::size_t first = text.find(key);
+    EXPECT_NE(first, std::string::npos) << name;
+    EXPECT_EQ(text.find(key, first + 1), std::string::npos) << name;
+  });
+  std::remove(path.c_str());
 }
 
 }  // namespace
