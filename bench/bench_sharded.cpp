@@ -639,11 +639,18 @@ SkewCell run_skew_cell(const Config& cfg, Skew skew, std::size_t shards,
   return cell;
 }
 
+/// One cell of a skew row, named by its ingest mode.
+struct ModeCell {
+  const char* mode;
+  SkewCell cell;
+};
+
 /// Runs the router policies over one skew, printing the table and
 /// writing one "skew" row per cell (each cell is one fresh store, so its
 /// rebalancing counters and max/ideal are per-cell statements). Returns
-/// the adaptive-tablet row's representative cell (for --assert-migrated).
-SkewCell skew_sweep(const Config& cfg, Skew skew, bench::JsonRows& json) {
+/// every adaptive-tablet cell that ran (for --assert-migrated).
+std::vector<ModeCell> skew_sweep(const Config& cfg, Skew skew,
+                                 bench::JsonRows& json) {
   const std::size_t shards = cfg.shards.back();
   const std::int64_t key_space = key_space_of(cfg);
   std::optional<bench::ZipfGen> zipf;
@@ -657,7 +664,7 @@ SkewCell skew_sweep(const Config& cfg, Skew skew, bench::JsonRows& json) {
   std::printf("%-15s  %13s  %13s  %13s  %10s  %10s  %9s\n", "router",
               "per-op ops/s", "sync-64 ops/s", "async-64 ops/s", "migrations",
               "keys-moved", "max/ideal");
-  SkewCell adaptive;
+  std::vector<ModeCell> adaptive;
   std::unique_ptr<store::ShardStatsBoard> detail_board;
   // The adaptive row goes last so its board (with the rebalance footer)
   // is the one printed below the table.
@@ -684,7 +691,10 @@ SkewCell skew_sweep(const Config& cfg, Skew skew, bench::JsonRows& json) {
     if (cfg.run_async) {
       async_cell = run_one(Mode::kBatchAsync, *async_board);
     }
-    const auto row = [&](const char* mode, const SkewCell& c) {
+    std::vector<ModeCell> cells = {{"per-op", per_op}};
+    if (cfg.run_sync) cells.push_back({"sync", sync_cell});
+    if (cfg.run_async) cells.push_back({"async", async_cell});
+    for (const auto& [mode, c] : cells) {
       json.row("skew",
                {{"skew", skew_name(skew)},
                 {"policy", name},
@@ -694,10 +704,7 @@ SkewCell skew_sweep(const Config& cfg, Skew skew, bench::JsonRows& json) {
                 {"ops_per_sec", c.ops_per_sec},
                 {"max_ideal", c.max_load_share}},
                c.rebalance);
-    };
-    row("per-op", per_op);
-    if (cfg.run_sync) row("sync", sync_cell);
-    if (cfg.run_async) row("async", async_cell);
+    }
     const std::uint64_t migrations = per_op.rebalance.migrations +
                                      sync_cell.rebalance.migrations +
                                      async_cell.rebalance.migrations;
@@ -708,10 +715,9 @@ SkewCell skew_sweep(const Config& cfg, Skew skew, bench::JsonRows& json) {
     // vs the ideal 1/S) — the structural quantity rebalancing fixes,
     // and on core-starved hosts, where the scheduler masks most of the
     // throughput cost of skew, the more telling column. The same cell
-    // is the "representative" one for the per-policy detail counters.
-    const SkewCell& rep = cfg.run_async  ? async_cell
-                          : cfg.run_sync ? sync_cell
-                                         : per_op;
+    // is the "representative" one for the per-policy detail counters:
+    // the last mode that ran (async, else sync, else per-op).
+    const SkewCell& rep = cells.back().cell;
     std::printf("%-15s  %13.0f  %13.0f  %13.0f  %10llu  %10llu  %8.2fx\n",
                 name, per_op.ops_per_sec, sync_cell.ops_per_sec,
                 async_cell.ops_per_sec,
@@ -719,7 +725,7 @@ SkewCell skew_sweep(const Config& cfg, Skew skew, bench::JsonRows& json) {
                 static_cast<unsigned long long>(keys_moved),
                 rep.max_load_share);
     if (policy == RouterPolicy::kAdaptiveTablet) {
-      adaptive = rep;
+      adaptive = std::move(cells);
       detail_board = cfg.run_async  ? std::move(async_board)
                      : cfg.run_sync ? std::move(sync_board)
                                     : std::move(per_op_board);
@@ -737,11 +743,55 @@ SkewCell skew_sweep(const Config& cfg, Skew skew, bench::JsonRows& json) {
   return adaptive;
 }
 
-/// The skew sweep over every requested distribution. --assert-migrated
-/// gates each adaptive-tablet row: it actually reached balance
-/// (max/ideal <= 1.3), bought with at most a quarter of the resident
-/// keys, and never more than one throttle budget of keys inside one
-/// interval.
+/// The --assert-migrated gate on one adaptive-tablet cell: it actually
+/// reached balance (max/ideal <= 1.3), bought with at most a quarter of
+/// the resident keys, and never admitted more than one throttle budget
+/// of keys inside one interval. Prints a FAIL line naming the cell's
+/// mode for each broken condition.
+bool migrated_ok(const Config& cfg, const ModeCell& mc) {
+  const store::RebalanceStats& r = mc.cell.rebalance;
+  bool ok = true;
+  if (r.migrations == 0) {
+    std::fprintf(stderr,
+                 "FAIL: adaptive-tablet %s cell completed without a flip\n",
+                 mc.mode);
+    ok = false;
+  }
+  if (mc.cell.max_load_share > 1.3) {
+    std::fprintf(stderr,
+                 "FAIL: adaptive-tablet %s cell: continuous rebalancing left "
+                 "the load unbalanced (max/ideal %.2f, want <= 1.3)\n",
+                 mc.mode, mc.cell.max_load_share);
+    ok = false;
+  }
+  if (r.keys_moved * 4 > cfg.initial_keys) {
+    std::fprintf(stderr,
+                 "FAIL: adaptive-tablet %s cell: continuous rebalancing "
+                 "migrated %llu keys (> 25%% of %zu resident)\n",
+                 mc.mode, static_cast<unsigned long long>(r.keys_moved),
+                 cfg.initial_keys);
+    ok = false;
+  }
+  // The policy bound is on *admitted estimates*: actual keys moved
+  // (peak_interval_keys, printed in the stats line) may drift past the
+  // estimate by whatever the tablet gained between planning and the
+  // pinned extraction — honest reporting, not an over-admission.
+  // Estimates exceed the budget only via the documented full-bucket
+  // oversize escape.
+  if (r.peak_interval_est > r.budget_keys && r.oversize_escapes == 0) {
+    std::fprintf(stderr,
+                 "FAIL: adaptive-tablet %s cell: throttle admitted estimates "
+                 "of %llu keys in one interval (budget %llu, no oversize "
+                 "escape)\n",
+                 mc.mode, static_cast<unsigned long long>(r.peak_interval_est),
+                 static_cast<unsigned long long>(r.budget_keys));
+    ok = false;
+  }
+  return ok;
+}
+
+/// The skew sweep over every requested distribution; --assert-migrated
+/// gates every adaptive-tablet cell that ran (per-op, sync and async).
 int skew_section(const Config& cfg) {
   bench::JsonRows json(cfg.json_path, "bench_sharded",
                        {{"section", "skew"},
@@ -750,46 +800,13 @@ int skew_section(const Config& cfg) {
                         {"initial_keys", cfg.initial_keys},
                         {"batch", cfg.batch},
                         {"cell_ms", cfg.duration_ms * 3}});
+  bool ok = true;
   for (const Skew skew : cfg.skews) {
-    const SkewCell rep = skew_sweep(cfg, skew, json);
+    const std::vector<ModeCell> cells = skew_sweep(cfg, skew, json);
     if (!cfg.assert_migrated) continue;
-    const store::RebalanceStats& r = rep.rebalance;
-    if (r.migrations == 0) {
-      std::fprintf(stderr,
-                   "FAIL: adaptive-tablet cells completed without a flip\n");
-      return 1;
-    }
-    if (rep.max_load_share > 1.3) {
-      std::fprintf(stderr,
-                   "FAIL: continuous rebalancing left the load unbalanced "
-                   "(max/ideal %.2f, want <= 1.3)\n",
-                   rep.max_load_share);
-      return 1;
-    }
-    if (r.keys_moved * 4 > cfg.initial_keys) {
-      std::fprintf(stderr,
-                   "FAIL: continuous rebalancing migrated %llu keys "
-                   "(> 25%% of %zu resident)\n",
-                   static_cast<unsigned long long>(r.keys_moved),
-                   cfg.initial_keys);
-      return 1;
-    }
-    // The policy bound is on *admitted estimates*: actual keys moved
-    // (peak_interval_keys, printed in the stats line) may drift past the
-    // estimate by whatever the tablet gained between planning and the
-    // pinned extraction — honest reporting, not an over-admission.
-    // Estimates exceed the budget only via the documented full-bucket
-    // oversize escape.
-    if (r.peak_interval_est > r.budget_keys && r.oversize_escapes == 0) {
-      std::fprintf(stderr,
-                   "FAIL: throttle admitted estimates of %llu keys in one "
-                   "interval (budget %llu, no oversize escape)\n",
-                   static_cast<unsigned long long>(r.peak_interval_est),
-                   static_cast<unsigned long long>(r.budget_keys));
-      return 1;
-    }
+    for (const ModeCell& mc : cells) ok = migrated_ok(cfg, mc) && ok;
   }
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -56,9 +56,10 @@ SMOKE_TAG=multiget smoke bench_readmix --quick --multiget \
 
 # Smoke: continuous tablet rebalancing under a Zipfian offered load —
 # the adaptive-tablet row runs Rebalancer::tick() against live traffic;
-# the sweep's own asserts fail the gate unless balance was reached
-# (max/ideal <= 1.3x) while moving <= 25% of resident keys, never
-# exceeding the per-interval migration budget. The skew rows land in the
+# the sweep's own asserts fail the gate unless every adaptive-tablet cell
+# (per-op, sync and async) reached balance (max/ideal <= 1.3x) while
+# moving <= 25% of resident keys, never exceeding the per-interval
+# migration budget. The skew rows land in the
 # JSON next to the log.
 SMOKE_TAG=skew smoke bench_sharded --quick --skew zipf --assert-migrated \
   --json "$build_dir/BENCH_sharded_skew.json"

@@ -35,8 +35,9 @@
 // Threading/ownership contract:
 //   * construct over a ShardedMap (any map exposing shard_count() /
 //     shard(s)); the constructor spawns the workers and attaches itself
-//     to the map, so Sessions route execute_batch/seed_sorted through it
-//     automatically;
+//     to the map, so run_shard_tasks (below) — the one place shard work
+//     picks a lane or the calling thread — sends Session batches, probes
+//     and seeds, and Rebalancer migration chunks, through it;
 //   * the alloc factory runs once on each worker thread and may return
 //     either a fresh per-worker allocator by value (ThreadCache) or a
 //     reference to a shared thread-safe one (MallocAlloc). Whatever
@@ -53,9 +54,10 @@
 //     drain-then-park-poison protocol: set the stop gate, wait out
 //     in-flight submitters, push a poison task through the ring (FIFO
 //     puts it after every accepted task; the gate lets nothing follow),
-//     and join. A submit that loses the race returns false and the
-//     client runs that sub-batch synchronously (Session settles the
-//     ticket slot itself), so nothing is dropped and nothing aborts.
+//     and join. A submit that loses the race returns false;
+//     run_shard_tasks then runs that task through run_task on the
+//     calling thread and settles its ticket slot, so nothing is dropped
+//     and nothing aborts.
 //     *Destruction* is different: like any object, the executor must not
 //     be destroyed while another thread may still call into it — the
 //     race-tolerant shutdown is stop()-then-quiesce-then-destroy.
@@ -167,7 +169,7 @@ class ShardExecutor {
   /// null); a seed task bulk-loads `*seed` through uc.seed_sorted; a READ
   /// task (read_results != nullptr) resolves the key-sorted probe span
   /// `keys` against one pinned root, writing keys[i]'s answer to
-  /// read_results[read_scatter[i]] (or read_results[i]). All referenced
+  /// read_results[scatter[i]] (or read_results[i]). All referenced
   /// storage is client-owned and must outlive the ticket.
   ///
   /// sorted_unique marks a control-plane batch (migration install/erase)
@@ -187,17 +189,40 @@ class ShardExecutor {
   /// linearizable.
   struct Task {
     std::span<const BatchRequest> reqs;
+    std::span<const Key> keys;  // read task: probe keys
     const std::size_t* scatter = nullptr;
     bool* results = nullptr;
-    const SeedItems* seed = nullptr;
-    std::span<const Key> keys;  // read task: probe keys
-    const std::size_t* read_scatter = nullptr;
     ReadOutcome* read_results = nullptr;  // non-null marks a read task
+    const SeedItems* seed = nullptr;
     BatchTicket* ticket = nullptr;
     bool sorted_unique = false;
     bool poison = false;  // internal: stop() sentinel, never submitted
-    bool read_done = false;  // internal: absorbed by an earlier merged sweep
+    bool done = false;    // internal: finished earlier in this drain
     std::chrono::steady_clock::time_point enqueued;  // sampled; see submit
+  };
+
+  /// Reusable output buffers for run_task and the worker's merged runs:
+  /// a task with a scatter map lands its results here first. One per
+  /// thread that runs tasks; only capacity persists between calls.
+  struct TaskScratch {
+    std::span<bool> flags(std::size_t n) {
+      if (flags_cap < n) {
+        flags_buf = std::make_unique<bool[]>(n);
+        flags_cap = n;
+      }
+      return {flags_buf.get(), n};
+    }
+    /// n default (absent) outcomes: a backend's per-key fallback writes
+    /// only the present ones.
+    std::span<ReadOutcome> reads(std::size_t n) {
+      reads_buf.clear();
+      reads_buf.resize(n);
+      return reads_buf;
+    }
+
+    std::unique_ptr<bool[]> flags_buf;
+    std::size_t flags_cap = 0;
+    std::vector<ReadOutcome> reads_buf;
   };
 
   struct Options {
@@ -265,7 +290,7 @@ class ShardExecutor {
   /// order) are applied to that shard's UC in submission order. Blocks
   /// through full-ring backpressure. Returns false — nothing enqueued —
   /// when the lane is already stopping: a client that raced stop() past
-  /// the map's detach must run the sub-batch itself (Session does
+  /// the map's detach must run the task itself (run_shard_tasks does
   /// exactly that), so stop() is safe to call while batches are in
   /// flight.
   ///
@@ -285,6 +310,48 @@ class ShardExecutor {
       task.enqueued = std::chrono::steady_clock::now();
     }
     return box.lane.push_wait(task);
+  }
+
+  /// Runs one task on the calling thread, uncoalesced — the only code
+  /// that does, for every kind: a lane worker's lone task, and a
+  /// client's task when no executor is attached or a stopping one
+  /// refused the submit. A seed task goes through seed_sorted, a read
+  /// task through multi_get, a batch task through ingest_sorted when it
+  /// is sorted_unique and the backend has that bulk path, else through
+  /// execute_batch. Leaves the ticket alone.
+  static void run_task(Uc& uc, Ctx& ctx, const Task& task,
+                       TaskScratch& scratch) {
+    if (task.seed != nullptr) {
+      uc.seed_sorted(ctx, task.seed->begin(), task.seed->end());
+      return;
+    }
+    if (is_read(task)) {
+      const std::span<ReadOutcome> out = scratch.reads(task.keys.size());
+      uc.multi_get(ctx, task.keys, out);
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        task.read_results[task.scatter != nullptr ? task.scatter[i] : i] =
+            std::move(out[i]);
+      }
+      return;
+    }
+    const std::size_t n = task.reqs.size();
+    const std::span<bool> out = task.scatter != nullptr
+                                    ? scratch.flags(n)
+                                    : std::span<bool>(task.results, n);
+    if constexpr (requires { uc.ingest_sorted(ctx, task.reqs, out); }) {
+      if (task.sorted_unique) {
+        uc.ingest_sorted(ctx, task.reqs, out);
+      } else {
+        uc.execute_batch(ctx, task.reqs, out);
+      }
+    } else {
+      uc.execute_batch(ctx, task.reqs, out);
+    }
+    if (task.scatter != nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        task.results[task.scatter[i]] = out[i];
+      }
+    }
   }
 
   /// Detaches from the map, poisons every lane (drain-then-park-poison:
@@ -362,6 +429,8 @@ class ShardExecutor {
   }
 
   static bool is_read(const Task& t) { return t.read_results != nullptr; }
+  /// A read task not yet absorbed by a merged sweep of this drain.
+  static bool unread(const Task& t) { return is_read(t) && !t.done; }
 
   void wait_unpaused() {
     while (paused_.load(std::memory_order_seq_cst)) {
@@ -404,49 +473,33 @@ class ShardExecutor {
     spin_budget = std::max(spin_budget / 2, kSpinMin);
   }
 
-  /// Runs one non-coalesced task (seed / migration / lone batch task).
-  void exec_single(Uc& uc, Ctx& ctx, const Task& task,
-                   std::unique_ptr<bool[]>& scratch,
-                   std::size_t& scratch_cap) {
-    if (task.seed != nullptr) {
-      uc.seed_sorted(ctx, task.seed->begin(), task.seed->end());
-    } else if (task.scatter == nullptr) {
-      const std::span<bool> out(task.results, task.reqs.size());
-      if constexpr (requires { uc.ingest_sorted(ctx, task.reqs, out); }) {
-        if (task.sorted_unique) {
-          uc.ingest_sorted(ctx, task.reqs, out);
-        } else {
-          uc.execute_batch(ctx, task.reqs, out);
-        }
-      } else {
-        uc.execute_batch(ctx, task.reqs, out);
+  /// Counts each task in `tasks` that `pick` selects (plus its latency
+  /// sample, if it carries one), marks it done and completes its ticket.
+  /// The clock is read once for the group, and only when a picked task
+  /// carries a sample.
+  template <class Pick>
+  static void finish_tasks(core::OpStats& st, std::span<Task> tasks,
+                           Pick&& pick) {
+    using Clock = std::chrono::steady_clock;
+    const bool sampled =
+        std::any_of(tasks.begin(), tasks.end(), [&](const Task& t) {
+          return t.enqueued != Clock::time_point{} && pick(t);
+        });
+    const Clock::time_point finished = sampled ? Clock::now()
+                                               : Clock::time_point{};
+    for (Task& t : tasks) {
+      if (!pick(t)) continue;
+      st.exec_tasks += 1;
+      if (t.enqueued != Clock::time_point{}) {
+        st.exec_task_samples += 1;
+        st.exec_task_ns += static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(finished -
+                                                                 t.enqueued)
+                .count());
       }
-    } else {
-      const std::size_t n = task.reqs.size();
-      if (scratch_cap < n) {
-        scratch = std::make_unique<bool[]>(n);
-        scratch_cap = n;
-      }
-      uc.execute_batch(ctx, task.reqs, std::span<bool>(scratch.get(), n));
-      for (std::size_t i = 0; i < n; ++i) {
-        task.results[task.scatter[i]] = scratch[i];
-      }
+      t.done = true;
+      if (t.ticket != nullptr) t.ticket->complete_one();
     }
-  }
-
-  /// Folds one finished task into the stats and completes its ticket.
-  /// `finished` is taken once per drain group, not per task.
-  static void finish_task(core::OpStats& st, const Task& task,
-                          std::chrono::steady_clock::time_point finished) {
-    st.exec_tasks += 1;
-    if (task.enqueued != std::chrono::steady_clock::time_point{}) {
-      st.exec_task_samples += 1;
-      st.exec_task_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(finished -
-                                                               task.enqueued)
-              .count());
-    }
-    if (task.ticket != nullptr) task.ticket->complete_one();
   }
 
   /// Coalesces run[first, last): merges the tasks' request spans into
@@ -459,8 +512,7 @@ class ShardExecutor {
                       std::vector<std::pair<std::uint32_t, std::uint32_t>>&
                           morder,
                       std::vector<BatchRequest>& merged,
-                      std::unique_ptr<bool[]>& mout,
-                      std::size_t& mout_cap) {
+                      TaskScratch& scratch) {
     morder.clear();
     std::size_t total = 0;
     for (std::uint32_t t = 0; t < tasks.size(); ++t) {
@@ -483,11 +535,7 @@ class ShardExecutor {
     merged.clear();
     merged.reserve(total);
     for (const auto& [t, i] : morder) merged.push_back(tasks[t].reqs[i]);
-    if (mout_cap < total) {
-      mout = std::make_unique<bool[]>(total);
-      mout_cap = total;
-    }
-    const std::span<bool> out(mout.get(), total);
+    const std::span<bool> out = scratch.flags(total);
     uc.execute_sorted(ctx, std::span<const BatchRequest>(merged), out);
     for (std::size_t m = 0; m < total; ++m) {
       const auto [t, i] = morder[m];
@@ -502,8 +550,8 @@ class ShardExecutor {
   /// task in run[first, end), k-way-merges their key-sorted probe spans
   /// into one deduplicated mega-probe, resolves it with ONE uc.multi_get
   /// (one pin, one descent-sharing sweep), scatters each key's answer
-  /// back through its own task's scatter map, and completes all absorbed
-  /// tickets. The write-side analogue is exec_coalesced — pin-once
+  /// back through its own task's scatter map, and finishes all absorbed
+  /// tasks. The write-side analogue is exec_coalesced — pin-once
   /// instead of install-once.
   ///
   /// Hoisting reads over drained writes is linearizable: every task in
@@ -517,16 +565,13 @@ class ShardExecutor {
                         std::vector<std::pair<std::uint32_t, std::uint32_t>>&
                             morder,
                         std::vector<Key>& mkeys, std::vector<std::size_t>& midx,
-                        std::vector<ReadOutcome>& mouts) {
+                        TaskScratch& scratch) {
     morder.clear();
     std::size_t ntasks = 0;
-    bool any_sampled = false;
     for (std::uint32_t t = static_cast<std::uint32_t>(first);
          t < run.size(); ++t) {
-      if (!is_read(run[t]) || run[t].read_done) continue;
+      if (!unread(run[t])) continue;
       ++ntasks;
-      any_sampled = any_sampled ||
-                    run[t].enqueued != std::chrono::steady_clock::time_point{};
       for (std::uint32_t i = 0;
            i < static_cast<std::uint32_t>(run[t].keys.size()); ++i) {
         morder.emplace_back(t, i);
@@ -548,30 +593,22 @@ class ShardExecutor {
       if (mkeys.empty() || key_less(mkeys.back(), k)) mkeys.push_back(k);
       midx.push_back(mkeys.size() - 1);
     }
-    mouts.clear();
-    mouts.resize(mkeys.size());
+    const std::span<ReadOutcome> mouts = scratch.reads(mkeys.size());
     // The model checker's read-drain window: pin -> merged sweep ->
     // scatter. An install may land on either side of the pin; the sweep
     // must answer every key from the one root it pinned.
     PC_YIELD("exec.read.sweep");
-    uc.multi_get(ctx, std::span<const Key>(mkeys),
-                 std::span<ReadOutcome>(mouts));
+    uc.multi_get(ctx, std::span<const Key>(mkeys), mouts);
     PC_YIELD("exec.read.scatter");
     for (std::size_t m = 0; m < morder.size(); ++m) {
       const auto [t, i] = morder[m];
       const Task& task = run[t];
-      task.read_results[task.read_scatter != nullptr ? task.read_scatter[i]
-                                                     : i] = mouts[midx[m]];
+      task.read_results[task.scatter != nullptr ? task.scatter[i] : i] =
+          mouts[midx[m]];
     }
     ctx.stats.exec_read_sweeps += 1;
     ctx.stats.exec_read_tasks += ntasks;
-    const auto finished = any_sampled ? std::chrono::steady_clock::now()
-                                      : std::chrono::steady_clock::time_point{};
-    for (std::size_t t = first; t < run.size(); ++t) {
-      if (!is_read(run[t]) || run[t].read_done) continue;
-      run[t].read_done = true;
-      finish_task(ctx.stats, run[t], finished);
-    }
+    finish_tasks(ctx.stats, std::span<Task>(run).subspan(first), unread);
   }
 
   template <class AllocFactory>
@@ -581,16 +618,12 @@ class ShardExecutor {
     // reference to a shared thread-safe one.
     decltype(auto) alloc = factory();
     Ctx ctx(uc.reclaimer(), alloc);
-    std::unique_ptr<bool[]> scratch;
-    std::size_t scratch_cap = 0;
-    std::unique_ptr<bool[]> mout;
-    std::size_t mout_cap = 0;
+    TaskScratch scratch;
     std::vector<Task> run;
     std::vector<BatchRequest> merged;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> morder;
     std::vector<Key> mkeys;
     std::vector<std::size_t> midx;
-    std::vector<ReadOutcome> mouts;
     LaneBox& box = *lanes_[s];
     ShardLane<Task>& lane = box.lane;
     unsigned spin_budget = kSpinMin;
@@ -612,7 +645,7 @@ class ShardExecutor {
           poisoned = true;
           break;
         }
-        if (run[i].read_done) {  // absorbed by an earlier merged sweep
+        if (run[i].done) {  // absorbed by an earlier merged sweep
           ++i;
           continue;
         }
@@ -620,7 +653,7 @@ class ShardExecutor {
           // First unhandled read of this drain: merge EVERY read ticket
           // in the run (including those queued behind writes) into one
           // sweep against the root current right here.
-          exec_read_merged(uc, ctx, run, i, morder, mkeys, midx, mouts);
+          exec_read_merged(uc, ctx, run, i, morder, mkeys, midx, scratch);
           ++i;
           continue;
         }
@@ -633,22 +666,13 @@ class ShardExecutor {
         if (j - i > 1) {
           if constexpr (kHasExecuteSorted) {  // always true when j-i > 1
             exec_coalesced(uc, ctx, std::span<Task>(&run[i], j - i), morder,
-                           merged, mout, mout_cap);
+                           merged, scratch);
           }
         } else {
-          exec_single(uc, ctx, run[i], scratch, scratch_cap);
+          run_task(uc, ctx, run[i], scratch);
         }
-        bool any_sampled = false;
-        for (std::size_t t = i; t < j && !any_sampled; ++t) {
-          any_sampled =
-              run[t].enqueued != std::chrono::steady_clock::time_point{};
-        }
-        const auto finished = any_sampled
-                                  ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-        for (std::size_t t = i; t < j; ++t) {
-          finish_task(ctx.stats, run[t], finished);
-        }
+        finish_tasks(ctx.stats, std::span<Task>(&run[i], j - i),
+                     [](const Task&) { return true; });
         i = j;
       }
     }
@@ -661,5 +685,47 @@ class ShardExecutor {
   std::atomic<bool> paused_{false};
   bool stopped_ = false;  // main-thread lifecycle flag, not shared
 };
+
+/// The one place shard work chooses between a shard's lane and the
+/// calling thread. For each shard s with has_work(s), make_task(s) runs
+/// on s's lane when `map` has an executor attached (read once), else on
+/// this thread through run_task with ctxs[s]. A submit that a stopping
+/// executor refuses runs through run_task here and settles its ticket
+/// slot, so no task is dropped. Returns once every task has completed;
+/// the storage the tasks reference must live until then.
+template <class Map, class HasWork, class MakeTask>
+void run_shard_tasks(
+    Map& map, std::span<typename Map::Ctx> ctxs,
+    typename ShardExecutor<typename Map::Backend>::TaskScratch& scratch,
+    HasWork&& has_work, MakeTask&& make_task) {
+  using Exec = ShardExecutor<typename Map::Backend>;
+  const std::size_t n = map.shard_count();
+  Exec* const exec = map.executor();
+  if (exec == nullptr) {
+    for (std::size_t s = 0; s < n; ++s) {
+      if (has_work(s)) {
+        Exec::run_task(map.shard(s), ctxs[s], make_task(s), scratch);
+      }
+    }
+    return;
+  }
+  unsigned pending = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (has_work(s)) ++pending;
+  }
+  if (pending == 0) return;
+  BatchTicket ticket;
+  ticket.arm(pending);
+  for (std::size_t s = 0; s < n; ++s) {
+    if (!has_work(s)) continue;
+    typename Exec::Task task = make_task(s);
+    task.ticket = &ticket;
+    if (!exec->submit(s, task)) {
+      Exec::run_task(map.shard(s), ctxs[s], task, scratch);
+      ticket.complete_one();
+    }
+  }
+  ticket.join();
+}
 
 }  // namespace pathcopy::store

@@ -70,31 +70,12 @@ struct RebalanceConfig {
   /// Don't plan off fewer sampled keys than this (quantiles of a tiny
   /// reservoir are noise).
   std::size_t min_samples = 512;
-  /// Rebalance when the hottest shard's sampled-load share exceeds this
-  /// multiple of the ideal (1/S) share.
-  double imbalance_threshold = 1.3;
-
-  // ----- tablet planning -----
-
-  /// Cap on table growth: at most this many tablets per shard on
-  /// average before splits stop and a coalesce pass is tried instead.
-  std::size_t max_tablets_per_shard = 16;
-  /// Don't carve a tablet represented by fewer sampled keys than this
-  /// (the cut position would be noise).
-  std::size_t min_split_samples = 32;
-  /// tick() moves a whole tablet when its load fits the coldest shard's
-  /// deficit within this factor; hotter tablets are split first so the
-  /// eventual move is right-sized.
-  double move_fit = 1.25;
 
   // ----- continuous-mode migration throttle -----
 
   /// At most this many resident keys may start moving per interval.
   std::uint64_t budget_keys = 32 * 1024;
   std::chrono::milliseconds budget_interval{50};
-  /// tick() defers while any executor lane is deeper than this (client
-  /// sub-batches are stacking up; a migration would stall them more).
-  std::size_t max_lane_depth = 8;
 };
 
 /// Keys-moved-per-interval admission meter for continuous migration.
@@ -197,6 +178,7 @@ class Rebalancer {
   using Epoch = typename Map::Epoch;
   using BatchRequest = typename Map::BatchRequest;
   using OpKind = typename Map::OpKind;
+  using Exec = ShardExecutor<Uc>;
 
   Rebalancer(Map& map, Alloc& alloc, RebalanceConfig cfg = {})
       : map_(&map),
@@ -260,7 +242,7 @@ class Rebalancer {
     const double ideal =
         static_cast<double>(samples.size()) / static_cast<double>(shards);
     stats_.last_imbalance = static_cast<double>(shard_load[h]) / ideal;
-    if (stats_.last_imbalance < cfg_.imbalance_threshold) {
+    if (stats_.last_imbalance < kImbalanceThreshold) {
       // Steady state: age the reservoir so the next plan is fitted to
       // the *current* workload. A full reservoir over a long run
       // freezes — the replacement probability decays with the offered
@@ -281,9 +263,9 @@ class Rebalancer {
     // deficit-sized piece first (boundary-only, zero keys migrated).
     const std::size_t want = static_cast<std::size_t>(
         std::max(1.0, ideal - static_cast<double>(shard_load[c])));
-    const std::size_t max_tablets = cfg_.max_tablets_per_shard * shards;
+    const std::size_t max_tablets = kMaxTabletsPerShard * shards;
     if (static_cast<double>(loads[t_hot]) >
-        static_cast<double>(want) * cfg_.move_fit) {
+        static_cast<double>(want) * kMoveFit) {
       if (cur.tablet_count() + 2 > max_tablets) {
         const RouterT merged = cur.coalesced();
         if (merged.tablet_count() < cur.tablet_count()) {
@@ -344,6 +326,26 @@ class Rebalancer {
   }
 
  private:
+  /// Rebalance when the hottest shard's sampled-load share exceeds this
+  /// multiple of the ideal (1/S) share.
+  static constexpr double kImbalanceThreshold = 1.3;
+
+  // ----- tablet planning -----
+
+  /// Cap on table growth: at most this many tablets per shard on
+  /// average before splits stop and a coalesce pass is tried instead.
+  static constexpr std::size_t kMaxTabletsPerShard = 16;
+  /// Don't carve a tablet represented by fewer sampled keys than this
+  /// (the cut position would be noise).
+  static constexpr std::size_t kMinSplitSamples = 32;
+  /// tick() moves a whole tablet when its load fits the coldest shard's
+  /// deficit within this factor; hotter tablets are split first so the
+  /// eventual move is right-sized.
+  static constexpr double kMoveFit = 1.25;
+  /// tick() defers while any executor lane is deeper than this (client
+  /// sub-batches are stacking up; a migration would stall them more).
+  static constexpr std::size_t kMaxLaneDepth = 8;
+
   /// The flip engine shared by migrate_to and tick: publish + drain,
   /// migrate the moving tablets, settle. Does NOT touch the sketch —
   /// migrate_to resets it (caller-built topology), tick decays it (a
@@ -386,9 +388,9 @@ class Rebalancer {
     const bool rising = parked != last_parked_;
     last_parked_ = parked;
     if (rising) return true;
-    if (ShardExecutor<Uc>* exec = map_->executor(); exec != nullptr) {
+    if (Exec* exec = map_->executor(); exec != nullptr) {
       for (std::size_t s = 0; s < map_->shard_count(); ++s) {
-        if (exec->queue_depth(s) > cfg_.max_lane_depth) return true;
+        if (exec->queue_depth(s) > kMaxLaneDepth) return true;
       }
     }
     return false;
@@ -443,7 +445,7 @@ class Rebalancer {
                               std::size_t want) const {
     const auto [first, last] = tablet_slice(r, t, samples);
     const std::size_t cnt = last - first;
-    if (cnt < cfg_.min_split_samples) return {};
+    if (cnt < kMinSplitSamples) return {};
     want = std::clamp<std::size_t>(want, 1, cnt - 1);
     const std::size_t j = (cnt - want) / 2;
     const Key c1 = samples[first + j];
@@ -531,39 +533,6 @@ class Rebalancer {
   /// advances, large enough that the bulk ingest path still amortizes.
   static constexpr std::size_t kWatermarkChunk = 8192;
 
-  /// Runs one shard's migration batch (key-sorted, key-unique) through
-  /// its install path: as a lane task on `exec` when non-null (FIFO with
-  /// client sub-batches, no stop-the-world; `ticket` joined by the
-  /// caller), synchronously from this thread otherwise (returns true).
-  /// `exec` is the caller's one-time snapshot of the map's executor —
-  /// re-reading it here could see an executor attached mid-migration and
-  /// enqueue a task whose null ticket the caller would never join.
-  /// Either way the backend's bulk ingest_sorted path carries the batch
-  /// when available — giant sorted sweeps, a few CASes — with
-  /// execute_batch as the generic fallback.
-  bool run_shard_batch(ShardExecutor<Uc>* exec, std::size_t s,
-                       std::span<const BatchRequest> reqs, bool* results,
-                       BatchTicket* ticket) {
-    if (exec != nullptr) {
-      typename ShardExecutor<Uc>::Task task;
-      task.reqs = reqs;
-      task.results = results;
-      task.ticket = ticket;
-      task.sorted_unique = true;
-      if (exec->submit(s, task)) return false;
-      // Stopping executor: run the batch ourselves, settle the slot.
-    }
-    Uc& uc = map_->shard(s);
-    const std::span<bool> out(results, reqs.size());
-    if constexpr (requires { uc.ingest_sorted(ctxs_[s], reqs, out); }) {
-      uc.ingest_sorted(ctxs_[s], reqs, out);
-    } else {
-      uc.execute_batch(ctxs_[s], reqs, out);
-    }
-    if (ticket != nullptr) ticket->complete_one();
-    return true;
-  }
-
   /// Every migration op must land — inserts into territory the
   /// destination never owned, erases of keys the pinned snapshot proved
   /// present, with the moving ranges unreachable to clients meanwhile —
@@ -583,27 +552,32 @@ class Rebalancer {
   }
 
   /// Applies `reqs` (key-sorted, key-unique) to `shard` in
-  /// kWatermarkChunk-sized pieces through run_shard_batch. With a
-  /// non-null `e` the pieces are an incoming install for destination
+  /// kWatermarkChunk-sized pieces, each one sorted_unique task: on the
+  /// shard's lane when an executor is attached (FIFO with client
+  /// sub-batches, no stop-the-world), else on this thread — either way
+  /// through the backend's bulk ingest_sorted path when it has one. With
+  /// a non-null `e` the pieces are an incoming install for destination
   /// `shard` and the watermark advances after each one; null = erase
   /// sweep, no watermark.
   void run_chunked(std::size_t shard, std::vector<BatchRequest>& reqs,
                    Epoch* e) {
     const auto results = std::make_unique<bool[]>(
         std::min(reqs.size(), kWatermarkChunk));
-    BatchTicket ticket;
-    ShardExecutor<Uc>* const exec = map_->executor();
+    typename Exec::TaskScratch scratch;
     std::size_t off = 0;
     while (off < reqs.size()) {
       const std::size_t n = std::min(kWatermarkChunk, reqs.size() - off);
       const std::span<const BatchRequest> chunk(reqs.data() + off, n);
-      if (exec != nullptr) {
-        ticket.arm(1);
-        run_shard_batch(exec, shard, chunk, results.get(), &ticket);
-        ticket.join();
-      } else {
-        run_shard_batch(exec, shard, chunk, results.get(), nullptr);
-      }
+      run_shard_tasks(
+          *map_, std::span<Ctx>(ctxs_), scratch,
+          [&](std::size_t s) { return s == shard; },
+          [&](std::size_t) {
+            typename Exec::Task task;
+            task.reqs = chunk;
+            task.results = results.get();
+            task.sorted_unique = true;
+            return task;
+          });
       assert_all_landed(chunk, results.get());
       off += n;
       if (e != nullptr) {

@@ -86,13 +86,9 @@ class MpscRing {
   MpscRing(const MpscRing&) = delete;
   MpscRing& operator=(const MpscRing&) = delete;
 
-  std::size_t capacity() const noexcept { return cap_; }
-
   /// Multi-producer push. Returns false when the ring is full (the
-  /// element is NOT enqueued). On success *pos_out (if non-null) is the
-  /// claimed position — a monotone per-ring counter callers can key
-  /// sampling decisions off.
-  bool try_push(const T& v, std::uint64_t* pos_out = nullptr) {
+  /// element is NOT enqueued).
+  bool try_push(const T& v) {
     std::uint64_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
       Slot& slot = slots_[pos & mask_];
@@ -110,7 +106,6 @@ class MpscRing {
           slot.value = v;
           PC_YIELD("lane.publish");
           slot.seq.store(pos + 1, std::memory_order_release);
-          if (pos_out != nullptr) *pos_out = pos;
           return true;
         }
       } else if (dif < 0) {
@@ -173,13 +168,11 @@ class ShardLane {
 
   explicit ShardLane(std::size_t capacity) : ring_(capacity) {}
 
-  std::size_t capacity() const noexcept { return ring_.capacity(); }
-
   /// Producer fast path: one fetch_add on the gate, one ring CAS + one
   /// release store, one fetch_add on the publish counter, one fetch_sub
   /// to leave. Zero mutexes, no syscall unless the consumer advertised
   /// itself parked.
-  Push try_push(const T& v, std::uint64_t* pos_out = nullptr) {
+  Push try_push(const T& v) {
     const std::uint32_t gate = state_.fetch_add(1, std::memory_order_seq_cst);
     if ((gate & kStopBit) != 0) {
       state_.fetch_sub(1, std::memory_order_relaxed);
@@ -189,12 +182,10 @@ class ShardLane {
     // poisoning the ring, so a won gate implies the element (if pushed)
     // precedes the poison.
     PC_YIELD("lane.gate");
-    std::uint64_t pos = 0;
-    if (!ring_.try_push(v, &pos)) {
+    if (!ring_.try_push(v)) {
       state_.fetch_sub(1, std::memory_order_release);
       return Push::kFull;
     }
-    if (pos_out != nullptr) *pos_out = pos;
     publish_ding();
     state_.fetch_sub(1, std::memory_order_release);
     return Push::kOk;
@@ -206,9 +197,9 @@ class ShardLane {
   /// need per-shard FIFO — an earlier element may still sit in the ring
   /// — so backpressure blocks. The ring cannot stay full forever: the
   /// consumer only parks on an empty ring.
-  bool push_wait(const T& v, std::uint64_t* pos_out = nullptr) {
+  bool push_wait(const T& v) {
     for (;;) {
-      switch (try_push(v, pos_out)) {
+      switch (try_push(v)) {
         case Push::kOk:
           return true;
         case Push::kStopping:
@@ -302,10 +293,6 @@ class ShardLane {
       std::this_thread::yield();
     }
     publish_ding();
-  }
-
-  bool stopping() const {
-    return (state_.load(std::memory_order_acquire) & kStopBit) != 0;
   }
 
   /// Approximate depth — the rebalancer's pressure probe. Two relaxed

@@ -32,10 +32,12 @@
 // src/store/README.md for exactly what is and is not linearizable.
 //
 // Ingest pipeline: a ShardExecutor (store/executor.hpp) may be attached
-// to the map, after which Session::execute_batch / seed_sorted scatter
-// per-shard sub-batches into the per-shard worker queues and join on a
-// ticket — S concurrent install streams instead of a sequential shard
-// walk. Executor-less maps keep the synchronous path unchanged.
+// to the map, after which Session::execute_batch / multi_get /
+// seed_sorted scatter per-shard tasks into the per-shard worker queues
+// and join on a ticket — S concurrent install streams instead of a
+// sequential shard walk. Without one, the same tasks run on the calling
+// thread: run_shard_tasks is the one place that picks lane or thread,
+// and ShardExecutor::run_task the one function that runs a task there.
 //
 // Routing: a TabletRouter (store/tablet_router.hpp) assigns sorted key
 // tablets to shards. Ordered cross-shard reads walk that table in key
@@ -65,6 +67,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -203,10 +206,11 @@ class ShardedMap {
   // ----- shard execution pipeline -----
   //
   // ShardExecutor's constructor attaches itself; its stop()/destructor
-  // detaches. While attached, every Session routes execute_batch and
-  // seed_sorted through the worker queues. Attach before spawning client
-  // threads (the pointer is atomic so racing readers are defined, but
-  // mid-run attachment changes which thread runs a given install).
+  // detaches. While attached, every Session routes execute_batch,
+  // multi_get and seed_sorted through the worker queues. Attach before
+  // spawning client threads (the pointer is atomic so racing readers are
+  // defined, but mid-run attachment changes which thread runs a given
+  // install).
 
   void attach_executor(ShardExecutor<Uc>& exec) {
     PC_ASSERT(executor_.load(std::memory_order_acquire) == nullptr,
@@ -272,8 +276,8 @@ class ShardedMap<Uc, RouterT>::Session {
         sketch_buf_(std::move(o.sketch_buf_)),
         split_(std::move(o.split_)),
         sub_reqs_by_shard_(std::move(o.sub_reqs_by_shard_)),
-        sub_results_(std::move(o.sub_results_)),
-        sub_results_cap_(o.sub_results_cap_) {
+        probe_keys_by_shard_(std::move(o.probe_keys_by_shard_)),
+        scratch_(std::move(o.scratch_)) {
     o.map_ = nullptr;  // the source no longer owns the mark slot
   }
 
@@ -295,7 +299,7 @@ class ShardedMap<Uc, RouterT>::Session {
 
   bool insert(const Key& key, const Value& value) {
     record_key(key);
-    const Epoch* e = epoch_enter_for(key);
+    const Epoch* e = epoch_enter(&key, &key + 1);
     const EpochExit scope{this};
     const std::size_t s = e->router(key, map_->shard_count());
     return map_->shards_[s]->uc.insert(ctxs_[s], slots_[s], key, value);
@@ -303,7 +307,7 @@ class ShardedMap<Uc, RouterT>::Session {
 
   bool erase(const Key& key) {
     record_key(key);
-    const Epoch* e = epoch_enter_for(key);
+    const Epoch* e = epoch_enter(&key, &key + 1);
     const EpochExit scope{this};
     const std::size_t s = e->router(key, map_->shard_count());
     return map_->shards_[s]->uc.erase(ctxs_[s], slots_[s], key);
@@ -311,7 +315,7 @@ class ShardedMap<Uc, RouterT>::Session {
 
   bool contains(const Key& key) {
     record_key(key);
-    const Epoch* e = epoch_enter_for(key);
+    const Epoch* e = epoch_enter(&key, &key + 1);
     const EpochExit scope{this};
     const std::size_t s = e->router(key, map_->shard_count());
     return map_->shards_[s]->uc.read(
@@ -320,7 +324,7 @@ class ShardedMap<Uc, RouterT>::Session {
 
   std::optional<Value> find(const Key& key) {
     record_key(key);
-    const Epoch* e = epoch_enter_for(key);
+    const Epoch* e = epoch_enter(&key, &key + 1);
     const EpochExit scope{this};
     const std::size_t s = e->router(key, map_->shard_count());
     return map_->shards_[s]->uc.read(
@@ -362,42 +366,20 @@ class ShardedMap<Uc, RouterT>::Session {
     // One coherent epoch for the whole probe: every key waits until its
     // route is stable, so no probe reads a mid-migration shard that does
     // not yet hold its data.
-    const Epoch* e = epoch_enter_for_range(
-        keys.begin(), keys.end(), [](const Key& k) -> const Key& { return k; });
+    const Epoch* e = epoch_enter(keys.begin(), keys.end());
     const EpochExit escope{this};
-    const std::size_t n_shards = map_->shard_count();
     split_probe(e, keys);
-    if (ShardExecutor<Uc>* exec = map_->executor(); exec != nullptr) {
-      scatter_and_join(
-          *exec, [&](std::size_t s) { return !rsplit_[s].empty(); },
-          [&](std::size_t s) {
-            typename ShardExecutor<Uc>::Task task;
-            task.keys = std::span<const Key>(probe_keys_by_shard_[s]);
-            task.read_scatter = rsplit_[s].data();
-            task.read_results = out.data();
-            return task;
-          },
-          [&](std::size_t s) { run_probe_sync(s, out); });
-    } else {
-      for (std::size_t s = 0; s < n_shards; ++s) {
-        if (rsplit_[s].empty()) continue;
-        run_probe_sync(s, out);
-      }
-    }
+    run_split_tasks([&](std::size_t s) {
+      Task task;
+      task.keys = std::span<const Key>(probe_keys_by_shard_[s]);
+      task.scatter = split_[s].data();
+      task.read_results = out.data();
+      return task;
+    });
     // Duplicate client keys were dropped from the probe lists (they must
     // be strictly increasing); every duplicate copies its first
     // occurrence's answer — same snapshot, same value.
     for (const auto& [dst, src] : dup_fixups_) out[dst] = out[src];
-  }
-
-  /// Runs f on an immutable snapshot of the shard owning `key` — the
-  /// single-shard window where reads stay fully linearizable.
-  template <class F>
-  decltype(auto) read_shard_of(const Key& key, F&& f) {
-    const Epoch* e = epoch_enter_for(key);
-    const EpochExit scope{this};
-    const std::size_t s = e->router(key, map_->shard_count());
-    return map_->shards_[s]->uc.read(ctxs_[s], std::forward<F>(f));
   }
 
   // ----- cross-shard composed reads (vector-clock-consistent cuts) -----
@@ -565,21 +547,30 @@ class ShardedMap<Uc, RouterT>::Session {
     // One coherent epoch for the whole batch (the mark is held through
     // the join, so an in-flight async scatter drains any topology flip
     // behind it).
-    const Epoch* e = epoch_enter_for_batch(reqs);
+    const Epoch* e = epoch_enter(
+        reqs.begin(), reqs.end(),
+        [](const BatchRequest& r) -> const Key& { return r.key; });
     const EpochExit escope{this};
-    ShardExecutor<Uc>* exec = map_->executor();
-    const std::size_t n_shards = map_->shard_count();
-    if (exec != nullptr) {
-      execute_batch_async(*exec, e, reqs, results_out);
-    } else if (n_shards == 1) {
-      map_->shards_[0]->uc.execute_batch(ctxs_[0], reqs, results_out);
-    } else {
-      split_batch(e, reqs);
-      for (std::size_t s = 0; s < n_shards; ++s) {
-        if (split_[s].empty()) continue;
-        run_sub_batch_sync(s, results_out);
-      }
+    if (map_->shard_count() == 1 && map_->executor() == nullptr) {
+      // One shard and no lane: the client batch is shard 0's task as it
+      // stands — no split, no scatter. With a lane, even one shard is
+      // split: sub-batches reach the worker key-sorted, so its merge
+      // across tickets is a k-way merge, paid for by the client threads.
+      Task task;
+      task.reqs = reqs;
+      task.results = results_out.data();
+      ShardExecutor<Uc>::run_task(map_->shards_[0]->uc, ctxs_[0], task,
+                                  scratch_);
+      return;
     }
+    split_batch(e, reqs);
+    run_split_tasks([&](std::size_t s) {
+      Task task;
+      task.reqs = std::span<const BatchRequest>(sub_reqs_by_shard_[s]);
+      task.scatter = split_[s].data();
+      task.results = results_out.data();
+      return task;
+    });
   }
 
   /// Single-writer bulk load of strictly increasing (key, value) pairs:
@@ -588,32 +579,23 @@ class ShardedMap<Uc, RouterT>::Session {
   /// when an executor is attached.
   template <class It>
   void seed_sorted(It first, It last) {
-    const Epoch* e = epoch_enter_for_seed(first, last);
+    const Epoch* e = epoch_enter(
+        first, last, [](const auto& item) -> const Key& { return item.first; });
     const EpochExit escope{this};
-    std::vector<std::vector<std::pair<Key, Value>>> parts(map_->shard_count());
+    std::vector<typename ShardExecutor<Uc>::SeedItems> parts(
+        map_->shard_count());
     for (It it = first; it != last; ++it) {
       parts[e->router(it->first, map_->shard_count())].push_back(*it);
     }
-    if (ShardExecutor<Uc>* exec = map_->executor(); exec != nullptr) {
-      // parts is local, so the helper's join happens before it dies.
-      scatter_and_join(
-          *exec, [&](std::size_t s) { return !parts[s].empty(); },
-          [&](std::size_t s) {
-            typename ShardExecutor<Uc>::Task task;
-            task.seed = &parts[s];
-            return task;
-          },
-          [&](std::size_t s) {
-            map_->shards_[s]->uc.seed_sorted(ctxs_[s], parts[s].begin(),
-                                             parts[s].end());
-          });
-      return;
-    }
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      if (parts[s].empty()) continue;
-      map_->shards_[s]->uc.seed_sorted(ctxs_[s], parts[s].begin(),
-                                       parts[s].end());
-    }
+    // parts is local; run_shard_tasks joins before returning.
+    run_shard_tasks(
+        *map_, std::span<Ctx>(ctxs_), scratch_,
+        [&](std::size_t s) { return !parts[s].empty(); },
+        [&](std::size_t s) {
+          Task task;
+          task.seed = &parts[s];
+          return task;
+        });
   }
 
   // ----- stats -----
@@ -639,6 +621,8 @@ class ShardedMap<Uc, RouterT>::Session {
   }
 
  private:
+  using Task = typename ShardExecutor<Uc>::Task;
+
   static constexpr core::KeyLess<Structure> key_less{};
 
   /// The tablet table of the settled epoch a cut was taken under (its
@@ -685,40 +669,21 @@ class ShardedMap<Uc, RouterT>::Session {
     }
   }
 
-  /// True when `key`'s route under `e` is safe to execute now: the epoch
-  /// is settled, the key did not move at the flip, or its new owner has
-  /// already installed its incoming slice at least through `key` (the
-  /// per-destination ready bit or watermark — the stale source copy is
-  /// unreachable because every post-drain op routes by the new bounds,
-  /// so the op observes complete, exact state for its key).
-  bool key_route_stable(const Epoch* e, const Key& key) const {
+  /// Enters an epoch under which every key in [first, last) routes
+  /// stably (a point op passes the one-key range &key, &key + 1), so one
+  /// call splits under one topology with every destination already
+  /// holding its data. A key routes stably when the epoch is settled,
+  /// the key did not move at the flip, or its new owner has installed
+  /// its incoming slice at least through the key (the per-destination
+  /// ready bit or watermark — the stale source copy is unreachable
+  /// because every post-drain op routes by the new bounds). A call with
+  /// a mid-flip moving key parks here (mark cleared, so it never blocks
+  /// the drain) until the migration lands that data. On a settled epoch
+  /// this is one announce and one is_settled() load. `key_of` projects an
+  /// element to its key.
+  template <class It, class Proj = std::identity>
+  const Epoch* epoch_enter(It first, It last, Proj key_of = {}) {
     const std::size_t shards = map_->shard_count();
-    return e->is_settled() || !e->moves(key, shards) ||
-           e->is_ready_for(e->router(key, shards), key, key_less);
-  }
-
-  /// Enters an epoch under which `key`'s owner is stable. A mid-flip
-  /// moving key's op parks here (mark cleared, so it never blocks the
-  /// drain) until the migration lands its destination's data.
-  const Epoch* epoch_enter_for(const Key& key) {
-    unsigned spins = 0;
-    for (;;) {
-      const Epoch* e = epoch_announce();
-      if (key_route_stable(e, key)) return e;
-      epoch_exit();
-      ++ctxs_[e->router(key, map_->shard_count())].stats.epoch_retries;
-      map_->parked_waits_.fetch_add(1, std::memory_order_relaxed);
-      gate_backoff(spins);
-    }
-  }
-
-  /// Range form of the gate — one loop shared by the batch and seed
-  /// entry points: the whole client batch waits until every key it
-  /// touches routes stably, so one batch splits under one topology with
-  /// every sub-batch's destination already holding its data. `key_of`
-  /// projects an element to its key.
-  template <class It, class Proj>
-  const Epoch* epoch_enter_for_range(It first, It last, Proj&& key_of) {
     unsigned spins = 0;
     for (;;) {
       const Epoch* e = epoch_announce();
@@ -726,29 +691,18 @@ class ShardedMap<Uc, RouterT>::Session {
       const Key* parked = nullptr;
       for (It it = first; it != last; ++it) {
         const Key& k = key_of(*it);
-        if (!key_route_stable(e, k)) {
+        if (e->moves(k, shards) &&
+            !e->is_ready_for(e->router(k, shards), k, key_less)) {
           parked = &k;
           break;
         }
       }
       if (parked == nullptr) return e;
       epoch_exit();
-      ++ctxs_[e->router(*parked, map_->shard_count())].stats.epoch_retries;
+      ++ctxs_[e->router(*parked, shards)].stats.epoch_retries;
       map_->parked_waits_.fetch_add(1, std::memory_order_relaxed);
       gate_backoff(spins);
     }
-  }
-
-  const Epoch* epoch_enter_for_batch(std::span<const BatchRequest> reqs) {
-    return epoch_enter_for_range(
-        reqs.begin(), reqs.end(),
-        [](const BatchRequest& r) -> const Key& { return r.key; });
-  }
-
-  template <class It>
-  const Epoch* epoch_enter_for_seed(It first, It last) {
-    return epoch_enter_for_range(
-        first, last, [](const auto& item) -> const Key& { return item.first; });
   }
 
   // ----- offered-load sketch feed -----
@@ -768,52 +722,50 @@ class ShardedMap<Uc, RouterT>::Session {
     sketch_buf_.clear();
   }
 
-  /// Routes reqs into split_ (client indices per shard, key-sorted
-  /// stably) and materializes the per-shard sub-batches in
-  /// sub_reqs_by_shard_. split_[s] doubles as the scatter map: sub-op j
-  /// of shard s answers client op split_[s][j].
-  void split_batch(const Epoch* e, std::span<const BatchRequest> reqs) {
+  /// Routes client items [0, n) to their shards under `e`: split_[s]
+  /// lists shard s's client indices, stably sorted by key, so same-key
+  /// items keep their submission order. split_[s] doubles as the scatter
+  /// map of shard s's task: its j-th item answers client item split_[s][j].
+  template <class KeyOf>
+  void split_by_shard(const Epoch* e, std::size_t n, KeyOf&& key_of) {
     for (auto& idx : split_) idx.clear();
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      split_[e->router(reqs[i].key, map_->shard_count())].push_back(i);
+    for (std::size_t i = 0; i < n; ++i) {
+      split_[e->router(key_of(i), map_->shard_count())].push_back(i);
     }
-    sub_reqs_by_shard_.resize(map_->shard_count());
-    for (std::size_t s = 0; s < split_.size(); ++s) {
-      std::vector<std::size_t>& idx = split_[s];
-      std::vector<BatchRequest>& sub = sub_reqs_by_shard_[s];
-      sub.clear();
-      if (idx.empty()) continue;
+    for (std::vector<std::size_t>& idx : split_) {
       std::stable_sort(idx.begin(), idx.end(),
                        [&](std::size_t a, std::size_t b) {
-                         return key_less(reqs[a].key, reqs[b].key);
+                         return key_less(key_of(a), key_of(b));
                        });
-      sub.reserve(idx.size());
-      for (const std::size_t i : idx) sub.push_back(reqs[i]);
     }
   }
 
-  /// Routes probe keys into rsplit_ (client indices per shard, key-sorted
-  /// and DEDUPLICATED — probe lists must be strictly increasing) and
-  /// materializes the per-shard key lists. rsplit_[s] doubles as the
-  /// scatter map; dropped duplicates are recorded in dup_fixups_ as
+  /// Splits a client batch and materializes each shard's sub-batch in
+  /// sub_reqs_by_shard_.
+  void split_batch(const Epoch* e, std::span<const BatchRequest> reqs) {
+    split_by_shard(e, reqs.size(),
+                   [&](std::size_t i) -> const Key& { return reqs[i].key; });
+    sub_reqs_by_shard_.resize(split_.size());
+    for (std::size_t s = 0; s < split_.size(); ++s) {
+      std::vector<BatchRequest>& sub = sub_reqs_by_shard_[s];
+      sub.clear();
+      for (const std::size_t i : split_[s]) sub.push_back(reqs[i]);
+    }
+  }
+
+  /// Splits probe keys and materializes each shard's probe list in
+  /// probe_keys_by_shard_. Probe lists must be strictly increasing, so
+  /// duplicates are dropped here and recorded in dup_fixups_ as
   /// (duplicate index, kept index) pairs to settle after the probes.
   void split_probe(const Epoch* e, std::span<const Key> keys) {
-    rsplit_.resize(map_->shard_count());
-    probe_keys_by_shard_.resize(map_->shard_count());
-    for (auto& idx : rsplit_) idx.clear();
+    split_by_shard(e, keys.size(),
+                   [&](std::size_t i) -> const Key& { return keys[i]; });
+    probe_keys_by_shard_.resize(split_.size());
     dup_fixups_.clear();
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      rsplit_[e->router(keys[i], map_->shard_count())].push_back(i);
-    }
-    for (std::size_t s = 0; s < rsplit_.size(); ++s) {
-      std::vector<std::size_t>& idx = rsplit_[s];
+    for (std::size_t s = 0; s < split_.size(); ++s) {
+      std::vector<std::size_t>& idx = split_[s];
       std::vector<Key>& probe = probe_keys_by_shard_[s];
       probe.clear();
-      if (idx.empty()) continue;
-      std::stable_sort(idx.begin(), idx.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return key_less(keys[a], keys[b]);
-                       });
       std::size_t w = 0;
       for (std::size_t j = 0; j < idx.size(); ++j) {
         if (w > 0 && !key_less(keys[idx[w - 1]], keys[idx[j]])) {
@@ -823,96 +775,17 @@ class ShardedMap<Uc, RouterT>::Session {
         }
       }
       idx.resize(w);
-      probe.reserve(w);
       for (const std::size_t i : idx) probe.push_back(keys[i]);
     }
   }
 
-  /// Probes shard s's already-split key list synchronously on this
-  /// thread and scatters the answers — the executor-less path, and the
-  /// fallback for a submit that raced a stop().
-  void run_probe_sync(std::size_t s, std::span<ReadOutcome> out) {
-    std::vector<std::size_t>& idx = rsplit_[s];
-    probe_results_.clear();
-    probe_results_.resize(idx.size());
-    map_->shards_[s]->uc.multi_get(
-        ctxs_[s], std::span<const Key>(probe_keys_by_shard_[s]),
-        std::span<ReadOutcome>(probe_results_));
-    for (std::size_t j = 0; j < idx.size(); ++j) {
-      out[idx[j]] = std::move(probe_results_[j]);
-    }
-  }
-
-  /// Runs shard s's already-split sub-batch synchronously on this thread
-  /// and scatters its results — the executor-less path, and the fallback
-  /// for a submit that raced a stop().
-  void run_sub_batch_sync(std::size_t s, std::span<bool> results_out) {
-    std::vector<std::size_t>& idx = split_[s];
-    if (sub_results_cap_ < idx.size()) {
-      sub_results_ = std::make_unique<bool[]>(idx.size());
-      sub_results_cap_ = idx.size();
-    }
-    map_->shards_[s]->uc.execute_batch(
-        ctxs_[s], std::span<const BatchRequest>(sub_reqs_by_shard_[s]),
-        std::span<bool>(sub_results_.get(), idx.size()));
-    for (std::size_t j = 0; j < idx.size(); ++j) {
-      results_out[idx[j]] = sub_results_[j];
-    }
-  }
-
-  /// The one home of the scatter/join protocol: arms a ticket for every
-  /// shard with work, submits make_task(s) to each, and joins. A submit
-  /// refused by a stopping executor is run synchronously via run_sync(s)
-  /// and its ticket slot settled by this thread — callers never drop ops
-  /// or block on a lane that will not drain them. All storage the tasks
-  /// reference must outlive the join (it happens before this returns).
-  template <class HasWork, class MakeTask, class RunSync>
-  void scatter_and_join(ShardExecutor<Uc>& exec, HasWork&& has_work,
-                        MakeTask&& make_task, RunSync&& run_sync) {
-    BatchTicket ticket;
-    const std::size_t n = map_->shard_count();
-    unsigned pending = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (has_work(s)) ++pending;
-    }
-    if (pending == 0) return;
-    ticket.arm(pending);
-    for (std::size_t s = 0; s < n; ++s) {
-      if (!has_work(s)) continue;
-      typename ShardExecutor<Uc>::Task task = make_task(s);
-      task.ticket = &ticket;
-      if (!exec.submit(s, task)) {
-        run_sync(s);
-        ticket.complete_one();
-      }
-    }
-    ticket.join();
-  }
-
-  /// Scatters the split batch into the executor's per-shard queues and
-  /// joins. Workers write each result straight into results_out through
-  /// the split_ scatter map; the ticket's completion happens-before
-  /// join() returns, so no second client-side pass is needed.
-  void execute_batch_async(ShardExecutor<Uc>& exec, const Epoch* e,
-                           std::span<const BatchRequest> reqs,
-                           std::span<bool> results_out) {
-    using Task = typename ShardExecutor<Uc>::Task;
-    // Even a 1-shard map goes through split_batch, which builds each
-    // sub-batch and its scatter map. The sub-batches come out stably
-    // key-sorted, so the executor's cross-ticket merge of them is a
-    // k-way merge.
-    split_batch(e, reqs);
-    scatter_and_join(
-        exec, [&](std::size_t s) { return !split_[s].empty(); },
-        [&](std::size_t s) {
-          Task task;
-          task.reqs = std::span<const BatchRequest>(sub_reqs_by_shard_[s]);
-          task.scatter = split_[s].data();
-          task.results = results_out.data();
-          return task;
-        },
-        [&](std::size_t s) { run_sub_batch_sync(s, results_out); });
-    // split_/sub_reqs_by_shard_ stayed untouched until the join above.
+  /// Runs make_task(s) for every shard the last split gave work.
+  template <class MakeTask>
+  void run_split_tasks(MakeTask&& make_task) {
+    run_shard_tasks(
+        *map_, std::span<Ctx>(ctxs_), scratch_,
+        [&](std::size_t s) { return !split_[s].empty(); },
+        std::forward<MakeTask>(make_task));
   }
 
   /// Keys buffered per session before one locked flush into the sketch.
@@ -925,19 +798,15 @@ class ShardedMap<Uc, RouterT>::Session {
   // the registry's free list on destruction).
   EpochMarkRegistry::Slot* mark_slot_ = nullptr;
   std::vector<Key> sketch_buf_;  // offered keys awaiting a sketch flush
-  // Batch-split scratch, reused across execute_batch calls and referenced
-  // by in-flight executor tasks until their ticket joins — which is why
-  // execute_batch is not re-entrant (in_batch_ asserts in debug builds).
+  // Split scratch of execute_batch and multi_get, reused across calls
+  // and referenced by in-flight executor tasks until their ticket joins —
+  // which is why neither is re-entrant (in_batch_ asserts in debug
+  // builds).
   std::vector<std::vector<std::size_t>> split_;
   std::vector<std::vector<BatchRequest>> sub_reqs_by_shard_;
-  std::unique_ptr<bool[]> sub_results_;
-  std::size_t sub_results_cap_ = 0;
-  // Probe-split scratch (multi_get), same lifetime contract as the batch
-  // scratch above: referenced by in-flight read tasks until the join.
-  std::vector<std::vector<std::size_t>> rsplit_;
   std::vector<std::vector<Key>> probe_keys_by_shard_;
-  std::vector<ReadOutcome> probe_results_;
   std::vector<std::pair<std::size_t, std::size_t>> dup_fixups_;
+  typename ShardExecutor<Uc>::TaskScratch scratch_;
   bool in_batch_ = false;
   bool in_cut_ = false;
   // Consistent-cut scratch (pins dropped before read_cut returns; only

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -453,39 +454,140 @@ TEST(Executor, GateDeclinedCoalescedRunMatchesSequentialOracle) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-TEST(Executor, SubmitAfterStopIsRefusedNotFatal) {
+/// The map as run_shard_tasks sees it while a submit races stop(): the
+/// executor still attached, its lanes already refusing.
+template <class Uc>
+struct StoppingMapView {
+  using Backend = Uc;
+  using Ctx = typename Uc::Ctx;
+  Map<Uc>* map;
+  store::ShardExecutor<Uc>* exec;
+  std::size_t shard_count() const { return map->shard_count(); }
+  Uc& shard(std::size_t s) { return map->shard(s); }
+  store::ShardExecutor<Uc>* executor() const { return exec; }
+};
+
+/// A stopped executor refuses every submit; run_shard_tasks then runs the
+/// task through ShardExecutor::run_task on the calling thread and settles
+/// its ticket slot. Each task kind is checked against a std::map oracle.
+template <class Uc>
+void refused_tasks_run_on_caller() {
+  using Exec = store::ShardExecutor<Uc>;
+  using Req = typename Uc::BatchRequest;
+  using K = typename Uc::OpKind;
   MA a;
   {
-    auto map = make_map<CombUc>(1, a);
-    using Req = typename CombUc::BatchRequest;
-    using K = typename CombUc::OpKind;
-    store::ShardExecutor<CombUc> exec(map, shared_alloc_factory<CombUc>(a));
+    auto map = make_map<Uc>(1, a);
+    Exec exec(map, shared_alloc_factory<Uc>(a));
     exec.stop();
-    // A submit that lost the race against stop() is refused, not fatal;
-    // the caller settles the ticket slot and runs the work itself, which
-    // is exactly what Session does.
-    const Req req{K::kInsert, 3, 3};
-    bool res = false;
-    store::BatchTicket ticket;
-    ticket.arm(1);
-    typename store::ShardExecutor<CombUc>::Task task;
-    task.reqs = std::span<const Req>(&req, 1);
-    task.results = &res;
-    task.ticket = &ticket;
-    EXPECT_FALSE(exec.submit(0, task));
-    ticket.complete_one();
-    ticket.join();
-    EXPECT_TRUE(ticket.done());
+    StoppingMapView<Uc> view{&map, &exec};
+    typename Uc::Ctx ctx(map.shard(0).reclaimer(), a);
+    typename Exec::TaskScratch scratch;
+    const auto run_refused = [&](const typename Exec::Task& task) {
+      EXPECT_FALSE(exec.submit(0, task));
+      store::run_shard_tasks(
+          view, std::span<typename Uc::Ctx>(&ctx, 1), scratch,
+          [](std::size_t) { return true; },
+          [&](std::size_t) { return task; });
+    };
+    std::map<std::int64_t, std::int64_t> oracle;
+    const auto apply = [&](const Req& r) {
+      return r.kind == K::kInsert ? oracle.emplace(r.key, *r.value).second
+                                  : oracle.erase(r.key) == 1;
+    };
+    const auto contents = [&] {
+      typename Map<Uc>::Session session(map, a);
+      return session.items();
+    };
+    const auto want = [&] {
+      return std::vector<std::pair<std::int64_t, std::int64_t>>(
+          oracle.begin(), oracle.end());
+    };
+
+    // A seed task into the empty shard.
+    const typename Exec::SeedItems seed = {{2, 20}, {4, 40}, {6, 60}};
+    oracle.insert(seed.begin(), seed.end());
+    typename Exec::Task seed_task;
+    seed_task.seed = &seed;
+    run_refused(seed_task);
+    ASSERT_EQ(contents(), want());
+
+    // A batch task with a scatter map: op i answers slot scatter[i].
+    const Req batch[] = {Req{K::kInsert, 5, 50}, Req{K::kErase, 4, std::nullopt},
+                         Req{K::kInsert, 2, 21}, Req{K::kErase, 9, std::nullopt},
+                         Req{K::kInsert, 4, 41}};
+    const std::size_t batch_scatter[] = {3, 0, 4, 1, 2};
+    bool batch_out[5] = {};
+    typename Exec::Task batch_task;
+    batch_task.reqs = std::span<const Req>(batch);
+    batch_task.scatter = batch_scatter;
+    batch_task.results = batch_out;
+    run_refused(batch_task);
+    for (std::size_t i = 0; i < std::size(batch); ++i) {
+      EXPECT_EQ(batch_out[batch_scatter[i]], apply(batch[i])) << "op " << i;
+    }
+    ASSERT_EQ(contents(), want());
+
+    // A read task with a scatter map over a sorted, unique probe list.
+    const std::int64_t probe[] = {1, 2, 4, 5, 6, 9};
+    const std::size_t probe_scatter[] = {5, 2, 0, 4, 1, 3};
+    typename Uc::ReadOutcome read_out[6];
+    typename Exec::Task read_task;
+    read_task.keys = std::span<const std::int64_t>(probe);
+    read_task.scatter = probe_scatter;
+    read_task.read_results = read_out;
+    run_refused(read_task);
+    for (std::size_t i = 0; i < std::size(probe); ++i) {
+      const auto it = oracle.find(probe[i]);
+      const auto& got = read_out[probe_scatter[i]];
+      ASSERT_EQ(got.present(), it != oracle.end()) << "key " << probe[i];
+      if (it != oracle.end()) {
+        EXPECT_EQ(*got.value, it->second);
+      }
+    }
+
+    // A sorted_unique task: ingest_sorted where the backend has it (the
+    // combining one), execute_batch on the plain Atom.
+    const Req bulk[] = {Req{K::kErase, 2, std::nullopt},
+                        Req{K::kInsert, 3, 30}, Req{K::kErase, 6, std::nullopt},
+                        Req{K::kInsert, 7, 70}};
+    bool bulk_out[4] = {};
+    typename Exec::Task bulk_task;
+    bulk_task.reqs = std::span<const Req>(bulk);
+    bulk_task.results = bulk_out;
+    bulk_task.sorted_unique = true;
+    run_refused(bulk_task);
+    for (std::size_t i = 0; i < std::size(bulk); ++i) {
+      EXPECT_EQ(bulk_out[i], apply(bulk[i])) << "op " << i;
+    }
+    ASSERT_EQ(contents(), want());
+
     // stop() detached from the map, so session batches take the
-    // synchronous path transparently.
-    typename Map<CombUc>::Session session(map, a);
+    // calling-thread path transparently.
+    typename Map<Uc>::Session session(map, a);
+    const Req req{K::kInsert, 11, 11};
     bool out[1];
     session.execute_batch(std::span<const Req>(&req, 1),
                           std::span<bool>(out, 1));
     EXPECT_TRUE(out[0]);
-    EXPECT_TRUE(session.contains(3));
+    EXPECT_TRUE(session.contains(11));
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
+}
+
+template <class Uc>
+constexpr bool kHasIngestSorted =
+    requires(Uc& uc, typename Uc::Ctx& ctx,
+             std::span<const typename Uc::BatchRequest> reqs,
+             std::span<bool> out) { uc.ingest_sorted(ctx, reqs, out); };
+
+TEST(Executor, SubmitAfterStopIsRefusedNotFatal) {
+  static_assert(kHasIngestSorted<CombUc>);
+  refused_tasks_run_on_caller<CombUc>();
+  // The plain Atom has no bulk ingest_sorted path, so its sorted_unique
+  // task takes execute_batch.
+  static_assert(!kHasIngestSorted<PlainUc>);
+  refused_tasks_run_on_caller<PlainUc>();
 }
 
 template <class UcT>
@@ -504,6 +606,7 @@ TYPED_TEST(ExecutorTyped, AsyncSessionMatchesSyncOracle) {
   using Uc = typename TypeParam::Uc;
   using Req = typename Uc::BatchRequest;
   using K = typename Uc::OpKind;
+  using Outcome = typename Uc::ReadOutcome;
   MA a1, a2;
   {
     auto async_map = make_map<Uc>(4, a1);
@@ -511,6 +614,15 @@ TYPED_TEST(ExecutorTyped, AsyncSessionMatchesSyncOracle) {
     typename Map<Uc>::Session async_sess(async_map, a1);
     auto sync_map = make_map<Uc>(4, a2);
     typename Map<Uc>::Session sync_sess(sync_map, a2);
+
+    // Both maps start from the same seed: seed tasks on the lanes vs on
+    // this thread.
+    std::vector<std::pair<std::int64_t, std::int64_t>> seed;
+    for (std::int64_t k = 0; k < 96; k += 3) seed.emplace_back(k, k * 11);
+    async_sess.seed_sorted(seed.begin(), seed.end());
+    sync_sess.seed_sorted(seed.begin(), seed.end());
+    ASSERT_EQ(async_sess.items(), seed);
+    ASSERT_EQ(sync_sess.items(), seed);
 
     util::Xoshiro256 rng(19);
     for (int iter = 0; iter < 30; ++iter) {
@@ -529,6 +641,18 @@ TYPED_TEST(ExecutorTyped, AsyncSessionMatchesSyncOracle) {
       sync_sess.execute_batch(reqs, std::span<bool>(want, reqs.size()));
       for (int i = 0; i < n; ++i) {
         ASSERT_EQ(got[i], want[i]) << "iter " << iter << " op " << i;
+      }
+      // Read tasks on the lanes vs on this thread: unsorted probe keys,
+      // some absent, a prefix repeated as duplicates.
+      std::vector<std::int64_t> keys;
+      for (int i = 0; i < 24; ++i) keys.push_back(rng.range(0, 110));
+      for (int i = 0; i < 8; ++i) keys.push_back(keys[i]);
+      std::vector<Outcome> rgot(keys.size()), rwant(keys.size());
+      async_sess.multi_get(keys, rgot);
+      sync_sess.multi_get(keys, rwant);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(rgot[i].value, rwant[i].value)
+            << "iter " << iter << " slot " << i << " key " << keys[i];
       }
     }
     ASSERT_EQ(async_sess.items(), sync_sess.items());

@@ -190,7 +190,9 @@ TEST(ExternalBst, RandomOpsAgainstOracle) {
       oracle.erase(k);
     }
     ASSERT_EQ(t.size(), oracle.size());
-    if (i % 500 == 0) ASSERT_TRUE(t.check_invariants());
+    if (i % 500 == 0) {
+      ASSERT_TRUE(t.check_invariants());
+    }
   }
   const auto items = t.items();
   std::size_t i = 0;

@@ -116,7 +116,9 @@ TEST(LeftistHeap, RankInvariantUnderStress) {
       oracle.pop();
     }
     ASSERT_EQ(h.size(), oracle.size());
-    if (i % 200 == 0) ASSERT_TRUE(h.check_invariants());
+    if (i % 200 == 0) {
+      ASSERT_TRUE(h.check_invariants());
+    }
   }
 }
 

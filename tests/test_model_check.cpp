@@ -585,10 +585,12 @@ TEST(ModelCheckGate, MovingKeyOpsAreExactlyOnceAcrossTheFlip) {
 }
 
 // ---------------------------------------------------------------------
-// 3d. Executor stop/submit race: a submit that wins lands exactly once
-//     (ticket completes, result scattered); a submit that loses is
-//     refused and the client runs the op itself — never lost, never
-//     doubled.
+// 3d. Executor stop/submit race, driven through store::run_shard_tasks
+//     (the store's one lane-or-thread choice): a submit that wins lands
+//     exactly once (ticket completes, result scattered); a submit that
+//     loses is refused and the client runs the task itself through
+//     run_task, as does a client that finds the executor already
+//     detached — never lost, never doubled.
 // ---------------------------------------------------------------------
 
 const std::vector<std::string> kExecTags = {"exec.submit", "exec.stop"};
@@ -610,19 +612,19 @@ std::optional<std::string> exec_body(VirtualScheduler& vs) {
   vs.spawn([sh] {  // tid 0: client submitting one insert
     using Req = typename CombUc::BatchRequest;
     const Req req{core::OpKind::kInsert, 9, 90};
-    store::BatchTicket ticket;
-    ticket.arm(1);
-    typename store::ShardExecutor<CombUc>::Task task;
-    task.reqs = std::span<const Req>(&req, 1);
-    task.results = &sh->result;
-    task.ticket = &ticket;
-    if (sh->exec.submit(0, task)) {
-      ticket.join();  // stop() drains queued tasks, so this completes
-    } else {
-      // Lost the race to stop(): the sync fallback (what Session does).
-      typename Map::Session sess(sh->map, sh->a);
-      sh->result = sess.insert(9, 90);
-    }
+    typename CombUc::Ctx ctx(sh->map.shard(0).reclaimer(), sh->a);
+    typename store::ShardExecutor<CombUc>::TaskScratch scratch;
+    // Lane, refused submit or detached executor: run_shard_tasks joins
+    // (stop() drains queued tasks) or runs the task on this thread.
+    store::run_shard_tasks(
+        sh->map, std::span<typename CombUc::Ctx>(&ctx, 1), scratch,
+        [](std::size_t) { return true; },
+        [&](std::size_t) {
+          typename store::ShardExecutor<CombUc>::Task task;
+          task.reqs = std::span<const Req>(&req, 1);
+          task.results = &sh->result;
+          return task;
+        });
     sh->ran = true;
   });
   vs.spawn([sh] {  // tid 1: concurrent shutdown
@@ -922,10 +924,10 @@ TEST(ModelCheckRead, RePinningMidSweepIsCaught) {
 }
 
 // The read-task drain window end to end: a client's probe ticket racing
-// executor shutdown either rides the lane (the worker's merged
-// pin → sweep → scatter path, exec_read_merged) or is refused and falls
-// back to the session's synchronous sweep — the answer arrives exactly
-// once either way. The worker is a real OS thread, so its
+// executor shutdown through run_shard_tasks either rides the lane (the
+// worker's merged pin → sweep → scatter path, exec_read_merged) or is
+// refused, or finds the executor detached, and runs through run_task on
+// the client's thread — the answer arrives exactly once either way. The worker is a real OS thread, so its
 // "exec.read.sweep"/"exec.read.scatter" yields are pass-throughs here;
 // the race is explored from the client and stopper sides.
 const std::vector<std::string> kExecReadTags = {"exec.submit", "exec.stop",
@@ -951,22 +953,17 @@ std::optional<std::string> exec_read_body(VirtualScheduler& vs) {
 
   vs.spawn([sh] {  // tid 0: client probing key 9
     static constexpr std::int64_t kKey = 9;
-    store::BatchTicket ticket;
-    ticket.arm(1);
-    typename store::ShardExecutor<CombUc>::Task task;
-    task.keys = std::span<const std::int64_t>(&kKey, 1);
-    task.read_results = &sh->out;
-    task.ticket = &ticket;
-    if (sh->exec.submit(0, task)) {
-      ticket.join();  // stop() drains queued tasks, so this completes
-    } else {
-      // Lost the race to stop(): the session's sync fallback.
-      typename Map::Session sess(sh->map, sh->a);
-      typename Map::ReadOutcome o[1];
-      sess.multi_get(std::span<const std::int64_t>(&kKey, 1),
-                     std::span<typename Map::ReadOutcome>(o, 1));
-      sh->out = o[0];
-    }
+    typename CombUc::Ctx ctx(sh->map.shard(0).reclaimer(), sh->a);
+    typename store::ShardExecutor<CombUc>::TaskScratch scratch;
+    store::run_shard_tasks(
+        sh->map, std::span<typename CombUc::Ctx>(&ctx, 1), scratch,
+        [](std::size_t) { return true; },
+        [&](std::size_t) {
+          typename store::ShardExecutor<CombUc>::Task task;
+          task.keys = std::span<const std::int64_t>(&kKey, 1);
+          task.read_results = &sh->out;
+          return task;
+        });
     sh->ran = true;
   });
   vs.spawn([sh] {  // tid 1: concurrent shutdown

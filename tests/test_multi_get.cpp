@@ -206,12 +206,15 @@ auto shared_alloc_factory(MA& a) {
 }
 
 /// Session::multi_get vs per-key find: unsorted client keys WITH
-/// duplicates and absent keys, split across 4 shards, sync path.
+/// duplicates and absent keys, split across 4 shards — probed on this
+/// thread, or as read tasks on the shard lanes when `with_executor`.
 template <class Uc>
-void session_multiget_oracle(std::uint64_t seed) {
+void session_multiget_oracle(std::uint64_t seed, bool with_executor) {
   MA a;
   {
     Map<Uc> map(4, a, TabR::uniform(0, 1024, 4));
+    std::optional<store::ShardExecutor<Uc>> exec;
+    if (with_executor) exec.emplace(map, shared_alloc_factory<Uc>(a));
     typename Map<Uc>::Session s(map, a);
     util::Xoshiro256 rng(seed);
     std::map<std::int64_t, std::int64_t> oracle;
@@ -252,8 +255,11 @@ void session_multiget_oracle(std::uint64_t seed) {
 }
 
 TEST(MultiGetSession, SplitsScattersAndScans) {
-  session_multiget_oracle<PlainUc>(921);
-  session_multiget_oracle<CombUc>(922);
+  for (const bool with_executor : {false, true}) {
+    SCOPED_TRACE(with_executor ? "executor attached" : "no executor");
+    session_multiget_oracle<PlainUc>(921, with_executor);
+    session_multiget_oracle<CombUc>(922, with_executor);
+  }
 }
 
 /// The single-snapshot property under churn, executor attached so

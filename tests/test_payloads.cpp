@@ -185,7 +185,9 @@ TEST(FailureInjection, MidBuildThrowRollsBackCleanly) {
     } catch (const std::bad_alloc&) {
       threw = true;  // builder destructor rolled the attempt back
     }
-    if (budget < 2) EXPECT_TRUE(threw);  // a path copy needs several nodes
+    if (budget < 2) {
+      EXPECT_TRUE(threw);  // a path copy needs several nodes
+    }
     flaky.refill(1 << 20);
     ASSERT_EQ(base.stats().live_blocks(), live_before + (threw ? 0 : 1));
     if (!threw) {

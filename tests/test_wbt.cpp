@@ -132,7 +132,9 @@ TEST(Wbt, OracleChurn) {
       oracle.erase(k);
     }
     ASSERT_EQ(t.size(), oracle.size());
-    if (i % 250 == 0) ASSERT_TRUE(t.check_invariants());
+    if (i % 250 == 0) {
+      ASSERT_TRUE(t.check_invariants());
+    }
   }
   EXPECT_TRUE(t.check_invariants());
   const auto items = t.items();
