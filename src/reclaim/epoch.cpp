@@ -69,11 +69,11 @@ void EpochReclaimer::retire_bundle(ThreadHandle& h, std::uint64_t,
   maybe_free_bucket(rec, idx, now, &rec.sink);
   rec.bucket_epoch[idx] = now;
   retired_.fetch_add(nodes.size(), std::memory_order_relaxed);
+  rec.since_scan += 1 + nodes.size();
   auto& bucket = rec.bucket[idx];
   bucket.insert(bucket.end(), nodes.begin(), nodes.end());
   nodes.clear();
 
-  rec.since_scan += 1;
   if (rec.since_scan >= kScanInterval) {
     rec.since_scan = 0;
     try_advance();

@@ -9,8 +9,12 @@
 // (and everything it shares with older versions) alive.
 //
 // Epoch announcements sit on their own cache lines; the retire path is
-// purely thread-local except for an amortized scan of the registry every
-// kScanInterval retirements.
+// purely thread-local except for an amortized scan of the registry once
+// per kScanInterval units of retire volume (1 per retire_bundle call plus
+// 1 per retired node). Pacing by nodes rather than by calls keeps limbo
+// (retired, not yet freed) at a few kScanIntervals of nodes whatever the
+// bundle size, so freed blocks are reused while still cache-hot (see
+// src/store/README.md, "How long a bundle waits").
 #pragma once
 
 #include <atomic>
@@ -27,7 +31,10 @@ namespace pathcopy::reclaim {
 class EpochReclaimer {
  public:
   static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
-  static constexpr std::uint64_t kScanInterval = 128;
+  // Retire volume between registry scans: 1 unit per retire_bundle call
+  // plus 1 per retired node, so an empty bundle still counts and idle
+  // retires advance the epoch too.
+  static constexpr std::uint64_t kScanInterval = 512;
 
   EpochReclaimer() = default;
   EpochReclaimer(const EpochReclaimer&) = delete;
@@ -123,7 +130,7 @@ struct EpochReclaimer::Guard::Rec {
   std::atomic<bool> in_use{false};  // slot claimed by a live ThreadHandle
   std::vector<Retired> bucket[3];
   std::uint64_t bucket_epoch[3] = {0, 0, 0};
-  std::uint64_t since_scan = 0;
+  std::uint64_t since_scan = 0;  // retire volume, see kScanInterval
   EpochReclaimer* owner = nullptr;
   // Written by the owning thread only (via ThreadHandle::set_retire_sink)
   // and cleared in release() before in_use is dropped; the foreign-thread

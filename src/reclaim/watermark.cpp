@@ -111,15 +111,18 @@ void WatermarkReclaimer::retire_bundle(ThreadHandle& h,
   }
   if (++h.since_scan_ >= kScanInterval) {
     h.since_scan_ = 0;
-    collect(min_pinned_version(), &h.sink_);
+    collect(&h.sink_);
   }
 }
 
-void WatermarkReclaimer::collect(std::uint64_t min_pinned,
-                                 const RetireSink* sink) {
+void WatermarkReclaimer::collect(const RetireSink* sink) {
   std::vector<Bundle> ripe;
   {
     std::lock_guard lock(bundle_mu_);
+    // Read the pins only after every bundle this pass may free was pushed.
+    // A watermark taken earlier misses a reader that pinned after it and
+    // then loaded a root another thread retired before this lock.
+    const std::uint64_t min_pinned = min_pinned_version();
     std::size_t kept = 0;
     for (std::size_t i = 0; i < bundles_.size(); ++i) {
       // Free iff every pin is at or past the death version: no reader can
@@ -141,7 +144,7 @@ void WatermarkReclaimer::collect(std::uint64_t min_pinned,
 
 void WatermarkReclaimer::drain_all() {
   // Teardown/test path, possibly on a foreign thread: no sink.
-  collect(min_pinned_version(), nullptr);
+  collect(nullptr);
 }
 
 }  // namespace pathcopy::reclaim

@@ -154,9 +154,9 @@ class WatermarkReclaimer {
   std::uint64_t watermark();
 
  private:
-  // Frees every bundle with death_version <= the given watermark. `sink`
-  // (nullable) must belong to the calling thread.
-  void collect(std::uint64_t min_pinned, const RetireSink* sink);
+  // Frees every bundle with death_version <= the watermark, read under
+  // bundle_mu_. `sink` (nullable) must belong to the calling thread.
+  void collect(const RetireSink* sink);
   std::uint64_t min_pinned_version();
 
   std::mutex registry_mu_;

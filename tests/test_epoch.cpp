@@ -73,12 +73,15 @@ TEST(Epoch, GuardBlocksReclamation) {
 
   {
     auto g = smr.pin(reader, root, ver);  // reader active in current epoch
+    const auto before = smr.global_epoch();
     smr.retire_bundle(writer, 2, nullptr, nullptr, one_retired(a, c));
     // Hammer the retire path so try_advance runs many times; the active
-    // guard pins the epoch, so the canary must survive.
-    for (int i = 0; i < 1000; ++i) {
+    // guard lets the epoch advance at most once, so the canary must
+    // survive.
+    for (std::uint64_t i = 0; i < 10 * reclaim::EpochReclaimer::kScanInterval; ++i) {
       smr.retire_bundle(writer, 2, nullptr, nullptr, {});
     }
+    EXPECT_LE(smr.global_epoch(), before + 1);
     EXPECT_EQ(destroyed.load(), 0);
     // The canary is still dereferenceable under the guard.
     EXPECT_EQ(static_cast<const Canary*>(g.root())->payload,
@@ -183,10 +186,13 @@ TEST(Epoch, ConcurrentRetireStress) {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-TEST(Epoch, ReaderNeverSeesFreedMemory) {
-  // Writers continuously replace a shared canary and retire the old one;
-  // readers dereference under guards. ASan/valgrind would flag violations;
-  // structurally we assert payload integrity.
+// Writers continuously replace a shared canary and retire the old one;
+// readers dereference under guards. ASan/valgrind would flag violations;
+// structurally we assert payload integrity. Each bundle carries the old
+// canary plus `bundle_nodes - 1` fresh, never-published ones, so the
+// bundle size sets how often the writer scans and advances the epoch.
+void reader_never_sees_freed_memory(std::size_t bundle_nodes) {
+  constexpr int kWrites = 5000;
   alloc::MallocAlloc a;
   std::atomic<int> destroyed{0};
   reclaim::EpochReclaimer smr;
@@ -196,11 +202,15 @@ TEST(Epoch, ReaderNeverSeesFreedMemory) {
 
   std::thread writer([&] {
     auto h = smr.register_thread();
-    for (int i = 0; i < 5000; ++i) {
+    for (int i = 0; i < kWrites; ++i) {
       const Canary* fresh = make_canary(a, &destroyed);
       const void* old = root.exchange(fresh);
-      smr.retire_bundle(h, 2, nullptr, nullptr,
-                        one_retired(a, static_cast<const Canary*>(old)));
+      auto bundle = one_retired(a, static_cast<const Canary*>(old));
+      for (std::size_t j = 1; j < bundle_nodes; ++j) {
+        bundle.push_back(
+            reclaim::make_retired(make_canary(a, &destroyed), a.retire_backend()));
+      }
+      smr.retire_bundle(h, 2, nullptr, nullptr, std::move(bundle));
     }
     stop.store(true);
   });
@@ -220,7 +230,48 @@ TEST(Epoch, ReaderNeverSeesFreedMemory) {
   smr.retire_bundle(h, 2, nullptr, nullptr, one_retired(a, last));
   smr.drain_all();
   EXPECT_EQ(a.stats().live_blocks(), 0u);
-  EXPECT_EQ(destroyed.load(), 5001);
+  EXPECT_EQ(destroyed.load(), static_cast<int>(kWrites * bundle_nodes + 1));
+}
+
+TEST(Epoch, ReaderNeverSeesFreedMemory) {
+  // At 256 nodes a bundle carries 257 units of retire volume, so the
+  // writer scans on every second bundle and its epoch advances race the
+  // reader's pins.
+  for (const std::size_t bundle_nodes : {std::size_t{1}, std::size_t{256}}) {
+    SCOPED_TRACE(bundle_nodes);
+    reader_never_sees_freed_memory(bundle_nodes);
+  }
+}
+
+TEST(Epoch, LargeBundlesKeepLimboBounded) {
+  // Scans are paced by retire volume, so a thread retiring large bundles
+  // with no guard held keeps only a few scan intervals' worth of nodes in
+  // limbo, however many nodes each bundle carries.
+  constexpr std::uint64_t kBundles = 400;
+  constexpr std::uint64_t kNodes = 64;
+  constexpr std::uint64_t kScan = reclaim::EpochReclaimer::kScanInterval;
+  alloc::MallocAlloc a;
+  std::atomic<int> destroyed{0};
+  {
+    reclaim::EpochReclaimer smr;
+    auto h = smr.register_thread();
+    const auto before = smr.global_epoch();
+    for (std::uint64_t i = 0; i < kBundles; ++i) {
+      std::vector<reclaim::Retired> bundle;
+      for (std::uint64_t j = 0; j < kNodes; ++j) {
+        bundle.push_back(
+            reclaim::make_retired(make_canary(a, &destroyed), a.retire_backend()));
+      }
+      smr.retire_bundle(h, 2, nullptr, nullptr, std::move(bundle));
+      ASSERT_LE(smr.pending_nodes(), 3 * kScan + kNodes) << "bundle " << i;
+      if ((i + 1) * (1 + kNodes) >= kScan) {
+        ASSERT_GT(smr.global_epoch(), before) << "bundle " << i;
+      }
+    }
+    smr.drain_all();
+  }
+  EXPECT_EQ(destroyed.load(), static_cast<int>(kBundles * kNodes));
+  EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
 TEST(Leaky, NeverFrees) {

@@ -929,9 +929,11 @@ TEST(ModelCheckRead, RePinningMidSweepIsCaught) {
 // refused, or finds the executor detached, and runs through run_task on
 // the client's thread — the answer arrives exactly once either way. The worker is a real OS thread, so its
 // "exec.read.sweep"/"exec.read.scatter" yields are pass-throughs here;
-// the race is explored from the client and stopper sides.
-const std::vector<std::string> kExecReadTags = {"exec.submit", "exec.stop",
-                                                "ticket.join"};
+// the race is explored from the client and stopper sides. "ticket.join"
+// is left out, as in kExecTags: the worker completes the ticket, so how
+// many join yields a schedule makes depends on OS timing, and replaying
+// a decision trace would diverge.
+const std::vector<std::string> kExecReadTags = {"exec.submit", "exec.stop"};
 
 std::optional<std::string> exec_read_body(VirtualScheduler& vs) {
   using Map = store::ShardedMap<CombUc, TabR>;
