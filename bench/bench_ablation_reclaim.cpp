@@ -4,14 +4,23 @@
 // the C++ port must pick an SMR scheme, and this bench quantifies what
 // each costs under the write-only UC treap workload:
 //
-//   leaky+arena  — no reclamation (the GC-free upper bound)
-//   epoch        — default: thread-local retire buckets, amortized scans
-//   watermark    — MVCC-style version pins; global bundle list (supports
-//                  long-lived snapshots, pays a lock per retire)
-//   hazard-root  — single hazard per reader; per-retire map upkeep
+//   leaky+arena  — no reclamation: nodes are never freed, each thread
+//                  bump-allocates from its own arena
+//   epoch        — default: thread-local retire buckets; a registry scan
+//                  tries to advance the epoch once per 512 units of
+//                  retire volume (1 per bundle plus 1 per node)
+//   watermark    — the version-keyed body (reclaim/version_reclaimer.hpp)
+//                  with the watermark pin rule: announce the version,
+//                  then load the root. Every retire takes the one global
+//                  bundle lock; every 64th retire per thread collects,
+//                  reading every slot and every pending bundle under it.
+//                  Also backs long-lived snapshots (unused here).
+//   hazard-root  — the same body with the hazard-era pin rule: load the
+//                  version and the root, announce the era, re-load the
+//                  root and retry if it moved.
 //
-// Also reports reclamation health: nodes retired vs freed (pending backlog
-// must stay bounded).
+// Also reports reclamation health: nodes retired but not yet freed at the
+// end of the run (pending backlog must stay bounded).
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -150,7 +159,9 @@ int main(int argc, char** argv) {
 
   std::printf("\nexpected shape: leaky is the ceiling; epoch tracks it "
               "closely (thread-local retires); watermark and hazard-root pay "
-              "a shared lock per retire. Pending backlog stays bounded "
-              "(thousands, not millions) for all schemes.\n");
+              "the one bundle lock per retire plus a slot and bundle scan "
+              "under it every 64th, and hazard-root re-loads the root per "
+              "pin. Pending backlog stays bounded (thousands, not millions) "
+              "for all schemes.\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# One-command gate: configure, build, run the tier-1 tests, then smoke the
-# benches for a few seconds each. Usage: scripts/check.sh [build-dir]
+# One-command gate: configure, build, run the tier-1 tests, smoke the
+# benches for a few seconds each (the reclamation ablation E7 among them),
+# then run the model-check smoke. Usage: scripts/check.sh [build-dir]
 #
 # set -euo pipefail is load-bearing for the smokes below: their output is
 # piped through tee into logs, and without `pipefail` a crashing bench
@@ -75,6 +76,11 @@ smoke bench_ablation_structure --quick
 SMOKE_TAG=recycle smoke bench_ablation_alloc --quick \
   --json "$build_dir/BENCH_alloc_recycle.json" --assert-recycle
 
+# Smoke: the reclamation ablation (E7) — the only bench that drives the
+# watermark and hazard-era reclaimers under concurrent Atom updates, so a
+# crash or hang in the version-keyed body fails here.
+smoke bench_ablation_reclaim --quick
+
 # Gate: the four JSON files the smokes above wrote must parse. Every
 # BENCH_*.json comes from one row writer (src/bench_util/json_rows.hpp),
 # so a malformed row fails here instead of reaching a checked-in artifact.
@@ -105,10 +111,11 @@ cmake -B "$mc_dir" -S "$repo_root" -DPATHCOPY_MODELCHECK=ON
 cmake --build "$mc_dir" -j "$(nproc)" --target test_model_check
 # The filter keeps the smoke time-boxed: random walks (now including the
 # lane ring and park/wake protocols), the replayed regression corpus,
-# and the two fast lane mutant positive controls — the full exhaustive
-# sweeps stay in the modelcheck CI job.
+# the two fast lane mutant positive controls, and the version-keyed
+# reclaimers' retire/collect window (exhaustive, well under a second) —
+# the other exhaustive sweeps stay in the modelcheck CI job.
 "$mc_dir/test_model_check" \
-  --gtest_filter='ModelCheckSmoke.*:ModelCheckAtom.CorpusTraceReproducesTheLegacyAba:ModelCheckCut.*:ModelCheckLane.SkippingTheSlotStampCheckLosesAnElement:ModelCheckLane.DroppingTheParkRecheckReopensTheLostWakeup' \
+  --gtest_filter='ModelCheckSmoke.*:ModelCheckAtom.CorpusTraceReproducesTheLegacyAba:ModelCheckCut.*:ModelCheckLane.SkippingTheSlotStampCheckLosesAnElement:ModelCheckLane.DroppingTheParkRecheckReopensTheLostWakeup:ModelCheckReclaim.*' \
   | tee "$mc_dir/test_model_check.smoke.log"
 
 echo "check.sh: all gates passed"

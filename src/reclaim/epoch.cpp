@@ -7,25 +7,9 @@ namespace pathcopy::reclaim {
 EpochReclaimer::~EpochReclaimer() { drain_all(); }
 
 EpochReclaimer::ThreadHandle EpochReclaimer::register_thread() {
-  std::lock_guard lock(registry_mu_);
-  // Reuse a slot whose previous owner has exited (keeps the registry from
-  // growing without bound when threads churn). The acquire pairs with the
-  // releasing thread's in_use store: it orders that thread's bucket flush
-  // before any use of the slot by its new owner.
-  for (auto& slot : registry_) {
-    Guard::Rec& rec = slot->value;
-    if (!rec.in_use.load(std::memory_order_acquire)) {
-      rec.in_use.store(true, std::memory_order_relaxed);
-      rec.epoch.store(kIdle, std::memory_order_relaxed);
-      rec.sink = RetireSink{};
-      return ThreadHandle{&rec};
-    }
-  }
-  registry_.push_back(std::make_unique<util::Padded<Guard::Rec>>());
-  Guard::Rec& rec = registry_.back()->value;
-  rec.owner = this;
-  rec.in_use.store(true, std::memory_order_relaxed);
-  return ThreadHandle{&rec};
+  Guard::Rec* rec = registry_.acquire();
+  rec->owner = this;
+  return ThreadHandle{rec};
 }
 
 void EpochReclaimer::ThreadHandle::release() noexcept {
@@ -34,7 +18,7 @@ void EpochReclaimer::ThreadHandle::release() noexcept {
             "thread handle released while a guard is live");
   rec_->owner->flush_to_orphans(*rec_);
   rec_->sink = RetireSink{};
-  rec_->in_use.store(false, std::memory_order_release);
+  rec_->owner->registry_.release(rec_);
   rec_ = nullptr;
 }
 
@@ -68,7 +52,7 @@ void EpochReclaimer::retire_bundle(ThreadHandle& h, std::uint64_t,
   const std::size_t idx = static_cast<std::size_t>(now % 3);
   maybe_free_bucket(rec, idx, now, &rec.sink);
   rec.bucket_epoch[idx] = now;
-  retired_.fetch_add(nodes.size(), std::memory_order_relaxed);
+  count_retired(nodes.size());
   rec.since_scan += 1 + nodes.size();
   auto& bucket = rec.bucket[idx];
   bucket.insert(bucket.end(), nodes.begin(), nodes.end());
@@ -92,23 +76,20 @@ void EpochReclaimer::maybe_free_bucket(Guard::Rec& rec, std::size_t idx,
   // them were announced at epochs <= that. Two advances later, every such
   // guard has been released.
   if (rec.bucket_epoch[idx] + 2 <= now) {
-    freed_.fetch_add(bucket.size(), std::memory_order_relaxed);
+    count_freed(bucket.size());
     free_all(bucket, sink);
   }
 }
 
 void EpochReclaimer::try_advance() noexcept {
   const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-  {
-    std::lock_guard lock(registry_mu_);
-    for (const auto& slot : registry_) {
-      const Guard::Rec& rec = slot->value;
-      const std::uint64_t seen = rec.epoch.load(std::memory_order_seq_cst);
-      if (seen != kIdle && seen != e) {
-        return;  // a guard is still active in an older epoch
-      }
-    }
-  }
+  bool quiescent = true;
+  registry_.for_each([&](const Guard::Rec& rec) {
+    const std::uint64_t seen = rec.epoch.load(std::memory_order_seq_cst);
+    // A guard still active in an older epoch blocks the advance.
+    if (seen != kIdle && seen != e) quiescent = false;
+  });
+  if (!quiescent) return;
   std::uint64_t expected = e;
   if (global_epoch_.compare_exchange_strong(expected, e + 1,
                                             std::memory_order_seq_cst)) {
@@ -132,7 +113,7 @@ void EpochReclaimer::free_ripe_orphans_locked(std::uint64_t now) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < orphans_.size(); ++i) {
     if (orphans_[i].epoch + 2 <= now) {
-      freed_.fetch_add(orphans_[i].nodes.size(), std::memory_order_relaxed);
+      count_freed(orphans_[i].nodes.size());
       // Orphans free on whatever thread advances the epoch — never
       // through a thread-local sink.
       free_all(orphans_[i].nodes, nullptr);
@@ -151,15 +132,10 @@ void EpochReclaimer::drain_all() {
     global_epoch_.fetch_add(1, std::memory_order_seq_cst);
   }
   const std::uint64_t now = global_epoch_.load(std::memory_order_seq_cst);
-  {
-    std::lock_guard lock(registry_mu_);
-    for (auto& slot : registry_) {
-      for (std::size_t i = 0; i < 3; ++i) {
-        // Teardown runs on an arbitrary thread: no sink.
-        maybe_free_bucket(slot->value, i, now, nullptr);
-      }
-    }
-  }
+  registry_.for_each([&](Guard::Rec& rec) {
+    // Teardown runs on an arbitrary thread: no sink.
+    for (std::size_t i = 0; i < 3; ++i) maybe_free_bucket(rec, i, now, nullptr);
+  });
   std::lock_guard lock(orphan_mu_);
   free_ripe_orphans_locked(now);
 }

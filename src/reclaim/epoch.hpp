@@ -8,27 +8,28 @@
 // a guard taken before a version was replaced keeps that entire version
 // (and everything it shares with older versions) alive.
 //
-// Epoch announcements sit on their own cache lines; the retire path is
-// purely thread-local except for an amortized scan of the registry once
-// per kScanInterval units of retire volume (1 per retire_bundle call plus
-// 1 per retired node). Pacing by nodes rather than by calls keeps limbo
-// (retired, not yet freed) at a few kScanIntervals of nodes whatever the
-// bundle size, so freed blocks are reused while still cache-hot (see
-// src/store/README.md, "How long a bundle waits").
+// Epoch announcements sit in a util::SlotRegistry, one cache line each;
+// the retire path is purely thread-local except for an amortized scan of
+// the registry once per kScanInterval units of retire volume (1 per
+// retire_bundle call plus 1 per retired node; the version-keyed schemes
+// keep their own constant in version_reclaimer.hpp). Pacing by nodes
+// rather than by calls keeps limbo (retired, not yet freed) at a few
+// kScanIntervals of nodes whatever the bundle size, so freed blocks are
+// reused while still cache-hot (see src/store/README.md, "How long a
+// bundle waits").
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "reclaim/retired.hpp"
-#include "util/align.hpp"
+#include "util/slot_registry.hpp"
 
 namespace pathcopy::reclaim {
 
-class EpochReclaimer {
+class EpochReclaimer : public RetireCounters {
  public:
   static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
   // Retire volume between registry scans: 1 unit per retire_bundle call
@@ -82,13 +83,6 @@ class EpochReclaimer {
   std::uint64_t global_epoch() const noexcept {
     return global_epoch_.load(std::memory_order_acquire);
   }
-  std::uint64_t freed_nodes() const noexcept {
-    return freed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t pending_nodes() const noexcept {
-    return retired_.load(std::memory_order_relaxed) -
-           freed_.load(std::memory_order_relaxed);
-  }
   std::uint64_t epoch_advances() const noexcept {
     return advances_.load(std::memory_order_relaxed);
   }
@@ -110,12 +104,9 @@ class EpochReclaimer {
   void free_ripe_orphans_locked(std::uint64_t now);
 
   std::atomic<std::uint64_t> global_epoch_{0};
-  std::atomic<std::uint64_t> freed_{0};
-  std::atomic<std::uint64_t> retired_{0};
   std::atomic<std::uint64_t> advances_{0};
 
-  std::mutex registry_mu_;
-  std::vector<std::unique_ptr<util::Padded<Guard::Rec>>> registry_;
+  util::SlotRegistry<Guard::Rec> registry_;
 
   std::mutex orphan_mu_;
   struct OrphanBatch {
@@ -127,14 +118,13 @@ class EpochReclaimer {
 
 struct EpochReclaimer::Guard::Rec {
   std::atomic<std::uint64_t> epoch{EpochReclaimer::kIdle};
-  std::atomic<bool> in_use{false};  // slot claimed by a live ThreadHandle
   std::vector<Retired> bucket[3];
   std::uint64_t bucket_epoch[3] = {0, 0, 0};
   std::uint64_t since_scan = 0;  // retire volume, see kScanInterval
-  EpochReclaimer* owner = nullptr;
+  EpochReclaimer* owner = nullptr;  // set by register_thread
   // Written by the owning thread only (via ThreadHandle::set_retire_sink)
-  // and cleared in release() before in_use is dropped; the foreign-thread
-  // paths (drain_all, orphans) never read it.
+  // and cleared in release() before the slot goes back to the registry;
+  // the foreign-thread paths (drain_all, orphans) never read it.
   RetireSink sink{};
 };
 

@@ -18,9 +18,7 @@ namespace pathcopy::reclaim {
 
 class LeakyReclaimer {
  public:
-  struct ThreadHandle {
-    std::uint64_t retired_nodes = 0;
-  };
+  struct ThreadHandle {};
 
   class Guard {
    public:
@@ -38,9 +36,8 @@ class LeakyReclaimer {
     return Guard{root.load(std::memory_order_acquire)};
   }
 
-  void retire_bundle(ThreadHandle& h, std::uint64_t, const void*, const void*,
+  void retire_bundle(ThreadHandle&, std::uint64_t, const void*, const void*,
                      std::vector<Retired>&& nodes) noexcept {
-    h.retired_nodes += nodes.size();
     leaked_.fetch_add(nodes.size(), std::memory_order_relaxed);
     nodes.clear();
   }

@@ -73,12 +73,39 @@ Retired make_retired(const Node* node, Backend* backend) noexcept {
                  static_cast<std::uint32_t>(alignof(Node))};
 }
 
-/// One successful version transition's garbage: nodes that belonged to
-/// versions < death_version and are unreachable from death_version on.
-struct Bundle {
-  std::uint64_t death_version = 0;
-  const void* old_root = nullptr;  // root of version death_version - 1
-  std::vector<Retired> nodes;
+/// Nodes handed to a reclaimer and nodes it has freed, defined once for
+/// every scheme that frees.
+class RetireCounters {
+ public:
+  std::uint64_t freed_nodes() const noexcept {
+    return freed_.load(std::memory_order_relaxed);
+  }
+
+  /// Nodes retired but not yet freed. Never wraps, even when the caller
+  /// is preempted between its two loads: every node's retire increment
+  /// happens before its free increment (the freeing thread is the
+  /// retirer, took the node from a list the retirer filled under a lock,
+  /// or is draining after every retirer stopped). Every free increment
+  /// is a release read-modify-write, so the acquire load of freed_
+  /// synchronizes with each increment it counts, and the later load of
+  /// retired_ sees at least those nodes' retire increments.
+  std::uint64_t pending_nodes() const noexcept {
+    const std::uint64_t freed = freed_.load(std::memory_order_acquire);
+    return retired_.load(std::memory_order_relaxed) - freed;
+  }
+
+ protected:
+  void count_retired(std::uint64_t n) noexcept {
+    retired_.fetch_add(n, std::memory_order_relaxed);
+  }
+  /// On x86 the same `lock xadd` as a relaxed increment.
+  void count_freed(std::uint64_t n) noexcept {
+    freed_.fetch_add(n, std::memory_order_release);
+  }
+
+ private:
+  std::atomic<std::uint64_t> retired_{0};
+  std::atomic<std::uint64_t> freed_{0};
 };
 
 /// Type-erased hook into the reclaiming thread's local magazine cache.

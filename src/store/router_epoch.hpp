@@ -67,15 +67,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
-#include "util/align.hpp"
 #include "util/assert.hpp"
 #include "util/modelcheck.hpp"
+#include "util/slot_registry.hpp"
 
 namespace pathcopy::store {
 
@@ -168,38 +166,28 @@ struct RouterEpoch {
 /// mark, re-read epoch pointer, retry on mismatch) excludes exactly
 /// that.
 ///
-/// The registry grows on demand (no session cap): sessions hold stable
-/// Slot pointers and touch the mutex only at construction/destruction;
-/// the hot announce/clear path is lock-free on the session's own cache
-/// line. A drain iterates a locked snapshot of the slots — safe to miss
-/// slots acquired after the snapshot, because such an acquisition
-/// happens-after the drain's lock, which happens-after the epoch
-/// publish (same thread), so the new session's first announce can only
-/// ever name the already-published epoch or a newer one.
+/// The slots live in a util::SlotRegistry, which grows on demand (no
+/// session cap): sessions hold stable Slot pointers and touch its mutex
+/// only at construction/destruction; the hot announce/clear path is
+/// lock-free on the session's own cache line. A drain iterates a list
+/// of the slots copied under that mutex — safe to miss slots acquired
+/// after the copy, because such an acquisition happens-after the copy's
+/// lock, which happens-after the epoch publish (same thread), so the new
+/// session's first announce can only ever name the already-published
+/// epoch or a newer one.
 class EpochMarkRegistry {
  public:
-  struct alignas(util::kCacheLine) Slot {
+  struct Slot {
     std::atomic<std::uint64_t> mark{0};
   };
 
   /// Claims a mark slot (session construction — cold path).
-  Slot* acquire() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (free_.empty()) {
-      slots_.push_back(std::make_unique<Slot>());
-      free_.push_back(slots_.back().get());
-    }
-    Slot* s = free_.back();
-    free_.pop_back();
-    s->mark.store(0, std::memory_order_relaxed);
-    return s;
-  }
+  Slot* acquire() { return slots_.acquire(); }
 
   /// Returns a slot (session destruction). The slot must be idle.
   void release(Slot* s) {
     s->mark.store(0, std::memory_order_seq_cst);
-    const std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(s);
+    slots_.release(s);
   }
 
   /// Announce side, step 1: publish the epoch sequence this session is
@@ -227,12 +215,7 @@ class EpochMarkRegistry {
   /// new enough) can only ever re-announce the already-published epoch
   /// or a newer one (header comment covers slots added mid-drain).
   void drain_below(std::uint64_t seq) {
-    scratch_.clear();
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& s : slots_) scratch_.push_back(s.get());
-    }
-    for (Slot* s : scratch_) {
+    for (Slot* s : slots_.list()) {
       for (;;) {
         PC_YIELD("epoch.drain");
         const std::uint64_t m = s->mark.load(std::memory_order_seq_cst);
@@ -243,10 +226,7 @@ class EpochMarkRegistry {
   }
 
  private:
-  std::mutex mu_;
-  std::vector<std::unique_ptr<Slot>> slots_;  // stable addresses, only grows
-  std::vector<Slot*> free_;
-  std::vector<Slot*> scratch_;  // drain-side; one drain at a time
+  util::SlotRegistry<Slot> slots_;
 };
 
 }  // namespace pathcopy::store

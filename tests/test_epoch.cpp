@@ -9,31 +9,14 @@
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
 #include "reclaim/retired.hpp"
+#include "reclaim_canary.hpp"
 
 namespace pathcopy {
 namespace {
 
-// Canary node: records destruction so premature frees are observable.
-struct Canary {
-  explicit Canary(std::atomic<int>* counter) : destroyed(counter) {}
-  ~Canary() {
-    if (destroyed != nullptr) destroyed->fetch_add(1);
-  }
-  std::atomic<int>* destroyed;
-  std::uint64_t payload = 0xfeedfacecafebeefULL;
-};
-
-template <class Alloc>
-const Canary* make_canary(Alloc& a, std::atomic<int>* counter) {
-  void* p = a.allocate(sizeof(Canary), alignof(Canary));
-  return ::new (p) Canary(counter);
-}
-
-std::vector<reclaim::Retired> one_retired(alloc::MallocAlloc& a, const Canary* c) {
-  std::vector<reclaim::Retired> v;
-  v.push_back(reclaim::make_retired(c, a.retire_backend()));
-  return v;
-}
+using test::Canary;
+using test::make_canary;
+using test::one_retired;
 
 TEST(Epoch, PinReturnsRootValue) {
   reclaim::EpochReclaimer smr;
@@ -85,7 +68,7 @@ TEST(Epoch, GuardBlocksReclamation) {
     EXPECT_EQ(destroyed.load(), 0);
     // The canary is still dereferenceable under the guard.
     EXPECT_EQ(static_cast<const Canary*>(g.root())->payload,
-              0xfeedfacecafebeefULL);
+              test::kCanaryPayload);
   }
   smr.drain_all();
   EXPECT_EQ(destroyed.load(), 1);
@@ -219,7 +202,7 @@ void reader_never_sees_freed_memory(std::size_t bundle_nodes) {
     while (!stop.load()) {
       auto g = smr.pin(h, root, ver);
       const auto* c = static_cast<const Canary*>(g.root());
-      ASSERT_EQ(c->payload, 0xfeedfacecafebeefULL);
+      ASSERT_EQ(c->payload, test::kCanaryPayload);
     }
   });
   writer.join();

@@ -7,30 +7,14 @@
 #include "alloc/malloc_alloc.hpp"
 #include "reclaim/hazard_roots.hpp"
 #include "reclaim/retired.hpp"
+#include "reclaim_canary.hpp"
 
 namespace pathcopy {
 namespace {
 
-struct Canary {
-  explicit Canary(std::atomic<int>* counter) : destroyed(counter) {}
-  ~Canary() {
-    if (destroyed != nullptr) destroyed->fetch_add(1);
-  }
-  std::atomic<int>* destroyed;
-  std::uint64_t payload = 0xbead5afe0ddba11ULL;
-};
-
-template <class Alloc>
-const Canary* make_canary(Alloc& a, std::atomic<int>* counter) {
-  void* p = a.allocate(sizeof(Canary), alignof(Canary));
-  return ::new (p) Canary(counter);
-}
-
-std::vector<reclaim::Retired> one_retired(alloc::MallocAlloc& a, const Canary* c) {
-  std::vector<reclaim::Retired> v;
-  v.push_back(reclaim::make_retired(c, a.retire_backend()));
-  return v;
-}
+using test::Canary;
+using test::make_canary;
+using test::one_retired;
 
 TEST(HazardRoots, PinPublishesHazard) {
   reclaim::HazardRootReclaimer smr;
@@ -63,7 +47,7 @@ TEST(HazardRoots, ProtectedRootBlocksItsBundle) {
   smr.retire_bundle(writer, 2, v1_root, v2_root, one_retired(a, v1_root));
   smr.drain_all();
   EXPECT_EQ(destroyed.load(), 0);  // hazard on v1_root blocks death=2
-  EXPECT_EQ(static_cast<const Canary*>(g.root())->payload, 0xbead5afe0ddba11ULL);
+  EXPECT_EQ(static_cast<const Canary*>(g.root())->payload, test::kCanaryPayload);
 
   { auto g2 = std::move(g); }  // drop the hazard
   smr.drain_all();
@@ -136,51 +120,6 @@ TEST(HazardRoots, NullRootIsSafe) {
   std::atomic<std::uint64_t> ver{1};
   auto g = smr.pin(h, root, ver);
   EXPECT_EQ(g.root(), nullptr);
-}
-
-TEST(HazardRoots, ConcurrentChainStress) {
-  // Writers advance a chain of versions; readers pin and dereference.
-  alloc::MallocAlloc a;
-  std::atomic<int> destroyed{0};
-  constexpr int kOps = 4000;
-  {
-    reclaim::HazardRootReclaimer smr;
-    std::atomic<const void*> root{make_canary(a, &destroyed)};
-    std::atomic<std::uint64_t> ver{1};
-    std::atomic<bool> stop{false};
-
-    std::thread writer([&] {
-      auto h = smr.register_thread();
-      for (int i = 0; i < kOps; ++i) {
-        const Canary* fresh = make_canary(a, &destroyed);
-        const void* old = root.load();
-        root.store(fresh);
-        const std::uint64_t death = ver.fetch_add(1) + 1;
-        smr.retire_bundle(h, death, old, fresh,
-                          one_retired(a, static_cast<const Canary*>(old)));
-      }
-      stop.store(true);
-    });
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; ++r) {
-      readers.emplace_back([&] {
-        auto h = smr.register_thread();
-        while (!stop.load()) {
-          auto g = smr.pin(h, root, ver);
-          ASSERT_EQ(static_cast<const Canary*>(g.root())->payload,
-                    0xbead5afe0ddba11ULL);
-        }
-      });
-    }
-    writer.join();
-    for (auto& r : readers) r.join();
-    auto h = smr.register_thread();
-    const auto* last = static_cast<const Canary*>(root.load());
-    smr.retire_bundle(h, ver.load() + 1, last, nullptr, one_retired(a, last));
-    smr.drain_all();
-  }
-  EXPECT_EQ(destroyed.load(), kOps + 1);
-  EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
 }  // namespace

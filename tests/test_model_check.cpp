@@ -27,15 +27,19 @@
 //      (dropped slot-stamp check, dropped park re-read) the checker
 //      must catch — and the batched read path: multi_get's single-pin
 //      sweep racing atomic pair-flip installs (with a pin-per-key
-//      mutant the search must tear), plus the read-ticket/stop race.
+//      mutant the search must tear), plus the read-ticket/stop race —
+//      and the version-keyed reclaimers' retire/collect window under
+//      both pin rules (a reader's root must outlive its guard).
 //   4. A seeded random-walk smoke (PATHCOPY_MC_SEED overrides the seed)
 //      that scripts/check.sh runs time-boxed; any failure prints the
 //      seed, and replay_seed reproduces the schedule from it alone.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -46,6 +50,9 @@
 #include "core/combining.hpp"
 #include "persist/treap.hpp"
 #include "reclaim/epoch.hpp"
+#include "reclaim/hazard_roots.hpp"
+#include "reclaim/watermark.hpp"
+#include "reclaim_canary.hpp"
 #include "store/executor.hpp"
 #include "store/shard_lane.hpp"
 #include "store/router_epoch.hpp"
@@ -983,6 +990,89 @@ TEST(ModelCheckRead, StopSubmitRaceLosesNoProbe) {
       verify::sched::explore_exhaustive(6, exec_read_body, kExecReadTags);
   EXPECT_TRUE(res.ok) << res.reason;
   EXPECT_GE(res.schedules, 2u);  // both race winners visited
+}
+
+// ---------------------------------------------------------------------
+// 3g. The version-keyed reclaimers' retire/collect window, under each
+//     pin rule. A reader pins the root and, still under its guard,
+//     checks that the root's canary has not been destroyed; two writers
+//     each swap the root, retire the old canary and collect. The
+//     "reclaim.collect" yield sits on entry to collect, before the
+//     bundle lock, so the other writer's retire and the reader's pin can
+//     land between a collector's start and its read of the minimum
+//     announcement; the pin rules' yields open the windows between a
+//     reader's loads and its announcement. A collect that reads the
+//     minimum before taking the lock (the watermark scheme's old
+//     use-after-free) fails this search under both rules.
+// ---------------------------------------------------------------------
+
+const std::vector<std::string> kReclaimTags = {
+    "reclaim.pin", "reclaim.validate", "reclaim.collect", "reader.use"};
+
+template <class Smr>
+std::optional<std::string> reclaim_body(VirtualScheduler& vs) {
+  struct Shared {
+    MA a;
+    Smr smr;
+    std::atomic<int> destroyed[3] = {};
+    const test::Canary* canary[3] = {};
+    std::atomic<const void*> root{nullptr};
+    std::atomic<std::uint64_t> ver{1};
+    std::optional<std::string> fail;
+  };
+  auto sh = std::make_shared<Shared>();
+  for (int i = 0; i < 3; ++i) {
+    sh->canary[i] = test::make_canary(sh->a, &sh->destroyed[i]);
+  }
+  sh->root.store(sh->canary[0]);
+
+  vs.spawn([sh] {  // tid 0: reader
+    auto h = sh->smr.register_thread();
+    auto g = sh->smr.pin(h, sh->root, sh->ver);
+    PC_YIELD("reader.use");
+    for (int i = 0; i < 3; ++i) {  // compares pointers only: no deref
+      if (g.root() == sh->canary[i] && sh->destroyed[i].load() != 0) {
+        sh->fail = "canary " + std::to_string(i) +
+                   " destroyed under the reader's guard";
+      }
+    }
+  });
+  for (int w = 1; w <= 2; ++w) {
+    vs.spawn([sh, w] {  // tids 1, 2: writers
+      auto h = sh->smr.register_thread();
+      const void* old = sh->root.exchange(sh->canary[w]);
+      const std::uint64_t death = sh->ver.fetch_add(1) + 1;
+      sh->smr.retire_bundle(h, death, old, sh->canary[w],
+                            test::one_retired(sh->a, old));
+      sh->smr.drain_all();  // the collect every 64th retire runs
+    });
+  }
+  vs.run();
+  auto h = sh->smr.register_thread();
+  sh->smr.retire_bundle(h, sh->ver.load() + 1, nullptr, nullptr,
+                        test::one_retired(sh->a, sh->root.load()));
+  sh->smr.drain_all();
+  for (int i = 0; i < 3 && !sh->fail; ++i) {
+    if (sh->destroyed[i].load() != 1) {
+      sh->fail = "canary " + std::to_string(i) + " destroyed " +
+                 std::to_string(sh->destroyed[i].load()) + " times";
+    }
+  }
+  return sh->fail;
+}
+
+TEST(ModelCheckReclaim, WatermarkNeverFreesAPinnedRoot) {
+  const ExploreResult res = verify::sched::explore_exhaustive(
+      12, reclaim_body<reclaim::WatermarkReclaimer>, kReclaimTags);
+  EXPECT_TRUE(res.ok) << res.reason;
+  EXPECT_GT(res.schedules, 100u);
+}
+
+TEST(ModelCheckReclaim, HazardEraNeverFreesAPinnedRoot) {
+  const ExploreResult res = verify::sched::explore_exhaustive(
+      12, reclaim_body<reclaim::HazardRootReclaimer>, kReclaimTags);
+  EXPECT_TRUE(res.ok) << res.reason;
+  EXPECT_GT(res.schedules, 100u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "util/align.hpp"
 #include "util/rng.hpp"
+#include "util/slot_registry.hpp"
 
 namespace pathcopy {
 namespace {
@@ -102,6 +106,45 @@ TEST(Align, PaddedAccessors) {
   *p = 7;
   EXPECT_EQ(p.value, 7);
   EXPECT_EQ(*p, 7);
+}
+
+TEST(SlotRegistry, ReleasedSlotIsHandedOutAgain) {
+  util::SlotRegistry<std::atomic<int>> reg;
+  std::atomic<int>* a = reg.acquire();
+  std::atomic<int>* b = reg.acquire();
+  EXPECT_NE(a, b);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % util::kCacheLine, 0u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % util::kCacheLine, 0u);
+  reg.release(a);
+  EXPECT_EQ(reg.acquire(), a);
+  EXPECT_EQ(reg.list().size(), 2u);  // reuse, not growth
+  reg.release(b);
+  EXPECT_EQ(reg.list().size(), 2u);  // a scan still visits released slots
+}
+
+TEST(SlotRegistry, NoSlotEverHasTwoOwners) {
+  // Each owner counts itself into its slot for the whole time it holds
+  // it; a count above one means two owners shared a slot.
+  constexpr int kThreads = 4;
+  constexpr int kCycles = 5000;
+  util::SlotRegistry<std::atomic<int>> reg;
+  std::atomic<int> shared_slots{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kCycles; ++i) {
+        std::atomic<int>* s = reg.acquire();
+        if (s->fetch_add(1) != 0) shared_slots.fetch_add(1);
+        std::this_thread::yield();
+        s->fetch_sub(1);
+        reg.release(s);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(shared_slots.load(), 0);
+  // Released slots are reused: never more slots than concurrent owners.
+  EXPECT_LE(reg.list().size(), static_cast<std::size_t>(kThreads));
 }
 
 }  // namespace

@@ -5,32 +5,17 @@
 #include <vector>
 
 #include "alloc/malloc_alloc.hpp"
+#include "reclaim/hazard_roots.hpp"
 #include "reclaim/retired.hpp"
 #include "reclaim/watermark.hpp"
+#include "reclaim_canary.hpp"
 
 namespace pathcopy {
 namespace {
 
-struct Canary {
-  explicit Canary(std::atomic<int>* counter) : destroyed(counter) {}
-  ~Canary() {
-    if (destroyed != nullptr) destroyed->fetch_add(1);
-  }
-  std::atomic<int>* destroyed;
-  std::uint64_t payload = 0x0ddba11deadc0deULL;
-};
-
-template <class Alloc>
-const Canary* make_canary(Alloc& a, std::atomic<int>* counter) {
-  void* p = a.allocate(sizeof(Canary), alignof(Canary));
-  return ::new (p) Canary(counter);
-}
-
-std::vector<reclaim::Retired> one_retired(alloc::MallocAlloc& a, const Canary* c) {
-  std::vector<reclaim::Retired> v;
-  v.push_back(reclaim::make_retired(c, a.retire_backend()));
-  return v;
-}
+using test::Canary;
+using test::make_canary;
+using test::one_retired;
 
 TEST(Watermark, UnpinnedWatermarkIsMax) {
   reclaim::WatermarkReclaimer smr;
@@ -73,7 +58,7 @@ TEST(Watermark, BundleFreedOnlyPastDeathVersion) {
   smr.retire_bundle(writer, 4, c, nullptr, one_retired(a, c));
   smr.drain_all();  // forces a collect
   EXPECT_EQ(destroyed.load(), 0);
-  EXPECT_EQ(static_cast<const Canary*>(g.root())->payload, 0x0ddba11deadc0deULL);
+  EXPECT_EQ(static_cast<const Canary*>(g.root())->payload, test::kCanaryPayload);
 
   // Bundle dying at version 3 or lower is freeable even with the pin.
   const Canary* c2 = make_canary(a, &destroyed);
@@ -153,14 +138,23 @@ TEST(Watermark, RetireTriggersPeriodicCollect) {
   EXPECT_EQ(destroyed.load(), 1);  // collected without an explicit drain
 }
 
-TEST(Watermark, ConcurrentPinRetireStress) {
+// Both version-keyed schemes run one body, so its two-writer race runs
+// under each pin rule: writers swap the root, retire the old canary and
+// collect every kScanInterval retires, while readers pin and dereference.
+template <class Smr>
+class VersionKeyed : public ::testing::Test {};
+using VersionKeyedSchemes =
+    ::testing::Types<reclaim::WatermarkReclaimer, reclaim::HazardRootReclaimer>;
+TYPED_TEST_SUITE(VersionKeyed, VersionKeyedSchemes);
+
+TYPED_TEST(VersionKeyed, ConcurrentPinRetireStress) {
   alloc::MallocAlloc a;
   std::atomic<int> destroyed{0};
   constexpr int kWriters = 2;
   constexpr int kReaders = 2;
   constexpr int kOps = 3000;
   {
-    reclaim::WatermarkReclaimer smr;
+    TypeParam smr;
     std::atomic<const void*> root{make_canary(a, &destroyed)};
     std::atomic<std::uint64_t> ver{1};
     std::atomic<bool> stop{false};
@@ -172,8 +166,7 @@ TEST(Watermark, ConcurrentPinRetireStress) {
           const Canary* fresh = make_canary(a, &destroyed);
           const void* old = root.exchange(fresh);
           const std::uint64_t death = ver.fetch_add(1) + 1;
-          smr.retire_bundle(h, death, old, fresh,
-                            one_retired(a, static_cast<const Canary*>(old)));
+          smr.retire_bundle(h, death, old, fresh, one_retired(a, old));
         }
       });
     }
@@ -183,7 +176,7 @@ TEST(Watermark, ConcurrentPinRetireStress) {
         while (!stop.load()) {
           auto g = smr.pin(h, root, ver);
           ASSERT_EQ(static_cast<const Canary*>(g.root())->payload,
-                    0x0ddba11deadc0deULL);
+                    test::kCanaryPayload);
         }
       });
     }
@@ -192,9 +185,10 @@ TEST(Watermark, ConcurrentPinRetireStress) {
     for (std::size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
     // Retire the final canary before teardown.
     auto h = smr.register_thread();
-    const auto* last = static_cast<const Canary*>(root.load());
-    smr.retire_bundle(h, ver.load() + 1, nullptr, nullptr, one_retired(a, last));
+    smr.retire_bundle(h, ver.load() + 1, nullptr, nullptr,
+                      one_retired(a, root.load()));
     smr.drain_all();
+    EXPECT_EQ(smr.pending_nodes(), 0u);
   }
   EXPECT_EQ(destroyed.load(), kWriters * kOps + 1);
   EXPECT_EQ(a.stats().live_blocks(), 0u);
