@@ -79,8 +79,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       duration_ms = 80;
       procs = {1, 4};
+    } else if (std::strcmp(argv[i], "--sim-only") == 0) {
+      sim_only = true;
+    } else {
+      std::fprintf(stderr,
+                   "usage: bench_ablation_branching [--quick] [--sim-only]\n");
+      return 2;
     }
-    if (std::strcmp(argv[i], "--sim-only") == 0) sim_only = true;
   }
 
   std::printf("### E12: branching-factor ablation\n\n");

@@ -159,6 +159,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       duration_ms = 80;
       procs = {1, 4};
+    } else {
+      std::fprintf(stderr, "usage: bench_ablation_combining [--quick]\n");
+      return 2;
     }
   }
 

@@ -19,11 +19,15 @@
 //                  version and the root, announce the era, re-load the
 //                  root and retry if it moved.
 //
-// Also reports reclamation health: nodes retired but not yet freed at the
-// end of the run (pending backlog must stay bounded).
+// Also reports reclamation health: the largest backlog of nodes retired
+// but not yet freed at the end of any cell of the row (it must stay
+// bounded). Every scheme runs the same client loop through one row
+// function; only the reclaimer and each client's allocator differ.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "alloc/arena_alloc.hpp"
@@ -45,22 +49,34 @@ using T = persist::Treap<std::int64_t, std::int64_t>;
 
 constexpr std::int64_t kKeyRange = 1 << 16;
 
-template <class Smr>
-struct Measurement {
+struct Cell {
   double ops_per_sec = 0.0;
-  std::uint64_t pending = 0;
+  std::uint64_t pending = 0;  // retired, not yet freed, when clients stop
 };
 
-template <class Smr>
-Measurement<Smr> run_with_reclaimer(std::size_t procs, int duration_ms) {
-  alloc::PoolBackend pool;
+// One cell: `procs` clients run the 50/50 insert/erase mix over uniform
+// keys on one Atom for `duration_ms`, each through its own Alloc — a
+// ThreadCache over one shared pool, or a private bump Arena.
+template <class Smr, class Alloc>
+Cell run_cell(std::size_t procs, int duration_ms) {
+  using AtomT = core::Atom<T, Smr, Alloc>;
+  typename Alloc::RetireBackend backend;
   Smr smr;
-  core::Atom<T, Smr, alloc::ThreadCache> atom(smr, pool);
+  // The allocators outlive the Atom: under the arena the final version's
+  // nodes live in them, and the Atom destructor walks that tree.
+  std::vector<std::unique_ptr<Alloc>> allocs;
+  for (std::size_t i = 0; i < procs; ++i) {
+    if constexpr (std::is_constructible_v<Alloc, decltype(backend)&>) {
+      allocs.push_back(std::make_unique<Alloc>(backend));
+    } else {
+      allocs.push_back(std::make_unique<Alloc>());
+    }
+  }
+  AtomT atom(smr, backend);
   const auto run = bench::run_timed(
       procs, std::chrono::milliseconds(duration_ms),
       [&](std::size_t tid, const std::atomic<bool>& stop) -> std::uint64_t {
-        alloc::ThreadCache cache(pool);
-        typename core::Atom<T, Smr, alloc::ThreadCache>::Ctx ctx(smr, cache);
+        typename AtomT::Ctx ctx(smr, *allocs[tid]);
         util::Xoshiro256 rng(tid * 31337 + 7);
         std::uint64_t ops = 0;
         while (!stop.load(std::memory_order_relaxed)) {
@@ -74,41 +90,26 @@ Measurement<Smr> run_with_reclaimer(std::size_t procs, int duration_ms) {
         }
         return ops;
       });
-  Measurement<Smr> m;
-  m.ops_per_sec = run.ops_per_sec();
-  m.pending = smr.pending_nodes();
-  return m;
+  return {run.ops_per_sec(), smr.pending_nodes()};
 }
 
-double run_leaky_arena(std::size_t procs, int duration_ms) {
-  static alloc::ArenaRetire noop_backend;
-  reclaim::LeakyReclaimer smr;
-  // Arenas must outlive the Atom: the final version's nodes live in them
-  // and the Atom destructor walks that tree.
-  std::vector<std::unique_ptr<alloc::Arena>> arenas;
-  for (std::size_t i = 0; i < procs; ++i) {
-    arenas.push_back(std::make_unique<alloc::Arena>());
+// One table row: a cell per process count, then the row's largest
+// end-of-cell backlog (the leaky scheme frees nothing, so it has none).
+template <class Smr, class Alloc>
+void print_row(const char* scheme, const std::vector<std::size_t>& procs,
+               int duration_ms) {
+  std::printf("%-14s", scheme);
+  std::uint64_t max_pending = 0;
+  for (const auto p : procs) {
+    const Cell c = run_cell<Smr, Alloc>(p, duration_ms);
+    std::printf("  %10.0f", c.ops_per_sec);
+    max_pending = std::max(max_pending, c.pending);
   }
-  core::Atom<T, reclaim::LeakyReclaimer, alloc::Arena> atom(smr, noop_backend);
-  const auto run = bench::run_timed(
-      procs, std::chrono::milliseconds(duration_ms),
-      [&](std::size_t tid, const std::atomic<bool>& stop) -> std::uint64_t {
-        alloc::Arena& arena = *arenas[tid];
-        core::Atom<T, reclaim::LeakyReclaimer, alloc::Arena>::Ctx ctx(smr, arena);
-        util::Xoshiro256 rng(tid * 31337 + 7);
-        std::uint64_t ops = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::int64_t k = rng.range(0, kKeyRange);
-          if (rng.chance(1, 2)) {
-            atom.update(ctx, [k](T t, auto& b) { return t.insert(b, k, k); });
-          } else {
-            atom.update(ctx, [k](T t, auto& b) { return t.erase(b, k); });
-          }
-          ++ops;
-        }
-        return ops;
-      });
-  return run.ops_per_sec();
+  if constexpr (std::is_same_v<Smr, reclaim::LeakyReclaimer>) {
+    std::printf("   n/a (never frees)\n");
+  } else {
+    std::printf("   %llu\n", static_cast<unsigned long long>(max_pending));
+  }
 }
 
 }  // namespace
@@ -120,48 +121,33 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       duration_ms = 100;
       procs = {1, 4};
+    } else {
+      std::fprintf(stderr, "usage: bench_ablation_reclaim [--quick]\n");
+      return 2;
     }
   }
 
   std::printf("== E7: reclamation scheme vs throughput (ops/s) ==\n");
   std::printf("%-14s", "scheme");
   for (const auto p : procs) std::printf("  %9zup", p);
-  std::printf("   pending@end\n");
+  std::printf("   max pending@end\n");
 
-  std::printf("%-14s", "leaky+arena");
-  for (const auto p : procs) std::printf("  %10.0f", run_leaky_arena(p, duration_ms));
-  std::printf("   n/a (arena-bulk)\n");
+  print_row<reclaim::LeakyReclaimer, alloc::Arena>("leaky+arena", procs,
+                                                   duration_ms);
+  print_row<reclaim::EpochReclaimer, alloc::ThreadCache>("epoch", procs,
+                                                         duration_ms);
+  print_row<reclaim::WatermarkReclaimer, alloc::ThreadCache>(
+      "watermark", procs, duration_ms);
+  print_row<reclaim::HazardRootReclaimer, alloc::ThreadCache>(
+      "hazard-root", procs, duration_ms);
 
-  std::printf("%-14s", "epoch");
-  std::uint64_t pending = 0;
-  for (const auto p : procs) {
-    const auto m = run_with_reclaimer<reclaim::EpochReclaimer>(p, duration_ms);
-    std::printf("  %10.0f", m.ops_per_sec);
-    pending = m.pending;
-  }
-  std::printf("   %llu\n", static_cast<unsigned long long>(pending));
-
-  std::printf("%-14s", "watermark");
-  for (const auto p : procs) {
-    const auto m = run_with_reclaimer<reclaim::WatermarkReclaimer>(p, duration_ms);
-    std::printf("  %10.0f", m.ops_per_sec);
-    pending = m.pending;
-  }
-  std::printf("   %llu\n", static_cast<unsigned long long>(pending));
-
-  std::printf("%-14s", "hazard-root");
-  for (const auto p : procs) {
-    const auto m = run_with_reclaimer<reclaim::HazardRootReclaimer>(p, duration_ms);
-    std::printf("  %10.0f", m.ops_per_sec);
-    pending = m.pending;
-  }
-  std::printf("   %llu\n", static_cast<unsigned long long>(pending));
-
-  std::printf("\nexpected shape: leaky is the ceiling; epoch tracks it "
-              "closely (thread-local retires); watermark and hazard-root pay "
-              "the one bundle lock per retire plus a slot and bundle scan "
-              "under it every 64th, and hazard-root re-loads the root per "
-              "pin. Pending backlog stays bounded (thousands, not millions) "
-              "for all schemes.\n");
+  std::printf("\nexpected shape: leaky+arena frees nothing but writes every "
+              "copy into a fresh, never-reused block, so it need not lead: "
+              "epoch's thread-local retires recycle cache-hot blocks and "
+              "can beat it. watermark and hazard-root pay the one bundle "
+              "lock per retire plus a slot and bundle scan under it every "
+              "64th, and hazard-root re-loads the root per pin. The largest "
+              "pending backlog stays bounded (at most about 1e5 nodes, not "
+              "millions) for every scheme that frees.\n");
   return 0;
 }

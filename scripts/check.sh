@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command gate: configure, build, run the tier-1 tests, smoke the
-# benches for a few seconds each (the reclamation ablation E7 among them),
-# then run the model-check smoke. Usage: scripts/check.sh [build-dir]
+# benches for a few seconds each (the reclamation ablation E7 and the
+# E1-E3 speedup tables among them), then run the model-check smoke.
+# Usage: scripts/check.sh [build-dir]
 #
 # set -euo pipefail is load-bearing for the smokes below: their output is
 # piped through tee into logs, and without `pipefail` a crashing bench
@@ -81,6 +82,13 @@ SMOKE_TAG=recycle smoke bench_ablation_alloc --quick \
 # crash or hang in the version-keyed body fails here.
 smoke bench_ablation_reclaim --quick
 
+# Smoke: the paper's speedup tables (E1-E3). Each prints the published,
+# measured and simulated tables; --quick runs the measured one at small
+# size, so a crash in the headline benches fails the gate.
+smoke bench_table_xeon5220 --quick
+smoke bench_table1_xeon8160 --quick
+smoke bench_table2_epyc7662 --quick
+
 # Gate: the four JSON files the smokes above wrote must parse. Every
 # BENCH_*.json comes from one row writer (src/bench_util/json_rows.hpp),
 # so a malformed row fails here instead of reaching a checked-in artifact.
@@ -111,9 +119,11 @@ cmake -B "$mc_dir" -S "$repo_root" -DPATHCOPY_MODELCHECK=ON
 cmake --build "$mc_dir" -j "$(nproc)" --target test_model_check
 # The filter keeps the smoke time-boxed: random walks (now including the
 # lane ring and park/wake protocols), the replayed regression corpus,
-# the two fast lane mutant positive controls, and the version-keyed
-# reclaimers' retire/collect window (exhaustive, well under a second) —
-# the other exhaustive sweeps stay in the modelcheck CI job.
+# the two fast lane mutant positive controls, and the reclaimers'
+# windows (`ModelCheckReclaim.*`: the version-keyed retire/collect window
+# under both pin rules and EBR's pin and retire/advance windows, each
+# exhaustive and well under a second) — the other exhaustive sweeps stay
+# in the modelcheck CI job.
 "$mc_dir/test_model_check" \
   --gtest_filter='ModelCheckSmoke.*:ModelCheckAtom.CorpusTraceReproducesTheLegacyAba:ModelCheckCut.*:ModelCheckLane.SkippingTheSlotStampCheckLosesAnElement:ModelCheckLane.DroppingTheParkRecheckReopensTheLostWakeup:ModelCheckReclaim.*' \
   | tee "$mc_dir/test_model_check.smoke.log"

@@ -3,11 +3,6 @@
 #include <cmath>
 #include <thread>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace pathcopy::bench {
 
 TimedRun run_timed(std::size_t threads, std::chrono::milliseconds duration,
@@ -69,18 +64,6 @@ Summary run_trials(std::size_t trials, const std::function<double()>& one_trial)
   samples.reserve(trials);
   for (std::size_t i = 0; i < trials; ++i) samples.push_back(one_trial());
   return summarize(samples);
-}
-
-bool pin_to_cpu(std::size_t cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % CPU_SETSIZE, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
 }
 
 std::size_t hardware_threads() {

@@ -40,9 +40,6 @@ Summary summarize(const std::vector<double>& samples);
 /// Runs `trials` repetitions of a measurement returning ops/sec each.
 Summary run_trials(std::size_t trials, const std::function<double()>& one_trial);
 
-/// Best-effort CPU pinning (no-op where unsupported); returns success.
-bool pin_to_cpu(std::size_t cpu);
-
 /// Hardware concurrency with a floor of 1.
 std::size_t hardware_threads();
 

@@ -230,20 +230,6 @@ class Atom {
                          v, r};
   }
 
-  /// Runs f on a pinned snapshot and returns (result, version label),
-  /// retrying until the root and label are stable around the read.
-  template <class F>
-  auto read_versioned(Ctx& ctx, F&& f) const {
-    for (;;) {
-      VersionedView view = pin_versioned(ctx);
-      auto result = f(view.snapshot);
-      if (root_.load(std::memory_order_seq_cst) == view.token &&
-          version_.load(std::memory_order_seq_cst) == view.version) {
-        return std::pair(std::move(result), view.version);
-      }
-    }
-  }
-
   /// Resolves a key-sorted, key-unique probe batch against ONE pinned
   /// snapshot: pin once, run the structure's descent-sharing sweep (or the
   /// per-key fallback — see core/universal.hpp), drop the guard. out[i]

@@ -178,7 +178,6 @@ class Builder {
 
   const BuilderStats& stats() const noexcept { return stats_; }
   std::size_t fresh_count() const noexcept { return fresh_.size(); }
-  std::size_t superseded_count() const noexcept { return superseded_.size(); }
   /// Blocks currently parked in the recycle bin.
   std::size_t bin_count() const noexcept {
     std::size_t n = 0;
@@ -192,9 +191,6 @@ class Builder {
   // before/after deltas instead of threading its own tallies through the
   // structure code.
   std::uint64_t created_count() const noexcept { return stats_.created; }
-  std::uint64_t superseded_published_count() const noexcept {
-    return stats_.superseded_published;
-  }
   std::uint64_t reused_count() const noexcept { return stats_.reused; }
 
  private:

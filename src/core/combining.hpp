@@ -413,14 +413,6 @@ class CombiningAtom {
                          vr->version, vr};
   }
 
-  /// Runs f on a pinned snapshot and returns (result, version) — one pin,
-  /// no retry loop needed (label and snapshot are bound atomically).
-  template <class F>
-  auto read_versioned(Ctx& ctx, F&& f) const {
-    VersionedView view = pin_versioned(ctx);
-    return std::pair(std::forward<F>(f)(view.snapshot), view.version);
-  }
-
   /// Batched lookup against one pinned snapshot — same contract as
   /// Atom::multi_get: no combiner participation, no announcement, no
   /// version bump, no allocation; reads bypass the install machinery

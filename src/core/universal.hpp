@@ -11,9 +11,9 @@
 //   * register per-updater slots (a no-op for slotless backends),
 //   * run reified map operations (insert/erase with per-op bool results),
 //   * read immutable snapshots and probe size/version,
-//   * serve *versioned* reads — pin_versioned / read_versioned hand back
-//     a snapshot together with the version it belongs to (plus an opaque
-//     root token), which is what lets the store layer compose per-shard
+//   * serve *versioned* reads — pin_versioned hands back a snapshot
+//     together with the version it belongs to (plus an opaque root
+//     token), which is what lets the store layer compose per-shard
 //     snapshots into one vector-clock-consistent cut,
 //   * ingest a client-side batch through its install path
 //     (execute_batch), and
@@ -243,7 +243,6 @@ concept UniversalConstruction =
       { cuc.version() } -> std::convertible_to<std::uint64_t>;
       { cuc.root_token() } -> std::convertible_to<const void*>;
       { cuc.pin_versioned(ctx) } -> std::same_as<typename UC::VersionedView>;
-      { cuc.read_versioned(ctx, SnapshotSizeProbe{}) };
       {
         cuc.multi_get(ctx, probe_keys, probe_out)
       } -> std::same_as<persist::ReadProbeStats>;

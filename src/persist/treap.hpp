@@ -14,10 +14,10 @@
 // size-augmented, giving O(log N) rank/select and O(1) size().
 //
 // This file owns what is treap-specific: the priorities, split/merge and
-// the single-pass insert/erase built on them, the priority-driven batch
-// sweep, and the join-based set algebra. Every read — lookups, rank/
-// select, range visits, batched probes, scans, sharing and teardown — is
-// the shared binary-tree core (persist/binary_tree.hpp).
+// the single-pass insert/erase built on them, and the priority-driven
+// batch sweep. Every read — lookups, rank/select, range visits, batched
+// probes, scans, sharing and teardown — is the shared binary-tree core
+// (persist/binary_tree.hpp).
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -109,29 +108,6 @@ class Treap
     return erased ? with_root(nr) : *this;
   }
 
-  /// Removes the smallest key; no-op on the empty treap.
-  template <class B>
-  Treap erase_min(B& b) const {
-    if (root_ == nullptr) return *this;
-    return with_root(erase_min_rec(b, root_));
-  }
-
-  /// Splits into ({keys < key}, {keys >= key}).
-  template <class B>
-  static std::pair<Treap, Treap> split(B& b, const Treap& t, const K& key) {
-    auto [lo, hi] = split_lt(b, t.root_, key);
-    return {with_root(lo), with_root(hi)};
-  }
-
-  /// Joins two treaps; every key of lo must precede every key of hi.
-  template <class B>
-  static Treap merge(B& b, const Treap& lo, const Treap& hi) {
-    PC_DASSERT(lo.empty() || hi.empty() ||
-                   Cmp{}(lo.max_node()->key, hi.min_node()->key),
-               "merge requires disjoint ordered key ranges");
-    return with_root(merge_nodes(b, lo.root_, hi.root_));
-  }
-
   /// O(n) bulk construction from strictly increasing (key, value) pairs.
   /// Produces the same canonical shape as repeated insertion.
   template <class B, class It>
@@ -150,20 +126,6 @@ class Treap
     const std::size_t root_idx = cartesian_scaffold(
         n, [&](std::size_t i) { return prio[i]; }, left, right, spine);
     return with_root(build_rec(b, items, prio, left, right, root_idx));
-  }
-
-  /// Removes every key in [lo, hi). All removed nodes are superseded
-  /// (published ones are retired on commit), so this is UC-safe. O(k +
-  /// log n) for k removed keys.
-  template <class B>
-  Treap erase_range(B& b, const K& lo, const K& hi) const {
-    Cmp cmp;
-    if (root_ == nullptr || !cmp(lo, hi)) return *this;
-    if (this->count_range(lo, hi) == 0) return *this;  // same-version no-op
-    auto [below, rest] = split_lt(b, root_, lo);
-    auto [mid, above] = split_lt(b, rest, hi);
-    supersede_subtree(b, mid);
-    return with_root(merge_nodes(b, below, above));
   }
 
   /// Applies a key-sorted, key-unique op batch in one path-copying sweep
@@ -193,35 +155,6 @@ class Treap
     return with_root(apply_batch_rec(b, root_, ctx, 0, ops.size()));
   }
 
-  // ----- bulk set algebra (join-based, O(m log(n/m)) whp) -----
-  //
-  // These are *pure* persistent operations: both inputs remain valid
-  // versions and share structure with the result; nothing is marked
-  // superseded. Inside a UC update that replaces one of the inputs, the
-  // replaced version's dropped nodes are therefore NOT retired — pair
-  // bulk algebra with the arena/leaky configuration, or treat the extra
-  // garbage as acceptable for rare bulk transitions (documented trade-off;
-  // precise retirement would require diffing the node sets).
-
-  /// Keys of x plus keys of y; on duplicates the value from x wins.
-  template <class B>
-  static Treap set_union(B& b, const Treap& x, const Treap& y) {
-    return with_root(union_rec(b, x.root_, /*a_is_x=*/true, y.root_,
-                               /*c_is_x=*/false));
-  }
-
-  /// Keys present in both x and y, with x's values.
-  template <class B>
-  static Treap set_intersect(B& b, const Treap& x, const Treap& y) {
-    return with_root(intersect_rec(b, x.root_, y.root_));
-  }
-
-  /// Keys of x that are absent from y.
-  template <class B>
-  static Treap set_difference(B& b, const Treap& x, const Treap& y) {
-    return with_root(difference_rec(b, x.root_, y.root_));
-  }
-
   // ----- structural utilities -----
 
   /// Full invariant check: BST order, heap priorities, size augmentation,
@@ -238,60 +171,38 @@ class Treap
   using Base::root_;
   using Base::with_root;
 
-  // Splits into ({< key}, {>= key}), path-copying the search path. With
-  // Supersede = false the copies are "pure": the input stays a live
-  // version and nothing is queued for retirement (bulk set operations).
-  template <bool Supersede = true, class B>
+  // Splits into ({< key}, {>= key}), path-copying the search path.
+  template <class B>
   static std::pair<const Node*, const Node*> split_lt(B& b, const Node* n,
                                                       const K& key) {
     if (n == nullptr) return {nullptr, nullptr};
     Cmp cmp;
     if (cmp(n->key, key)) {
-      auto [mid_lo, hi] = split_lt<Supersede>(b, n->right, key);
-      if constexpr (Supersede) b.supersede(n);
+      auto [mid_lo, hi] = split_lt(b, n->right, key);
+      b.supersede(n);
       const Node* copy =
           b.template create<Node>(n->key, n->value, n->prio, n->left, mid_lo);
       return {copy, hi};
     }
-    auto [lo, mid_hi] = split_lt<Supersede>(b, n->left, key);
-    if constexpr (Supersede) b.supersede(n);
+    auto [lo, mid_hi] = split_lt(b, n->left, key);
+    b.supersede(n);
     const Node* copy =
         b.template create<Node>(n->key, n->value, n->prio, mid_hi, n->right);
     return {lo, copy};
   }
 
-  // Splits into ({<= key}, {> key}).
-  template <bool Supersede = true, class B>
-  static std::pair<const Node*, const Node*> split_le(B& b, const Node* n,
-                                                      const K& key) {
-    if (n == nullptr) return {nullptr, nullptr};
-    Cmp cmp;
-    if (!cmp(key, n->key)) {  // n->key <= key
-      auto [mid_lo, hi] = split_le<Supersede>(b, n->right, key);
-      if constexpr (Supersede) b.supersede(n);
-      const Node* copy =
-          b.template create<Node>(n->key, n->value, n->prio, n->left, mid_lo);
-      return {copy, hi};
-    }
-    auto [lo, mid_hi] = split_le<Supersede>(b, n->left, key);
-    if constexpr (Supersede) b.supersede(n);
-    const Node* copy =
-        b.template create<Node>(n->key, n->value, n->prio, mid_hi, n->right);
-    return {lo, copy};
-  }
-
-  template <bool Supersede = true, class B>
+  template <class B>
   static const Node* merge_nodes(B& b, const Node* lo, const Node* hi) {
     if (lo == nullptr) return hi;
     if (hi == nullptr) return lo;
     if (lo->prio >= hi->prio) {
-      const Node* new_right = merge_nodes<Supersede>(b, lo->right, hi);
-      if constexpr (Supersede) b.supersede(lo);
+      const Node* new_right = merge_nodes(b, lo->right, hi);
+      b.supersede(lo);
       return b.template create<Node>(lo->key, lo->value, lo->prio, lo->left,
                                      new_right);
     }
-    const Node* new_left = merge_nodes<Supersede>(b, lo, hi->left);
-    if constexpr (Supersede) b.supersede(hi);
+    const Node* new_left = merge_nodes(b, lo, hi->left);
+    b.supersede(hi);
     return b.template create<Node>(hi->key, hi->value, hi->prio, new_left,
                                    hi->right);
   }
@@ -511,91 +422,6 @@ class Treap
                                      assign_rec(b, n->right, key, value));
     }
     return b.template create<Node>(n->key, value, n->prio, n->left, n->right);
-  }
-
-  /// Declares every node of the subtree superseded: fresh spine copies are
-  /// recycled, published nodes are retired on commit. Used by range erase,
-  /// where an entire subtree leaves the version at once.
-  template <class B>
-  static void supersede_subtree(B& b, const Node* n) {
-    if (n == nullptr) return;
-    supersede_subtree(b, n->left);
-    supersede_subtree(b, n->right);
-    b.supersede(n);
-  }
-
-  // --- pure bulk-algebra recursions (no supersede; see public docs) ---
-
-  // Splits pure; if an == key node exists, it is dropped from the split
-  // (recycled — split copies are always fresh) and returned so the caller
-  // can still read its value before the attempt resolves.
-  template <class B>
-  static std::tuple<const Node*, const Node*, const Node*> split3_pure(
-      B& b, const Node* n, const K& key) {
-    auto [lo, rest] = split_lt<false>(b, n, key);
-    auto [eq, hi] = split_le<false>(b, rest, key);
-    if (eq != nullptr) {
-      PC_DASSERT(eq->size == 1, "duplicate keys in one treap");
-      b.supersede(eq);  // fresh copy: recycled at resolve, not retired
-    }
-    return {lo, eq, hi};
-  }
-
-  // a/c are subtrees of the two inputs; a_is_x / c_is_x track which
-  // original operand each descends from, so that "x's value wins on
-  // duplicate keys" holds regardless of which side supplies the root.
-  template <class B>
-  static const Node* union_rec(B& b, const Node* a, bool a_is_x,
-                               const Node* c, bool c_is_x) {
-    if (a == nullptr) return c;
-    if (c == nullptr) return a;
-    if (a->prio < c->prio) {
-      const Node* tn = a;
-      a = c;
-      c = tn;
-      const bool tb = a_is_x;
-      a_is_x = c_is_x;
-      c_is_x = tb;
-    }
-    auto [cl, eq, cr] = split3_pure(b, c, a->key);
-    // Duplicate key: the surviving value comes from the x side.
-    const V& value = (eq != nullptr && c_is_x) ? eq->value : a->value;
-    return b.template create<Node>(a->key, value, a->prio,
-                                   union_rec(b, a->left, a_is_x, cl, c_is_x),
-                                   union_rec(b, a->right, a_is_x, cr, c_is_x));
-  }
-
-  template <class B>
-  static const Node* intersect_rec(B& b, const Node* x, const Node* y) {
-    if (x == nullptr || y == nullptr) return nullptr;
-    auto [yl, eq, yr] = split3_pure(b, y, x->key);
-    const Node* l = intersect_rec(b, x->left, yl);
-    const Node* r = intersect_rec(b, x->right, yr);
-    if (eq != nullptr) {
-      return b.template create<Node>(x->key, x->value, x->prio, l, r);
-    }
-    return merge_nodes<false>(b, l, r);
-  }
-
-  template <class B>
-  static const Node* difference_rec(B& b, const Node* x, const Node* y) {
-    if (x == nullptr) return nullptr;
-    if (y == nullptr) return x;
-    auto [yl, eq, yr] = split3_pure(b, y, x->key);
-    const Node* l = difference_rec(b, x->left, yl);
-    const Node* r = difference_rec(b, x->right, yr);
-    if (eq == nullptr) {
-      return b.template create<Node>(x->key, x->value, x->prio, l, r);
-    }
-    return merge_nodes<false>(b, l, r);
-  }
-
-  template <class B>
-  static const Node* erase_min_rec(B& b, const Node* n) {
-    b.supersede(n);
-    if (n->left == nullptr) return n->right;
-    return b.template create<Node>(n->key, n->value, n->prio,
-                                   erase_min_rec(b, n->left), n->right);
   }
 
   template <class B>

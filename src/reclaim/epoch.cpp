@@ -1,6 +1,7 @@
 #include "reclaim/epoch.hpp"
 
 #include "util/assert.hpp"
+#include "util/modelcheck.hpp"
 
 namespace pathcopy::reclaim {
 
@@ -30,10 +31,15 @@ EpochReclaimer::Guard EpochReclaimer::pin(ThreadHandle& h,
   PC_DASSERT(rec->epoch.load(std::memory_order_relaxed) == kIdle,
              "epoch guards do not nest");
   const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
+  // The epoch may advance before the announcement lands; a stale
+  // announcement still protects, because it blocks the next advance.
+  PC_YIELD("ebr.pin.announce");
   // The announcement must be globally visible before we read any shared
   // state; seq_cst store + seq_cst load gives the required ordering
   // against the advancing thread's registry scan.
   rec->epoch.store(e, std::memory_order_seq_cst);
+  // A writer may swap the root, retire it and scan before this load.
+  PC_YIELD("ebr.pin.root");
   const void* r = root.load(std::memory_order_seq_cst);
   return Guard{rec, r};
 }
@@ -90,6 +96,11 @@ void EpochReclaimer::try_advance() noexcept {
     if (seen != kIdle && seen != e) quiescent = false;
   });
   if (!quiescent) return;
+  // A reader may announce, or another thread advance, between the scan
+  // and the CAS. A reader the scan missed loads its root after the scan,
+  // so what it reaches is retired at e or later and ripens at e + 2 at
+  // the earliest; the CAS from e goes only to e + 1.
+  PC_YIELD("ebr.advance");
   std::uint64_t expected = e;
   if (global_epoch_.compare_exchange_strong(expected, e + 1,
                                             std::memory_order_seq_cst)) {

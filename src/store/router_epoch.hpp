@@ -57,11 +57,14 @@
 // (store/version_vector.hpp), so the transient both-copies state during
 // step 3 is invisible to composed reads too.
 //
-// Epoch records are retained on a chain and freed by the map's
-// destructor: they are a few dozen bytes plus the split-point vector,
-// rebalances are rare (seconds apart, not microseconds), and retaining
-// them makes `router()` references and late epoch reads trivially safe
-// without dragging the node reclaimers into the control plane.
+// Epoch records are retained on a chain and freed only by the map's
+// destructor: retaining them makes `router()` references and late epoch
+// reads trivially safe without dragging the node reclaimers into the
+// control plane. Each record is a few dozen bytes plus the tablet table
+// and per-shard ready flags, but the chain is unbounded: a Rebalancer
+// ticking every 2 ms under a moving hotspot flips about 70 epochs per
+// 900 ms bench cell, so a long-lived map grows by one record per flip
+// (an open robustness case in ROADMAP item D).
 #pragma once
 
 #include <atomic>
@@ -113,10 +116,6 @@ struct RouterEpoch {
 
   bool is_settled() const noexcept {
     return settled.load(std::memory_order_acquire);
-  }
-
-  bool is_ready(std::size_t shard) const noexcept {
-    return ready[shard].done.load(std::memory_order_acquire);
   }
 
   void set_ready(std::size_t shard) noexcept {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <new>
 #include <vector>
@@ -36,6 +37,20 @@ inline std::vector<reclaim::Retired> one_retired(alloc::MallocAlloc& a,
   std::vector<reclaim::Retired> v;
   v.push_back(reclaim::make_retired(static_cast<const Canary*>(c),
                                     a.retire_backend()));
+  return v;
+}
+
+/// A retire bundle of `nodes` records: `c` plus uncounted canaries. A
+/// bundle of EpochReclaimer::kScanInterval - 1 nodes makes every retire
+/// scan, since a bundle counts one unit plus one per node.
+inline std::vector<reclaim::Retired> padded_retired(alloc::MallocAlloc& a,
+                                                    const void* c,
+                                                    std::size_t nodes) {
+  std::vector<reclaim::Retired> v = one_retired(a, c);
+  while (v.size() < nodes) {
+    v.push_back(reclaim::make_retired(make_canary(a, nullptr),
+                                      a.retire_backend()));
+  }
   return v;
 }
 

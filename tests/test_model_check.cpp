@@ -28,8 +28,9 @@
 //      must catch — and the batched read path: multi_get's single-pin
 //      sweep racing atomic pair-flip installs (with a pin-per-key
 //      mutant the search must tear), plus the read-ticket/stop race —
-//      and the version-keyed reclaimers' retire/collect window under
-//      both pin rules (a reader's root must outlive its guard).
+//      and the reclaimers' windows: the version-keyed retire/collect
+//      window under both pin rules, and EBR's pin and retire/advance
+//      windows (a reader's root must outlive its guard).
 //   4. A seeded random-walk smoke (PATHCOPY_MC_SEED overrides the seed)
 //      that scripts/check.sh runs time-boxed; any failure prints the
 //      seed, and replay_seed reproduces the schedule from it alone.
@@ -1071,6 +1072,81 @@ TEST(ModelCheckReclaim, WatermarkNeverFreesAPinnedRoot) {
 TEST(ModelCheckReclaim, HazardEraNeverFreesAPinnedRoot) {
   const ExploreResult res = verify::sched::explore_exhaustive(
       12, reclaim_body<reclaim::HazardRootReclaimer>, kReclaimTags);
+  EXPECT_TRUE(res.ok) << res.reason;
+  EXPECT_GT(res.schedules, 100u);
+}
+
+// 3h. EBR's retire/advance window. The same reader and canaries, but the
+//     writers only swap and retire: EBR's drain_all is teardown-only, so
+//     each bundle is padded to kScanInterval units and every retire runs
+//     the registry scan, try_advance and the bucket frees itself. The
+//     "ebr.pin.*" yields open the reader's windows before its
+//     announcement and before its root load, and "ebr.advance" the
+//     window between a scan and its CAS. A bucket freed one epoch early
+//     fails this search (checked on a copy of the code, not kept).
+
+const std::vector<std::string> kEbrTags = {
+    "ebr.pin.announce", "ebr.pin.root", "ebr.advance", "reader.use"};
+
+std::optional<std::string> ebr_body(VirtualScheduler& vs) {
+  struct Shared {
+    MA a;
+    Epoch smr;
+    std::atomic<int> destroyed[3] = {};
+    const test::Canary* canary[3] = {};
+    std::atomic<const void*> root{nullptr};
+    std::atomic<std::uint64_t> ver{1};  // EBR's pin ignores it
+    std::optional<std::string> fail;
+  };
+  auto sh = std::make_shared<Shared>();
+  for (int i = 0; i < 3; ++i) {
+    sh->canary[i] = test::make_canary(sh->a, &sh->destroyed[i]);
+  }
+  sh->root.store(sh->canary[0]);
+
+  vs.spawn([sh] {  // tid 0: reader
+    auto h = sh->smr.register_thread();
+    auto g = sh->smr.pin(h, sh->root, sh->ver);
+    PC_YIELD("reader.use");
+    for (int i = 0; i < 3; ++i) {  // compares pointers only: no deref
+      if (g.root() == sh->canary[i] && sh->destroyed[i].load() != 0) {
+        sh->fail = "canary " + std::to_string(i) +
+                   " destroyed under the reader's guard";
+      }
+    }
+  });
+  for (int w = 1; w <= 2; ++w) {
+    vs.spawn([sh, w] {  // tids 1, 2: writers
+      auto h = sh->smr.register_thread();
+      const void* old = sh->root.exchange(sh->canary[w]);
+      sh->smr.retire_bundle(
+          h, 0, old, sh->canary[w],
+          test::padded_retired(sh->a, old, Epoch::kScanInterval - 1));
+    });
+  }
+  vs.run();
+  {
+    auto h = sh->smr.register_thread();
+    sh->smr.retire_bundle(h, 0, nullptr, nullptr,
+                          test::one_retired(sh->a, sh->root.load()));
+  }
+  sh->smr.drain_all();
+  for (int i = 0; i < 3 && !sh->fail; ++i) {
+    if (sh->destroyed[i].load() != 1) {
+      sh->fail = "canary " + std::to_string(i) + " destroyed " +
+                 std::to_string(sh->destroyed[i].load()) + " times";
+    }
+  }
+  if (!sh->fail && sh->a.stats().live_blocks() != 0) {
+    sh->fail = std::to_string(sh->a.stats().live_blocks()) +
+               " block(s) never freed";
+  }
+  return sh->fail;
+}
+
+TEST(ModelCheckReclaim, EpochNeverFreesAPinnedRoot) {
+  const ExploreResult res =
+      verify::sched::explore_exhaustive(12, ebr_body, kEbrTags);
   EXPECT_TRUE(res.ok) << res.reason;
   EXPECT_GT(res.schedules, 100u);
 }

@@ -222,22 +222,6 @@ TEST(Treap, FromSortedEmptyAndSingle) {
   EXPECT_EQ(*t1.find(4), 40);
 }
 
-TEST(Treap, SplitMergeRoundTrip) {
-  alloc::Arena a;
-  std::vector<std::int64_t> keys;
-  for (std::int64_t i = 0; i < 64; ++i) keys.push_back(i);
-  T t = insert_all(a, T{}, keys);
-  auto [lo, hi] = test::apply(a, [&](auto& b) { return T::split(b, t, 20); });
-  EXPECT_EQ(lo.size(), 20u);
-  EXPECT_EQ(hi.size(), 44u);
-  EXPECT_TRUE(lo.check_invariants());
-  EXPECT_TRUE(hi.check_invariants());
-  EXPECT_EQ(lo.max_node()->key, 19);
-  EXPECT_EQ(hi.min_node()->key, 20);
-  T joined = test::apply(a, [&](auto& b) { return T::merge(b, lo, hi); });
-  EXPECT_EQ(shape_of(joined), shape_of(t));  // canonical form again
-}
-
 TEST(Treap, PersistenceOldVersionUnchanged) {
   alloc::Arena a;
   T v1 = insert_all(a, T{}, {1, 2, 3, 4, 5});
@@ -294,19 +278,6 @@ TEST(Treap, HeightIsLogarithmic) {
   // log2(1e4) ~ 13.3; random treap height concentrates below ~3 log2 n.
   EXPECT_LE(t.height(), 60u);
   EXPECT_GE(t.height(), 13u);
-}
-
-TEST(Treap, EraseMin) {
-  alloc::Arena a;
-  T t = insert_all(a, T{}, {5, 3, 9, 1});
-  t = test::apply(a, [&](auto& b) { return t.erase_min(b); });
-  EXPECT_EQ(t.min_node()->key, 3);
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_TRUE(t.check_invariants());
-  T empty;
-  core::Builder<alloc::Arena> b(a);
-  EXPECT_EQ(empty.erase_min(b).root_ptr(), nullptr);
-  b.rollback();
 }
 
 TEST(Treap, InsertOrAssignOverwrites) {
