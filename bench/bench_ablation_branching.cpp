@@ -15,23 +15,17 @@
 #include <cstring>
 #include <vector>
 
-#include "alloc/pool_alloc.hpp"
-#include "alloc/thread_cache_alloc.hpp"
 #include "bench_util/runner.hpp"
-#include "core/atom.hpp"
 #include "model/formulas.hpp"
 #include "model/sim.hpp"
 #include "persist/btree.hpp"
 #include "persist/hamt.hpp"
 #include "persist/treap.hpp"
-#include "reclaim/epoch.hpp"
-#include "util/rng.hpp"
+#include "random_workload.hpp"
 
 namespace {
 
 using namespace pathcopy;
-
-constexpr std::int64_t kKeyRange = 1 << 16;
 
 struct MixHash {
   std::uint64_t operator()(std::int64_t k) const noexcept {
@@ -41,33 +35,6 @@ struct MixHash {
     return x ^ (x >> 31);
   }
 };
-
-template <class DS>
-double run_structure(std::size_t procs, int duration_ms) {
-  alloc::PoolBackend pool;
-  reclaim::EpochReclaimer smr;
-  core::Atom<DS, reclaim::EpochReclaimer, alloc::ThreadCache> atom(smr, pool);
-  const auto run = bench::run_timed(
-      procs, std::chrono::milliseconds(duration_ms),
-      [&](std::size_t tid, const std::atomic<bool>& stop) -> std::uint64_t {
-        alloc::ThreadCache cache(pool);
-        typename core::Atom<DS, reclaim::EpochReclaimer,
-                            alloc::ThreadCache>::Ctx ctx(smr, cache);
-        util::Xoshiro256 rng(tid * 104729 + 3);
-        std::uint64_t ops = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::int64_t k = rng.range(0, kKeyRange);
-          if (rng.chance(1, 2)) {
-            atom.update(ctx, [k](DS t, auto& b) { return t.insert(b, k, k); });
-          } else {
-            atom.update(ctx, [k](DS t, auto& b) { return t.erase(b, k); });
-          }
-          ++ops;
-        }
-        return ops;
-      });
-  return run.ops_per_sec();
-}
 
 }  // namespace
 
@@ -132,19 +99,19 @@ int main(int argc, char** argv) {
     std::printf("\n");
     std::printf("%-14s", "treap (B=2)");
     for (const auto p : procs) {
-      std::printf("  %10.0f", run_structure<Treap>(p, duration_ms));
+      std::printf("  %10.0f", bench::run_random_atom<Treap>(p, duration_ms));
     }
     std::printf("\n%-14s", "b+tree F=8");
     for (const auto p : procs) {
-      std::printf("  %10.0f", run_structure<B8>(p, duration_ms));
+      std::printf("  %10.0f", bench::run_random_atom<B8>(p, duration_ms));
     }
     std::printf("\n%-14s", "b+tree F=32");
     for (const auto p : procs) {
-      std::printf("  %10.0f", run_structure<B32>(p, duration_ms));
+      std::printf("  %10.0f", bench::run_random_atom<B32>(p, duration_ms));
     }
     std::printf("\n%-14s", "hamt 64-way");
     for (const auto p : procs) {
-      std::printf("  %10.0f", run_structure<H64>(p, duration_ms));
+      std::printf("  %10.0f", bench::run_random_atom<H64>(p, duration_ms));
     }
     std::printf("\nnote: single-thread absolute throughput favors wide nodes "
                 "(fewer indirections); the *scaling ratio* favors deep "

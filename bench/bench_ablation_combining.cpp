@@ -21,12 +21,11 @@
 #include "alloc/pool_alloc.hpp"
 #include "alloc/thread_cache_alloc.hpp"
 #include "bench_util/runner.hpp"
-#include "core/atom.hpp"
 #include "core/combining.hpp"
 #include "persist/treap.hpp"
+#include "random_workload.hpp"
 #include "reclaim/epoch.hpp"
 #include "seq/flat_combining.hpp"
-#include "seq/locked.hpp"
 #include "seq/seq_treap.hpp"
 #include "util/rng.hpp"
 
@@ -34,36 +33,6 @@ namespace {
 
 using namespace pathcopy;
 using Treap = persist::Treap<std::int64_t, std::int64_t>;
-
-constexpr std::int64_t kKeyRange = 1 << 16;
-
-double run_atom(std::size_t procs, int duration_ms) {
-  alloc::PoolBackend pool;
-  reclaim::EpochReclaimer smr;
-  core::Atom<Treap, reclaim::EpochReclaimer, alloc::ThreadCache> atom(smr,
-                                                                      pool);
-  const auto run = bench::run_timed(
-      procs, std::chrono::milliseconds(duration_ms),
-      [&](std::size_t tid, const std::atomic<bool>& stop) -> std::uint64_t {
-        alloc::ThreadCache cache(pool);
-        core::Atom<Treap, reclaim::EpochReclaimer, alloc::ThreadCache>::Ctx
-            ctx(smr, cache);
-        util::Xoshiro256 rng(tid * 104729 + 3);
-        std::uint64_t ops = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::int64_t k = rng.range(0, kKeyRange);
-          if (rng.chance(1, 2)) {
-            atom.update(ctx,
-                        [k](Treap t, auto& b) { return t.insert(b, k, k); });
-          } else {
-            atom.update(ctx, [k](Treap t, auto& b) { return t.erase(b, k); });
-          }
-          ++ops;
-        }
-        return ops;
-      });
-  return run.ops_per_sec();
-}
 
 struct CombiningResult {
   double ops_per_sec = 0.0;
@@ -87,7 +56,7 @@ CombiningResult run_combining(std::size_t procs, int duration_ms) {
         util::Xoshiro256 rng(tid * 104729 + 3);
         std::uint64_t ops = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          const std::int64_t k = rng.range(0, kKeyRange);
+          const std::int64_t k = rng.range(0, bench::kRandomKeyRange);
           if (rng.chance(1, 2)) {
             atom.insert(ctx, slot, k, k);
           } else {
@@ -116,32 +85,11 @@ double run_flat_combining(std::size_t procs, int duration_ms) {
         util::Xoshiro256 rng(tid * 104729 + 3);
         std::uint64_t ops = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-          const std::int64_t k = rng.range(0, kKeyRange);
+          const std::int64_t k = rng.range(0, bench::kRandomKeyRange);
           if (rng.chance(1, 2)) {
             fc.insert(slot, k, k);
           } else {
             fc.erase(slot, k);
-          }
-          ++ops;
-        }
-        return ops;
-      });
-  return run.ops_per_sec();
-}
-
-double run_locked(std::size_t procs, int duration_ms) {
-  seq::Locked<seq::SeqTreap<std::int64_t, std::int64_t>> locked;
-  const auto run = bench::run_timed(
-      procs, std::chrono::milliseconds(duration_ms),
-      [&](std::size_t tid, const std::atomic<bool>& stop) -> std::uint64_t {
-        util::Xoshiro256 rng(tid * 104729 + 3);
-        std::uint64_t ops = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::int64_t k = rng.range(0, kKeyRange);
-          if (rng.chance(1, 2)) {
-            locked.with([k](auto& t) { t.insert(k, k); });
-          } else {
-            locked.with([k](auto& t) { t.erase(k); });
           }
           ++ops;
         }
@@ -174,7 +122,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-16s", "uc-atom");
   for (const auto p : procs) {
-    std::printf("  %10.0f", run_atom(p, duration_ms));
+    std::printf("  %10.0f", bench::run_random_atom<Treap>(p, duration_ms));
   }
   std::printf("\n");
 
@@ -194,7 +142,7 @@ int main(int argc, char** argv) {
 
   std::printf("%-16s", "coarse-lock");
   for (const auto p : procs) {
-    std::printf("  %10.0f", run_locked(p, duration_ms));
+    std::printf("  %10.0f", bench::run_random_locked(p, duration_ms));
   }
   std::printf("\n");
 

@@ -18,8 +18,6 @@
 
 #include "alloc/pool_alloc.hpp"
 #include "alloc/thread_cache_alloc.hpp"
-#include "bench_util/runner.hpp"
-#include "core/atom.hpp"
 #include "core/builder.hpp"
 #include "persist/avl.hpp"
 #include "persist/btree.hpp"
@@ -27,64 +25,12 @@
 #include "persist/rbt.hpp"
 #include "persist/treap.hpp"
 #include "persist/wbt.hpp"
-#include "reclaim/epoch.hpp"
-#include "seq/locked.hpp"
-#include "seq/seq_treap.hpp"
+#include "random_workload.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace pathcopy;
-
-constexpr std::int64_t kKeyRange = 1 << 16;
-
-template <class DS>
-double run_structure(std::size_t procs, int duration_ms) {
-  alloc::PoolBackend pool;
-  reclaim::EpochReclaimer smr;
-  core::Atom<DS, reclaim::EpochReclaimer, alloc::ThreadCache> atom(smr, pool);
-  const auto run = bench::run_timed(
-      procs, std::chrono::milliseconds(duration_ms),
-      [&](std::size_t tid, const std::atomic<bool>& stop) -> std::uint64_t {
-        alloc::ThreadCache cache(pool);
-        typename core::Atom<DS, reclaim::EpochReclaimer,
-                            alloc::ThreadCache>::Ctx ctx(smr, cache);
-        util::Xoshiro256 rng(tid * 104729 + 3);
-        std::uint64_t ops = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::int64_t k = rng.range(0, kKeyRange);
-          if (rng.chance(1, 2)) {
-            atom.update(ctx, [k](DS t, auto& b) { return t.insert(b, k, k); });
-          } else {
-            atom.update(ctx, [k](DS t, auto& b) { return t.erase(b, k); });
-          }
-          ++ops;
-        }
-        return ops;
-      });
-  return run.ops_per_sec();
-}
-
-double run_locked_treap(std::size_t procs, int duration_ms) {
-  seq::Locked<seq::SeqTreap<std::int64_t, std::int64_t>> locked;
-  const auto run = bench::run_timed(
-      procs, std::chrono::milliseconds(duration_ms),
-      [&](std::size_t tid, const std::atomic<bool>& stop) -> std::uint64_t {
-        util::Xoshiro256 rng(tid * 104729 + 3);
-        std::uint64_t ops = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::int64_t k = rng.range(0, kKeyRange);
-          if (rng.chance(1, 2)) {
-            locked.with([k](auto& t) { t.insert(k, k); });
-          } else {
-            locked.with([k](auto& t) { t.erase(k); });
-          }
-          ++ops;
-        }
-        return ops;
-      });
-  return run.ops_per_sec();
-}
 
 // Sorted-batch apply cost over the full E8 matrix: nodes created per op
 // when a key-sorted batch of B ops is applied in one sweep, vs the
@@ -162,7 +108,7 @@ double copy_cost(std::size_t n) {
   std::uint64_t created = 0, installs = 0;
   for (std::size_t i = 0; i < n; ++i) {
     core::Builder<alloc::ThreadCache> b(cache);
-    const std::int64_t k = rng.range(0, kKeyRange);
+    const std::int64_t k = rng.range(0, bench::kRandomKeyRange);
     DS next = rng.chance(1, 2) ? t.insert(b, k, k) : t.erase(b, k);
     if (next.root_ptr() != t.root_ptr()) {
       created += b.stats().created;
@@ -206,27 +152,18 @@ int main(int argc, char** argv) {
   for (const auto p : procs) std::printf("  %9zup", p);
   std::printf("\n");
 
-  std::printf("%-14s", "uc-treap");
-  for (const auto p : procs) std::printf("  %10.0f", run_structure<Treap>(p, duration_ms));
-  std::printf("\n");
-  std::printf("%-14s", "uc-extbst");
-  for (const auto p : procs) std::printf("  %10.0f", run_structure<Ebst>(p, duration_ms));
-  std::printf("\n");
-  std::printf("%-14s", "uc-avl");
-  for (const auto p : procs) std::printf("  %10.0f", run_structure<Avl>(p, duration_ms));
-  std::printf("\n");
-  std::printf("%-14s", "uc-wbt");
-  for (const auto p : procs) std::printf("  %10.0f", run_structure<Wbt>(p, duration_ms));
-  std::printf("\n");
-  std::printf("%-14s", "uc-rbt");
-  for (const auto p : procs) std::printf("  %10.0f", run_structure<Rbt>(p, duration_ms));
-  std::printf("\n");
-  std::printf("%-14s", "uc-btree8");
-  for (const auto p : procs) std::printf("  %10.0f", run_structure<B8>(p, duration_ms));
-  std::printf("\n");
-  std::printf("%-14s", "locked-treap");
-  for (const auto p : procs) std::printf("  %10.0f", run_locked_treap(p, duration_ms));
-  std::printf("\n");
+  const auto random_row = [&](const char* name, auto run) {
+    std::printf("%-14s", name);
+    for (const auto p : procs) std::printf("  %10.0f", run(p, duration_ms));
+    std::printf("\n");
+  };
+  random_row("uc-treap", bench::run_random_atom<Treap>);
+  random_row("uc-extbst", bench::run_random_atom<Ebst>);
+  random_row("uc-avl", bench::run_random_atom<Avl>);
+  random_row("uc-wbt", bench::run_random_atom<Wbt>);
+  random_row("uc-rbt", bench::run_random_atom<Rbt>);
+  random_row("uc-btree8", bench::run_random_atom<B8>);
+  random_row("locked-treap", bench::run_random_locked);
 
   std::printf("\n== E8: path-copy cost (nodes created per installed update, "
               "steady state at ~%d keys) ==\n", 1 << 15);

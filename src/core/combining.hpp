@@ -363,6 +363,7 @@ class CombiningAtom {
     RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
     for (;;) {
       builder.reset();
+      ++ctx.stats.attempts;
       auto guard = smr_->pin(ctx.smr_handle, root_, version_);
       const auto* vr = static_cast<const VersionRec*>(guard.root());
       PC_ASSERT(vr->ds_root == nullptr,

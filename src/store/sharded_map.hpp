@@ -268,21 +268,8 @@ class ShardedMap<Uc, RouterT>::Session {
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-  Session(Session&& o) noexcept
-      : map_(o.map_),
-        ctxs_(std::move(o.ctxs_)),
-        slots_(std::move(o.slots_)),
-        mark_slot_(o.mark_slot_),
-        sketch_buf_(std::move(o.sketch_buf_)),
-        split_(std::move(o.split_)),
-        sub_reqs_by_shard_(std::move(o.sub_reqs_by_shard_)),
-        probe_keys_by_shard_(std::move(o.probe_keys_by_shard_)),
-        scratch_(std::move(o.scratch_)) {
-    o.map_ = nullptr;  // the source no longer owns the mark slot
-  }
 
   ~Session() {
-    if (map_ == nullptr) return;  // moved-from
     flush_sketch();
     map_->marks_.release(mark_slot_);
   }

@@ -1,14 +1,17 @@
+// What is particular to the B+tree: leaf splits and height, occupancy
+// bounds through borrow/merge and bulk builds, the fanouts the typed
+// contract suite does not run, and the combining UC's clustering probe
+// (count_leaf_runs). The map contract it shares with the other maps is
+// in test_ordered_api.cpp, at fanouts 8 and 64.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "alloc/arena_alloc.hpp"
-#include "alloc/malloc_alloc.hpp"
 #include "persist/btree.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -33,261 +36,63 @@ std::vector<std::int64_t> iota_keys(std::int64_t n) {
   return keys;
 }
 
-TEST(Btree, EmptyBasics) {
-  T t;
-  EXPECT_TRUE(t.empty());
-  EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.height(), 0u);
-  EXPECT_TRUE(t.check_invariants());
-  EXPECT_EQ(t.find(1), nullptr);
-  EXPECT_EQ(t.min_key(), nullptr);
-  EXPECT_EQ(t.max_key(), nullptr);
-  EXPECT_EQ(t.kth_key(0), nullptr);
-}
-
-TEST(Btree, SingleLeafLifecycle) {
-  alloc::Arena a;
-  T t = insert_all(a, T{}, {5, 3, 9});
-  EXPECT_EQ(t.height(), 1u);  // still one leaf at fanout 8
-  EXPECT_EQ(t.size(), 3u);
-  EXPECT_TRUE(t.check_invariants());
-  EXPECT_EQ(*t.find(3), 30);
-  EXPECT_EQ(*t.min_key(), 3);
-  EXPECT_EQ(*t.max_key(), 9);
-}
-
 TEST(Btree, LeafSplitCreatesRoot) {
   alloc::Arena a;
-  T t = insert_all(a, T{}, iota_keys(9));  // capacity 8 → split
+  T t = insert_all(a, T{}, iota_keys(8));  // one leaf, full at fanout 8
+  EXPECT_EQ(t.height(), 1u);
+  t = insert_all(a, t, {8});  // capacity 8 → split
   EXPECT_EQ(t.height(), 2u);
   EXPECT_TRUE(t.check_invariants());
   for (std::int64_t k = 0; k < 9; ++k) ASSERT_TRUE(t.contains(k));
 }
 
-TEST(Btree, AscendingInsertKeepsInvariants) {
+TEST(Btree, SortedInsertsKeepInvariants) {
   alloc::Arena a;
-  T t = insert_all(a, T{}, iota_keys(2048));
-  EXPECT_EQ(t.size(), 2048u);
-  EXPECT_TRUE(t.check_invariants());
+  T up = insert_all(a, T{}, iota_keys(2048));
+  EXPECT_EQ(up.size(), 2048u);
+  EXPECT_TRUE(up.check_invariants());
   // Fanout-8 height bound: log_4(2048) ≈ 5.5 plus root slack.
-  EXPECT_LE(t.height(), 7u);
-}
-
-TEST(Btree, DescendingInsertKeepsInvariants) {
-  alloc::Arena a;
+  EXPECT_LE(up.height(), 7u);
   std::vector<std::int64_t> keys;
   for (std::int64_t i = 2048; i > 0; --i) keys.push_back(i);
-  T t = insert_all(a, T{}, keys);
-  EXPECT_TRUE(t.check_invariants());
-  EXPECT_EQ(t.size(), 2048u);
-}
-
-TEST(Btree, DuplicateInsertReturnsSameRoot) {
-  alloc::Arena a;
-  T t = insert_all(a, T{}, {1, 2, 3});
-  core::Builder<alloc::Arena> b(a);
-  EXPECT_EQ(t.insert(b, 2, 0).root_ptr(), t.root_ptr());
-  EXPECT_EQ(b.fresh_count(), 0u);
-  b.rollback();
-}
-
-TEST(Btree, EraseAbsentReturnsSameRoot) {
-  alloc::Arena a;
-  T t = insert_all(a, T{}, {1, 2, 3});
-  core::Builder<alloc::Arena> b(a);
-  EXPECT_EQ(t.erase(b, 9).root_ptr(), t.root_ptr());
-  b.rollback();
-}
-
-TEST(Btree, InsertOrAssign) {
-  alloc::Arena a;
-  T t = insert_all(a, T{}, iota_keys(100));
-  T t2 = test::apply(a, [&](auto& b) { return t.insert_or_assign(b, 50, -1); });
-  EXPECT_EQ(*t2.find(50), -1);
-  EXPECT_EQ(*t.find(50), 500);
-  EXPECT_EQ(t2.size(), 100u);
-  EXPECT_TRUE(t2.check_invariants());
+  T down = insert_all(a, T{}, keys);
+  EXPECT_EQ(down.size(), 2048u);
+  EXPECT_TRUE(down.check_invariants());
 }
 
 TEST(Btree, EraseTriggersBorrowAndMerge) {
   alloc::Arena a;
   // Build enough structure for internal rebalancing, then erase a block
-  // of adjacent keys — adjacency maximizes borrow/merge traffic.
+  // of adjacent keys — adjacency maximizes borrow/merge traffic — and
+  // then the rest in random order. Merges only ever shorten the tree.
   T t = insert_all(a, T{}, iota_keys(512));
-  for (std::int64_t k = 100; k < 400; ++k) {
+  std::size_t last_height = t.height();
+  const auto erase_checked = [&](std::int64_t k) {
     t = test::apply(a, [&](auto& b) { return t.erase(b, k); });
     ASSERT_TRUE(t.check_invariants()) << "after erasing " << k;
-  }
+    ASSERT_LE(t.height(), last_height) << "after erasing " << k;
+    last_height = t.height();
+  };
+  for (std::int64_t k = 100; k < 400; ++k) erase_checked(k);
   EXPECT_EQ(t.size(), 212u);
   for (std::int64_t k = 0; k < 100; ++k) ASSERT_TRUE(t.contains(k));
   for (std::int64_t k = 100; k < 400; ++k) ASSERT_FALSE(t.contains(k));
   for (std::int64_t k = 400; k < 512; ++k) ASSERT_TRUE(t.contains(k));
-}
 
-TEST(Btree, EraseEverythingShrinksHeightToZero) {
-  alloc::Arena a;
-  const auto keys = iota_keys(512);
-  T t = insert_all(a, T{}, keys);
+  std::vector<std::int64_t> rest = iota_keys(100);
+  for (std::int64_t k = 400; k < 512; ++k) rest.push_back(k);
   util::Xoshiro256 rng(5);
-  std::vector<std::int64_t> order = keys;
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng.below(i)]);
+  for (std::size_t i = rest.size(); i > 1; --i) {
+    std::swap(rest[i - 1], rest[rng.below(i)]);
   }
-  std::size_t last_height = t.height();
-  for (const auto k : order) {
-    t = test::apply(a, [&](auto& b) { return t.erase(b, k); });
-    ASSERT_TRUE(t.check_invariants()) << "after erasing " << k;
-    ASSERT_LE(t.height(), last_height);
-    last_height = t.height();
-  }
+  for (const auto k : rest) erase_checked(k);
   EXPECT_TRUE(t.empty());
   EXPECT_EQ(t.height(), 0u);
 }
 
-TEST(Btree, RankAndKth) {
-  alloc::Arena a;
-  std::vector<std::int64_t> keys;
-  for (std::int64_t i = 0; i < 300; ++i) keys.push_back(i * 3);
-  T t = insert_all(a, T{}, keys);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_NE(t.kth_key(i), nullptr);
-    EXPECT_EQ(*t.kth_key(i), keys[i]);
-    EXPECT_EQ(t.rank(keys[i]), i);
-    EXPECT_EQ(t.rank(keys[i] + 1), i + 1);  // between stored keys
-  }
-  EXPECT_EQ(t.kth_key(keys.size()), nullptr);
-}
-
-TEST(Btree, FloorCeilingCountRange) {
-  alloc::Arena a;
-  T t = insert_all(a, T{}, {10, 20, 30, 40});
-  EXPECT_EQ(*t.floor_key(25), 20);
-  EXPECT_EQ(*t.floor_key(20), 20);
-  EXPECT_EQ(t.floor_key(5), nullptr);
-  EXPECT_EQ(*t.ceiling_key(25), 30);
-  EXPECT_EQ(*t.ceiling_key(30), 30);
-  EXPECT_EQ(t.ceiling_key(45), nullptr);
-  EXPECT_EQ(t.count_range(10, 40), 3u);
-  EXPECT_EQ(t.count_range(11, 41), 3u);
-  EXPECT_EQ(t.count_range(40, 10), 0u);
-}
-
-TEST(Btree, ForEachRangeMatchesFilteredScan) {
-  alloc::Arena a;
-  util::Xoshiro256 rng(9);
-  std::set<std::int64_t> oracle;
-  T t;
-  for (int i = 0; i < 900; ++i) {
-    const std::int64_t k = rng.range(-700, 700);
-    t = test::apply(a, [&](auto& b) { return t.insert(b, k, k * 10); });
-    oracle.insert(k);
-  }
-  // Random [lo, hi) windows against the oracle's half-open slice; the
-  // pruned descent must both skip cold subtrees and visit in order.
-  // Windows that straddle separator keys are the interesting cases, so
-  // bounds are drawn from the stored-key range.
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::int64_t lo = rng.range(-800, 800);
-    const std::int64_t hi = rng.range(-800, 800);
-    std::vector<std::int64_t> got;
-    t.for_each_range(lo, hi, [&](const std::int64_t& k, const std::int64_t& v) {
-      EXPECT_EQ(v, k * 10);
-      got.push_back(k);
-    });
-    std::vector<std::int64_t> want;
-    for (auto it = oracle.lower_bound(lo); it != oracle.end() && *it < hi;
-         ++it) {
-      want.push_back(*it);
-    }
-    ASSERT_EQ(got, want) << "[" << lo << ", " << hi << ")";
-    EXPECT_EQ(t.count_range(lo, hi), want.size());
-  }
-  // Boundary semantics: lo inclusive, hi exclusive — also when the edge
-  // sits exactly on a separator key (an internal node's routing key).
-  std::size_t hits = 0;
-  t.for_each_range(5, 5, [&](auto&, auto&) { ++hits; });
-  EXPECT_EQ(hits, 0u);
-}
-
-TEST(Btree, ItemsAreSorted) {
-  alloc::Arena a;
-  util::Xoshiro256 rng(3);
-  T t;
-  for (int i = 0; i < 500; ++i) {
-    t = test::apply(
-        a, [&](auto& b) { return t.insert(b, rng.range(-1000, 1000), 0); });
-  }
-  const auto items = t.items();
-  EXPECT_TRUE(std::is_sorted(items.begin(), items.end()));
-  EXPECT_EQ(items.size(), t.size());
-}
-
-TEST(Btree, PersistenceOldVersionUnchanged) {
-  alloc::Arena a;
-  T v1 = insert_all(a, T{}, iota_keys(200));
-  core::Builder<alloc::Arena> b(a);
-  T v2 = v1.erase(b, 100);
-  b.seal();
-  (void)b.commit();
-  EXPECT_TRUE(v1.contains(100));
-  EXPECT_FALSE(v2.contains(100));
-  EXPECT_TRUE(v1.check_invariants());
-  EXPECT_TRUE(v2.check_invariants());
-  EXPECT_EQ(v1.size(), 200u);
-  EXPECT_EQ(v2.size(), 199u);
-}
-
-TEST(Btree, SharingAfterInsertIsPathOnly) {
-  alloc::Arena a;
-  T v1 = insert_all(a, T{}, iota_keys(4096));
-  core::Builder<alloc::Arena> b(a);
-  T v2 = v1.insert(b, 999999, 0);
-  b.seal();
-  (void)b.commit();
-  const std::size_t shared = T::shared_nodes(v1, v2);
-  // Only the copied path's entries (≤ height · fanout) can be unshared.
-  EXPECT_GE(shared, v1.size() - 64);
-}
-
-TEST(Btree, RandomOpsAgainstOracle) {
-  alloc::Arena a;
-  T t;
-  std::map<std::int64_t, std::int64_t> oracle;
-  util::Xoshiro256 rng(23);
-  for (int i = 0; i < 6000; ++i) {
-    const std::int64_t k = rng.range(-150, 150);
-    if (rng.chance(3, 5)) {
-      t = test::apply(a, [&](auto& b) { return t.insert(b, k, k); });
-      oracle.emplace(k, k);
-    } else {
-      t = test::apply(a, [&](auto& b) { return t.erase(b, k); });
-      oracle.erase(k);
-    }
-    ASSERT_EQ(t.size(), oracle.size());
-    if (i % 250 == 0) { ASSERT_TRUE(t.check_invariants()); }
-  }
-  EXPECT_TRUE(t.check_invariants());
-  const auto items = t.items();
-  std::size_t i = 0;
-  for (const auto& [k, v] : oracle) {
-    ASSERT_EQ(items[i].first, k);
-    ++i;
-  }
-}
-
-TEST(Btree, DestroyFreesEverything) {
-  alloc::MallocAlloc a;
-  T t;
-  for (std::int64_t k = 0; k < 300; ++k) {
-    t = test::apply(a, [&](auto& b) { return t.insert(b, k, k); });
-  }
-  EXPECT_GT(a.stats().live_blocks(), 0u);
-  T::destroy(t.root_node(), a);
-  EXPECT_EQ(a.stats().live_blocks(), 0u);
-}
-
-// Same battery at other fanouts — template sweep, including the minimum
-// legal fanout 3 (every split/merge boundary case fires constantly).
+// The random-ops oracle at the fanouts the typed contract suite does not
+// run (it runs 8 and 64), down to the minimum legal fanout 3, where every
+// split/merge boundary case fires constantly.
 template <unsigned F>
 void run_fanout_battery() {
   using TF = persist::BTree<std::int64_t, std::int64_t, F>;
@@ -317,11 +122,8 @@ void run_fanout_battery() {
 TEST(BtreeFanouts, F3) { run_fanout_battery<3>(); }
 TEST(BtreeFanouts, F4) { run_fanout_battery<4>(); }
 TEST(BtreeFanouts, F16) { run_fanout_battery<16>(); }
-TEST(BtreeFanouts, F64) { run_fanout_battery<64>(); }
 
-// ----- from_sorted + apply_sorted_batch (shared oracle harness) -----
-
-TEST(Btree, FromSortedRoundTrip) { test::from_sorted_roundtrip<T>(); }
+// ----- from_sorted + apply_sorted_batch -----
 
 // Balanced leaf/internal packing must respect the occupancy bounds at
 // every size (check_invariants audits [min, max] fill and uniform leaf
@@ -343,28 +145,10 @@ TEST(Btree, FromSortedOccupancyHoldsAcrossSizes) {
   }
 }
 
-TEST(BtreeBatch, NoopBatchesShareRoot) {
-  test::batch_oracle_noop_shares_root<T>();
-}
-
-TEST(BtreeBatch, OutcomesAndContents) { test::batch_oracle_outcomes<T>(); }
-
-TEST(BtreeBatch, RandomBatchesMatchSequentialApplication) {
-  test::batch_oracle_random<T>(9191, 40, test::BatchKeyPattern::kUniform);
-  test::batch_oracle_random<T>(9192, 20, test::BatchKeyPattern::kClustered);
-}
-
-// Bounded scan rides the range walk; the shared oracle also re-checks
-// for_each_range and count_range against a std::set reference.
-TEST(Btree, ScanMatchesOracle) { test::range_oracle_random<T>(6101); }
-
 // Sorted read batch over the multiway layout: separator-directed probe
 // partitioning plus the leaf linear merge must answer exactly like
-// per-key find(). Fanout 3 stresses the tightest nodes.
-TEST(Btree, SortedReadBatchMatchesPerKeyFind) {
-  test::read_batch_oracle_random<T>(6111, 30, test::BatchKeyPattern::kUniform);
-  test::read_batch_oracle_random<T>(6112, 20,
-                                    test::BatchKeyPattern::kClustered);
+// per-key find() at fanout 3 too, where the nodes are tightest.
+TEST(Btree, SortedReadBatchAtFanout3) {
   test::read_batch_oracle_random<persist::BTree<std::int64_t, std::int64_t, 3>>(
       6113, 20, test::BatchKeyPattern::kClustered);
 }
@@ -380,9 +164,6 @@ TEST(BtreeBatch, RandomBatchesAcrossFanouts) {
       9293, 25, test::BatchKeyPattern::kClustered);
 }
 
-// Occupancy audit around batch-driven growth and shrinkage: a bulk
-// insert run must split leaves (height grows, bounds hold), and a mass
-// erase must merge/collapse back down to a shorter valid tree.
 // ----- the combining UC's clustering probe (count_leaf_runs) -----
 
 TEST(BtreeBatch, CountLeafRunsMatchesLeafPartition) {
@@ -443,6 +224,9 @@ TEST(BtreeBatch, CountLeafRunsSampledPrefixStopsEarly) {
   EXPECT_GE(covered, 3u * T::kLeafMin + 1);
 }
 
+// Occupancy audit around batch-driven growth and shrinkage: a bulk
+// insert run must split leaves (height grows, bounds hold), and a mass
+// erase must merge/collapse back down to a shorter valid tree.
 TEST(BtreeBatch, SplitsAndCollapsesKeepOccupancyBounds) {
   alloc::Arena a;
   std::vector<std::pair<std::int64_t, std::int64_t>> items;

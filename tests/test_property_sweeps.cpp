@@ -1,20 +1,18 @@
-// Parameterized property sweeps: randomized histories checked against an
-// oracle across seeds, sizes and structures, plus persistence snapshots
-// and simulator grids.
+// Parameterized property sweeps across seeds and sizes: the treap's
+// canonical shape, the leftist heap against a priority-queue oracle, and
+// the simulator's scaling claims over its parameter grid. The ordered
+// maps' oracle and persistence sweeps run for every map in
+// test_ordered_api.cpp.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <tuple>
 #include <vector>
 
 #include "alloc/arena_alloc.hpp"
 #include "model/sim.hpp"
-#include "persist/avl.hpp"
-#include "persist/external_bst.hpp"
 #include "persist/leftist_heap.hpp"
 #include "persist/treap.hpp"
-#include "persist/wbt.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -22,133 +20,6 @@ namespace pathcopy {
 namespace {
 
 using T = persist::Treap<std::int64_t, std::int64_t>;
-using A = persist::AvlTree<std::int64_t, std::int64_t>;
-using E = persist::ExternalBst<std::int64_t, std::int64_t>;
-using WB = persist::WbTree<std::int64_t, std::int64_t>;
-
-// ---------------------------------------------------------------------
-// Oracle sweep: (seed, ops, key_range) grid, all three ordered structures.
-// ---------------------------------------------------------------------
-
-using SweepParam = std::tuple<std::uint64_t /*seed*/, int /*ops*/, std::int64_t /*range*/>;
-
-class OrderedStructureSweep : public ::testing::TestWithParam<SweepParam> {};
-
-template <class DS>
-void run_oracle_sweep(std::uint64_t seed, int ops, std::int64_t range) {
-  alloc::Arena arena;
-  DS t;
-  std::map<std::int64_t, std::int64_t> oracle;
-  util::Xoshiro256 rng(seed);
-  for (int i = 0; i < ops; ++i) {
-    const std::int64_t k = rng.range(-range, range);
-    const int action = static_cast<int>(rng.below(3));
-    if (action == 0) {
-      t = test::apply(arena, [&](auto& b) { return t.insert(b, k, k * 2); });
-      oracle.emplace(k, k * 2);
-    } else if (action == 1) {
-      t = test::apply(arena, [&](auto& b) { return t.erase(b, k); });
-      oracle.erase(k);
-    } else {
-      t = test::apply(arena,
-                      [&](auto& b) { return t.insert_or_assign(b, k, k * 3); });
-      oracle.insert_or_assign(k, k * 3);
-    }
-    ASSERT_EQ(t.size(), oracle.size());
-    // Point lookups agree.
-    const auto* found = t.find(k);
-    const auto it = oracle.find(k);
-    if (it == oracle.end()) {
-      ASSERT_EQ(found, nullptr);
-    } else {
-      ASSERT_NE(found, nullptr);
-      ASSERT_EQ(*found, it->second);
-    }
-  }
-  ASSERT_TRUE(t.check_invariants());
-  const auto items = t.items();
-  ASSERT_EQ(items.size(), oracle.size());
-  auto it = oracle.begin();
-  for (std::size_t i = 0; i < items.size(); ++i, ++it) {
-    ASSERT_EQ(items[i].first, it->first);
-    ASSERT_EQ(items[i].second, it->second);
-  }
-}
-
-TEST_P(OrderedStructureSweep, TreapMatchesOracle) {
-  const auto [seed, ops, range] = GetParam();
-  run_oracle_sweep<T>(seed, ops, range);
-}
-
-TEST_P(OrderedStructureSweep, AvlMatchesOracle) {
-  const auto [seed, ops, range] = GetParam();
-  run_oracle_sweep<A>(seed, ops, range);
-}
-
-TEST_P(OrderedStructureSweep, ExternalBstMatchesOracle) {
-  const auto [seed, ops, range] = GetParam();
-  run_oracle_sweep<E>(seed, ops, range);
-}
-
-TEST_P(OrderedStructureSweep, WeightBalancedMatchesOracle) {
-  const auto [seed, ops, range] = GetParam();
-  run_oracle_sweep<WB>(seed, ops, range);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, OrderedStructureSweep,
-    ::testing::Values(SweepParam{1, 800, 30},     // dense: heavy collisions
-                      SweepParam{2, 800, 100000}, // sparse: mostly inserts land
-                      SweepParam{3, 2000, 500},   // medium density
-                      SweepParam{4, 400, 5},      // tiny key space, churn
-                      SweepParam{5, 1500, 64}));
-
-// ---------------------------------------------------------------------
-// Persistence sweep: every recorded version must stay equal to the oracle
-// state captured when it was created.
-// ---------------------------------------------------------------------
-
-class PersistenceSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PersistenceSweep, AllVersionsStayFrozen) {
-  const std::uint64_t seed = GetParam();
-  alloc::Arena arena;
-  T t;
-  std::map<std::int64_t, std::int64_t> oracle;
-  std::vector<std::pair<T, std::map<std::int64_t, std::int64_t>>> checkpoints;
-  util::Xoshiro256 rng(seed);
-  for (int i = 0; i < 600; ++i) {
-    const std::int64_t k = rng.range(-64, 64);
-    if (rng.chance(1, 2)) {
-      // Keep superseded nodes alive (arena, no frees): old versions valid.
-      core::Builder<alloc::Arena> b(arena);
-      t = t.insert(b, k, k);
-      b.seal();
-      (void)b.commit();
-      oracle.emplace(k, k);
-    } else {
-      core::Builder<alloc::Arena> b(arena);
-      t = t.erase(b, k);
-      b.seal();
-      (void)b.commit();
-      oracle.erase(k);
-    }
-    if (i % 50 == 0) checkpoints.emplace_back(t, oracle);
-  }
-  ASSERT_EQ(checkpoints.size(), 12u);
-  for (const auto& [version, frozen_oracle] : checkpoints) {
-    ASSERT_EQ(version.size(), frozen_oracle.size());
-    ASSERT_TRUE(version.check_invariants());
-    auto it = frozen_oracle.begin();
-    const auto items = version.items();
-    for (std::size_t i = 0; i < items.size(); ++i, ++it) {
-      ASSERT_EQ(items[i].first, it->first);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PersistenceSweep,
-                         ::testing::Values(11u, 22u, 33u, 44u));
 
 // ---------------------------------------------------------------------
 // Treap canonical-shape sweep: any permutation of the same key set builds

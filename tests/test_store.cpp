@@ -202,6 +202,12 @@ TYPED_TEST(StoreTyped, SeedSortedPartitionsAcrossShards) {
     std::vector<std::pair<K, K>> items;
     for (K k = 0; k < 1024; k += 2) items.emplace_back(k, k * 7);
     session.seed_sorted(items.begin(), items.end());
+    // Every install loop counts its passes, the seed's included.
+    for (std::size_t s = 0; s < map.shard_count(); ++s) {
+      EXPECT_GE(session.shard_stats(s).attempts,
+                session.shard_stats(s).updates)
+          << "shard " << s;
+    }
     ASSERT_EQ(session.size(), items.size());
     ASSERT_EQ(session.items(), items);
     // The seeded map stays updatable through the same session.

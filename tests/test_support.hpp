@@ -43,14 +43,13 @@ auto apply(Alloc& alloc, F&& f) {
 // ----- shared sorted-batch oracle harness -----
 //
 // The property every SupportsSortedBatch structure is held to, written
-// once and instantiated per structure (DS = persist::X<int64, int64>):
-// a key-sorted, key-unique batch applied in one sweep must leave exactly
-// the contents of applying the ops one at a time, report the per-op
-// outcomes the point API would return, keep the structure's own
-// invariants (check_invariants audits the discipline-specific contract:
-// treap heap order, AVL heights, red/black, weight balance, B-tree
-// occupancy/depth, external-BST leaf/router separation), and share the
-// whole version on an all-noop batch — same root, zero allocations.
+// once (DS = persist::X<int64, int64>): a key-sorted, key-unique batch
+// applied in one sweep must leave exactly the contents of applying the
+// ops one at a time, report the per-op outcomes the point API would
+// return, and keep the structure's own invariants (check_invariants
+// audits the discipline-specific contract: treap heap order, AVL
+// heights, red/black, weight balance, B-tree occupancy/depth,
+// external-BST leaf/router separation).
 
 /// Key patterns for batch generation: uniform over the whole key range
 /// vs clustered runs (a few tight key neighborhoods), the regime where
@@ -70,102 +69,65 @@ typename DS::BatchOp batch_asg(std::int64_t k, std::int64_t v) {
   return typename DS::BatchOp{DS::BatchOpKind::kAssign, k, v};
 }
 
-/// All-noop and empty batches must return the very same version without
-/// allocating a single node.
+/// A starting version and a key-sorted, key-unique batch to apply to it.
 template <class DS>
-void batch_oracle_noop_shares_root() {
-  alloc::Arena a;
-  DS t;
-  for (const std::int64_t k : {10, 20, 30}) {
-    t = apply(a, [&](auto& b) { return t.insert(b, k, k * 10); });
+struct BatchCase {
+  DS start;
+  std::vector<typename DS::BatchOp> ops;
+};
+
+/// A random BatchCase: the version holds 120 random inserts over a random
+/// key range; the batch has up to 41 mixed ops whose keys are uniform
+/// over that range or drawn from a few tight neighborhoods of it.
+template <class DS, class Alloc>
+BatchCase<DS> random_batch_case(Alloc& a, util::Xoshiro256& rng,
+                                BatchKeyPattern pattern) {
+  const std::int64_t key_range =
+      1 + static_cast<std::int64_t>(rng.range(0, 400));
+  std::vector<std::int64_t> cluster_bases;
+  for (int c = 0; c < 4; ++c) {
+    cluster_bases.push_back(rng.range(0, key_range));
   }
-  {
-    core::Builder<alloc::Arena> b(a);
-    std::vector<typename DS::BatchOutcome> out;
-    DS t2 = t.apply_sorted_batch(b, {}, out);
-    EXPECT_EQ(t2.root_ptr(), t.root_ptr());
-    EXPECT_EQ(b.fresh_count(), 0u);
-    b.rollback();
-  }
-  {
-    core::Builder<alloc::Arena> b(a);
-    // Inserts of present keys + erases of absent keys: nothing changes,
-    // and the whole version is shared (no copies at all).
-    std::vector<typename DS::BatchOp> ops{
-        batch_ins<DS>(10, 99), batch_era<DS>(15), batch_ins<DS>(30, 99),
-        batch_era<DS>(40)};
-    std::vector<typename DS::BatchOutcome> out(ops.size());
-    DS t2 = t.apply_sorted_batch(b, ops, out);
-    EXPECT_EQ(t2.root_ptr(), t.root_ptr());
-    EXPECT_EQ(b.fresh_count(), 0u);
-    for (const auto o : out) EXPECT_EQ(o, DS::BatchOutcome::kNoop);
-    EXPECT_EQ(*t2.find(10), 100);  // set-style insert kept the old value
-    b.rollback();
-  }
-  {
-    // Deep tree: the zero-alloc guarantee must hold through interior
-    // levels (a multi-node B-tree, rotated BSTs), not just a tiny root.
-    std::vector<std::pair<std::int64_t, std::int64_t>> items;
-    for (std::int64_t k = 0; k < 512; ++k) items.emplace_back(k * 2, k);
-    DS big = apply(a, [&](auto& b) {
-      return DS::from_sorted(b, items.begin(), items.end());
-    });
-    core::Builder<alloc::Arena> b(a);
-    std::vector<typename DS::BatchOp> ops;
-    for (std::int64_t k = 1; k < 1024; k += 38) {
-      ops.push_back(batch_era<DS>(k));  // odd keys: all absent
+  const auto gen_key = [&]() -> std::int64_t {
+    if (pattern == BatchKeyPattern::kUniform) {
+      return rng.range(0, key_range);
     }
-    for (std::int64_t k = 0; k < 1024; k += 34) {
-      ops.push_back(batch_ins<DS>(k, -1));  // even keys: all present
-    }
-    std::sort(ops.begin(), ops.end(),
-              [](const typename DS::BatchOp& x, const typename DS::BatchOp& y) {
-                return x.key < y.key;
-              });
-    std::vector<typename DS::BatchOutcome> out(ops.size());
-    DS big2 = big.apply_sorted_batch(b, ops, out);
-    EXPECT_EQ(big2.root_ptr(), big.root_ptr());
-    EXPECT_EQ(b.fresh_count(), 0u);
-    for (const auto o : out) EXPECT_EQ(o, DS::BatchOutcome::kNoop);
-    b.rollback();
+    const auto base = cluster_bases[rng.below(cluster_bases.size())];
+    return base + rng.range(0, 12);
+  };
+
+  BatchCase<DS> c;
+  for (int i = 0; i < 120; ++i) {
+    const std::int64_t k = rng.range(0, key_range);
+    c.start = apply(a, [&](auto& b) { return c.start.insert(b, k, k * 7); });
   }
+  const int batch_size = 1 + static_cast<int>(rng.range(0, 40));
+  std::set<std::int64_t> used;
+  for (int i = 0; i < batch_size; ++i) {
+    const std::int64_t k = gen_key();
+    if (!used.insert(k).second) continue;
+    const auto roll = rng.range(0, 2);
+    if (roll == 0) {
+      c.ops.push_back(batch_ins<DS>(k, k * 100 + 1));
+    } else if (roll == 1) {
+      c.ops.push_back(batch_era<DS>(k));
+    } else {
+      c.ops.push_back(batch_asg<DS>(k, k * 100 + 2));
+    }
+  }
+  std::sort(c.ops.begin(), c.ops.end(),
+            [](const typename DS::BatchOp& x, const typename DS::BatchOp& y) {
+              return x.key < y.key;
+            });
+  return c;
 }
 
-/// Deterministic outcome/content spot check over all three op kinds.
+/// Randomized rounds of random_batch_case, each checked against
+/// sequential per-op application (contents + outcomes) and the
+/// structure's invariant audit.
 template <class DS>
-void batch_oracle_outcomes() {
-  alloc::Arena a;
-  DS t;
-  for (const std::int64_t k : {10, 20, 30}) {
-    t = apply(a, [&](auto& b) { return t.insert(b, k, k * 10); });
-  }
-  std::vector<typename DS::BatchOp> ops{
-      batch_ins<DS>(5, 55), batch_era<DS>(10), batch_asg<DS>(20, 2000),
-      batch_asg<DS>(25, 2500), batch_ins<DS>(30, 999)};
-  std::vector<typename DS::BatchOutcome> out(ops.size());
-  DS t2 = apply(a, [&](auto& b) { return t.apply_sorted_batch(b, ops, out); });
-  EXPECT_EQ(out[0], DS::BatchOutcome::kInserted);
-  EXPECT_EQ(out[1], DS::BatchOutcome::kErased);
-  EXPECT_EQ(out[2], DS::BatchOutcome::kAssigned);
-  EXPECT_EQ(out[3], DS::BatchOutcome::kInserted);  // assign on absent key
-  EXPECT_EQ(out[4], DS::BatchOutcome::kNoop);
-  EXPECT_EQ(t2.size(), 4u);
-  EXPECT_EQ(*t2.find(5), 55);
-  EXPECT_FALSE(t2.contains(10));
-  EXPECT_EQ(*t2.find(20), 2000);
-  EXPECT_EQ(*t2.find(25), 2500);
-  EXPECT_EQ(*t2.find(30), 300);
-  EXPECT_TRUE(t2.check_invariants());
-}
-
-/// Randomized rounds: sorted unique batches of mixed kinds against a
-/// random starting set, checked against sequential per-op application
-/// (contents + outcomes) and the structure's invariant audit. `extra`
-/// receives (batch_result, sequential_result) for structure-specific
-/// checks — the treap adds canonical-shape equality there.
-template <class DS, class Extra>
 void batch_oracle_random(std::uint64_t seed, int rounds,
-                         BatchKeyPattern pattern, Extra&& extra) {
+                         BatchKeyPattern pattern) {
   util::Xoshiro256 rng(seed);
   for (int round = 0; round < rounds; ++round) {
     // Arena allocator: individual frees are no-ops, so the batch and the
@@ -173,98 +135,50 @@ void batch_oracle_random(std::uint64_t seed, int rounds,
     // version (each superseding its copy of the spine) without
     // invalidating the other.
     alloc::Arena a;
-    {
-      const std::int64_t key_range =
-          1 + static_cast<std::int64_t>(rng.range(0, 400));
-      // Clustered batches draw from a few tight neighborhoods of the key
-      // space instead of the whole range.
-      std::vector<std::int64_t> cluster_bases;
-      for (int c = 0; c < 4; ++c) {
-        cluster_bases.push_back(rng.range(0, key_range));
-      }
-      const auto gen_key = [&]() -> std::int64_t {
-        if (pattern == BatchKeyPattern::kUniform) {
-          return rng.range(0, key_range);
-        }
-        const auto base = cluster_bases[rng.below(cluster_bases.size())];
-        return base + rng.range(0, 12);
-      };
+    const BatchCase<DS> c = random_batch_case<DS>(a, rng, pattern);
+    const auto& ops = c.ops;
+    std::vector<typename DS::BatchOutcome> out(ops.size());
+    DS batch = apply(
+        a, [&](auto& b) { return c.start.apply_sorted_batch(b, ops, out); });
+    ASSERT_TRUE(batch.check_invariants()) << "round " << round;
 
-      DS t;
-      for (int i = 0; i < 120; ++i) {
-        const std::int64_t k = rng.range(0, key_range);
-        t = apply(a, [&](auto& b) { return t.insert(b, k, k * 7); });
-      }
-
-      std::vector<typename DS::BatchOp> ops;
-      const int batch_size = 1 + static_cast<int>(rng.range(0, 40));
-      std::set<std::int64_t> used;
-      for (int i = 0; i < batch_size; ++i) {
-        const std::int64_t k = gen_key();
-        if (!used.insert(k).second) continue;
-        const auto roll = rng.range(0, 2);
-        if (roll == 0) {
-          ops.push_back(batch_ins<DS>(k, k * 100 + 1));
-        } else if (roll == 1) {
-          ops.push_back(batch_era<DS>(k));
-        } else {
-          ops.push_back(batch_asg<DS>(k, k * 100 + 2));
-        }
-      }
-      std::sort(ops.begin(), ops.end(),
-                [](const typename DS::BatchOp& x,
-                   const typename DS::BatchOp& y) { return x.key < y.key; });
-
-      std::vector<typename DS::BatchOutcome> out(ops.size());
-      DS batch = apply(
-          a, [&](auto& b) { return t.apply_sorted_batch(b, ops, out); });
-      ASSERT_TRUE(batch.check_invariants()) << "round " << round;
-
-      // Sequential reference + expected outcomes from per-op semantics.
-      DS seq = t;
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const typename DS::BatchOp& op = ops[i];
-        const bool was_present = seq.contains(op.key);
-        seq = apply(a, [&](auto& b) {
-          switch (op.kind) {
-            case DS::BatchOpKind::kInsert:
-              return seq.insert(b, op.key, *op.value);
-            case DS::BatchOpKind::kErase:
-              return seq.erase(b, op.key);
-            default:
-              return seq.insert_or_assign(b, op.key, *op.value);
-          }
-        });
-        typename DS::BatchOutcome expect;
+    // Sequential reference + expected outcomes from per-op semantics.
+    DS seq = c.start;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const typename DS::BatchOp& op = ops[i];
+      const bool was_present = seq.contains(op.key);
+      seq = apply(a, [&](auto& b) {
         switch (op.kind) {
           case DS::BatchOpKind::kInsert:
-            expect = was_present ? DS::BatchOutcome::kNoop
-                                 : DS::BatchOutcome::kInserted;
-            break;
+            return seq.insert(b, op.key, *op.value);
           case DS::BatchOpKind::kErase:
-            expect = was_present ? DS::BatchOutcome::kErased
-                                 : DS::BatchOutcome::kNoop;
-            break;
+            return seq.erase(b, op.key);
           default:
-            expect = was_present ? DS::BatchOutcome::kAssigned
-                                 : DS::BatchOutcome::kInserted;
-            break;
+            return seq.insert_or_assign(b, op.key, *op.value);
         }
-        ASSERT_EQ(out[i], expect) << "round " << round << " op " << i;
+      });
+      typename DS::BatchOutcome expect;
+      switch (op.kind) {
+        case DS::BatchOpKind::kInsert:
+          expect = was_present ? DS::BatchOutcome::kNoop
+                               : DS::BatchOutcome::kInserted;
+          break;
+        case DS::BatchOpKind::kErase:
+          expect = was_present ? DS::BatchOutcome::kErased
+                               : DS::BatchOutcome::kNoop;
+          break;
+        default:
+          expect = was_present ? DS::BatchOutcome::kAssigned
+                               : DS::BatchOutcome::kInserted;
+          break;
       }
-      ASSERT_EQ(batch.items(), seq.items()) << "round " << round;
-      extra(batch, seq);
+      ASSERT_EQ(out[i], expect) << "round " << round << " op " << i;
     }
+    ASSERT_EQ(batch.items(), seq.items()) << "round " << round;
   }
 }
 
-template <class DS>
-void batch_oracle_random(std::uint64_t seed, int rounds,
-                         BatchKeyPattern pattern) {
-  batch_oracle_random<DS>(seed, rounds, pattern, [](const DS&, const DS&) {});
-}
-
-// ----- shared read-path oracle harnesses (PR 10) -----
+// ----- shared read-path oracle harness -----
 
 /// get_sorted_batch must answer exactly like per-key find() — present and
 /// absent keys alike — and its ReadProbeStats must be internally
@@ -320,106 +234,6 @@ void read_batch_oracle_random(std::uint64_t seed, int rounds,
         pattern == BatchKeyPattern::kClustered) {
       EXPECT_GT(st.nodes_saved(), 0u) << "round " << round;
     }
-  }
-}
-
-/// for_each_range / count_range / bounded scan oracle, shared by the
-/// PR 6 (AVL, B-tree) and PR 10 (red-black, weight-balanced, external
-/// BST) range ports: random windows against a std::set reference, plus
-/// the boundary windows (empty [k,k), singleton [k,k+1)) and the
-/// scan-limit prefix property.
-template <class DS>
-void range_oracle_random(std::uint64_t seed) {
-  util::Xoshiro256 rng(seed);
-  alloc::Arena a;
-  DS t;
-  std::set<std::int64_t> oracle;
-  for (int i = 0; i < 600; ++i) {
-    const std::int64_t k = rng.range(0, 1000);
-    oracle.insert(k);
-    t = apply(a, [&](auto& b) { return t.insert(b, k, k * 3); });
-  }
-  ASSERT_EQ(t.size(), oracle.size());
-
-  const auto window_oracle = [&](std::int64_t lo, std::int64_t hi) {
-    std::vector<std::pair<std::int64_t, std::int64_t>> want;
-    for (auto it = oracle.lower_bound(lo); it != oracle.end() && *it < hi;
-         ++it) {
-      want.emplace_back(*it, *it * 3);
-    }
-    return want;
-  };
-  const auto check_window = [&](std::int64_t lo, std::int64_t hi) {
-    const auto want = window_oracle(lo, hi);
-    std::vector<std::pair<std::int64_t, std::int64_t>> got;
-    t.for_each_range(lo, hi, [&](const std::int64_t& k,
-                                 const std::int64_t& v) {
-      got.emplace_back(k, v);
-    });
-    ASSERT_EQ(got, want) << "window [" << lo << ", " << hi << ")";
-    if constexpr (requires { t.count_range(lo, hi); }) {
-      ASSERT_EQ(t.count_range(lo, hi), want.size())
-          << "window [" << lo << ", " << hi << ")";
-    }
-    // scan with a limit must emit exactly the first `limit` hits.
-    const std::size_t limit = rng.below(want.size() + 3);
-    std::vector<std::pair<std::int64_t, std::int64_t>> scanned;
-    const std::size_t emitted = t.scan(lo, hi, limit, scanned);
-    const std::size_t expect = std::min(limit, want.size());
-    ASSERT_EQ(emitted, expect);
-    ASSERT_EQ(scanned.size(), expect);
-    for (std::size_t i = 0; i < expect; ++i) {
-      ASSERT_EQ(scanned[i], want[i]) << "scan hit " << i;
-    }
-  };
-
-  for (int w = 0; w < 200; ++w) {
-    std::int64_t lo = rng.range(-20, 1020);
-    std::int64_t hi = rng.range(-20, 1020);
-    if (hi < lo) std::swap(lo, hi);
-    check_window(lo, hi);
-  }
-  const std::int64_t k = *oracle.begin();
-  check_window(k, k);      // empty half-open window
-  check_window(k, k + 1);  // singleton window
-}
-
-/// from_sorted round-trip: bulk build of a strictly increasing run must
-/// iterate back exactly and satisfy the structure's invariants; empty
-/// and singleton runs degrade gracefully.
-template <class DS>
-void from_sorted_roundtrip() {
-  alloc::Arena a;
-  std::vector<std::pair<std::int64_t, std::int64_t>> items;
-  for (std::int64_t k = 0; k < 1000; k += 3) items.emplace_back(k, k * 10);
-  DS t = apply(
-      a, [&](auto& b) { return DS::from_sorted(b, items.begin(), items.end()); });
-  EXPECT_EQ(t.size(), items.size());
-  EXPECT_TRUE(t.check_invariants());
-  EXPECT_EQ(t.items(), items);
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> none;
-  DS t0 = apply(
-      a, [&](auto& b) { return DS::from_sorted(b, none.begin(), none.end()); });
-  EXPECT_TRUE(t0.empty());
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> one{{7, 70}};
-  DS t1 = apply(
-      a, [&](auto& b) { return DS::from_sorted(b, one.begin(), one.end()); });
-  EXPECT_EQ(t1.size(), 1u);
-  EXPECT_EQ(*t1.find(7), 70);
-  EXPECT_TRUE(t1.check_invariants());
-
-  // Every size in [0, 64]: balanced packing / leveled coloring must hold
-  // at the awkward boundary sizes, not just the friendly ones.
-  for (std::int64_t n = 0; n <= 64; ++n) {
-    std::vector<std::pair<std::int64_t, std::int64_t>> run;
-    for (std::int64_t k = 0; k < n; ++k) run.emplace_back(k * 2, k);
-    DS tn = apply(
-        a, [&](auto& b) { return DS::from_sorted(b, run.begin(), run.end()); });
-    ASSERT_EQ(tn.size(), static_cast<std::size_t>(n));
-    ASSERT_TRUE(tn.check_invariants()) << "n = " << n;
-    ASSERT_EQ(tn.items(), run) << "n = " << n;
   }
 }
 
