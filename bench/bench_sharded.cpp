@@ -19,8 +19,9 @@
 //     ticket, so the S installs of one client batch run concurrently,
 //     every client's sub-batches funnel through the shard's one
 //     combiner-affine thread, and a worker wakeup that finds several
-//     tickets queued merges them into one sorted install (the
-//     executor-lanes section below reports and asserts exactly that).
+//     tickets queued hands them to execute_batch as one span, which the
+//     combining backend installs with one CAS (the executor-lanes
+//     section below reports and asserts exactly that).
 //
 // Backends are swept through the UniversalConstruction concept: the same
 // harness instantiates the plain Atom and the CombiningAtom, which is the
@@ -350,7 +351,8 @@ void sweep_structures(const Config& cfg, std::size_t shards) {
 // Multi-client batch ingest into FEW shards is where the async pipeline
 // earns (or loses) its keep: every client's sub-batches land on the same
 // one or two lanes, a worker wakeup finds several tickets queued, and
-// the coalescer k-way-merges them into one sorted install. The section
+// the coalescer concatenates them into one execute_batch span, which the
+// combining backend sorts and installs with one CAS. The section
 // reports sync vs async ops/s side by side plus the pipeline counters
 // the lane rewrite promises end to end: mean tickets absorbed per
 // worker wakeup (> 1 means cross-ticket coalescing actually fired —

@@ -22,6 +22,12 @@
 // lambdas: a helper must be able to execute your operation from the
 // announcement alone. That is the standard price of helping-based UCs.
 //
+// Batches ride the same install: execute_batch is the one batch install
+// loop, for a client batch, an executor lane's coalesced run of tickets
+// and a migration chunk alike. It puts the whole request span into one
+// install next to the gathered announcements; the install's stable key
+// sort and same-key chain collapse turn them into one sorted sweep.
+//
 // Progress: wait-free for updates, with a small constant bound. The
 // two-install lemma: any install whose gather began after my announce
 // absorbs my operation (the gather scans every slot). An install that
@@ -98,17 +104,6 @@ concept ReportsBatchFanout =
       { ds.count_leaf_runs(ops, max_runs, ops_covered) }
           -> std::convertible_to<unsigned>;
     };
-
-/// Optional per-structure override of the gate's density demand — the
-/// cost-model constant alongside kBatchFanout. A structure whose batch
-/// machinery costs more per touched leaf than a leaf rewrite (e.g. the
-/// red-black tree's join/recoloring cascade, priced in virtual leaves)
-/// declares how many ops must share a leaf before its sorted sweep pays;
-/// structures without it get the combiner's default.
-template <class DS>
-concept ReportsBatchThreshold = requires {
-  { DS::kBatchMinOpsPerLeaf } -> std::convertible_to<unsigned>;
-};
 
 template <class DS, class Smr, class Alloc, unsigned MaxThreads = 32>
 class CombiningAtom {
@@ -202,140 +197,54 @@ class CombiningAtom {
   using ReadOutcome = persist::ReadOutcome<Value>;
 
   /// Applies a client-supplied op sequence through the combiner's install
-  /// path: each install absorbs up to MaxThreads requests (plus any
-  /// pending per-thread announcements — helping is preserved) in one CAS,
-  /// using the sorted-batch sweep when the structure supports it. Results
-  /// land in `results_out` aligned with `reqs`, with the same semantics as
-  /// issuing the ops in order through insert()/erase(). This is the
-  /// ingest interface for callers that already hold a batch (e.g. a shard
-  /// draining a network queue), and what bench_batch_combining drives to
-  /// measure the install path at a controlled batch size.
+  /// path — the one batch install loop. Each install absorbs a chunk of
+  /// `reqs` plus any pending per-thread announcements (helping is
+  /// preserved) in one CAS, using the sorted-batch sweep when the
+  /// structure supports it: install() sorts, so `reqs` may come in any
+  /// key order, duplicates included. The first chunk is the whole span
+  /// (up to kBulkChunk requests); a lost CAS halves the next attempt,
+  /// never below MaxThreads (a long build window keeps losing to per-op
+  /// rivals, and a lost sweep is expensive to rebuild), and a win doubles
+  /// it back. Results land in `results_out` aligned with `reqs`, with the
+  /// same semantics as issuing the ops in order through insert()/erase().
+  /// This is the ingest interface for callers that already hold a batch:
+  /// a client batch, an executor lane's coalesced run of tickets, a
+  /// migration chunk.
   void execute_batch(Ctx& ctx, std::span<const BatchRequest> reqs,
                      std::span<bool> results_out) {
     PC_ASSERT(results_out.size() >= reqs.size(),
               "execute_batch result span too small");
-    install_chunked(ctx, reqs, results_out, MaxThreads);
-  }
-
-  /// Bulk sorted ingest — the control-plane fast path behind shard
-  /// migration backfills. `reqs` must be key-sorted and key-unique; the
-  /// whole span is applied through giant sorted sweeps, one CAS per
-  /// chunk of up to kBulkChunk requests instead of one per MaxThreads,
-  /// so moving a large key range costs a handful of installs. Under CAS
-  /// contention the chunk halves (a lost giant sweep is expensive to
-  /// rebuild, and a long build window keeps losing to per-op rivals);
-  /// below kBulkFloor the remainder falls back to execute_batch, whose
-  /// small gather-integrated installs win contended shards. Unlike
-  /// execute_batch this path does NOT gather announcements — helping is
-  /// suspended for the duration of a bulk install (announcers still
-  /// complete through their own retry loops; the two-install bound
-  /// stretches by the chunks in flight) — which is the deliberate trade
-  /// for control-plane batches; client traffic should keep using
-  /// execute_batch. Results land in `results_out` aligned with `reqs`.
-  void ingest_sorted(Ctx& ctx, std::span<const BatchRequest> reqs,
-                     std::span<bool> results_out) {
-    PC_ASSERT(results_out.size() >= reqs.size(),
-              "ingest_sorted result span too small");
-    if constexpr (!kHasBatchApply) {
-      execute_batch(ctx, reqs, results_out);
-    } else {
-      using BatchOp = typename DS::BatchOp;
-      using BatchOutcome = typename DS::BatchOutcome;
-      using BatchOpKind = typename DS::BatchOpKind;
-#ifndef NDEBUG
-      {
-        typename DS::KeyCompare cmp;
-        for (std::size_t i = 1; i < reqs.size(); ++i) {
-          PC_DASSERT(cmp(reqs[i - 1].key, reqs[i].key),
-                     "ingest_sorted requires strictly increasing keys");
-        }
+    BuilderT builder(*ctx.alloc);
+    builder.set_recycling(ctx.recycle_fresh);
+    RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
+    std::size_t chunk = kBulkChunk;
+    for (std::size_t done = 0; done < reqs.size();) {
+      const std::size_t n = std::min(chunk, reqs.size() - done);
+      builder.reset();
+      ++ctx.stats.attempts;
+      auto guard = smr_->pin(ctx.smr_handle, root_, version_);
+      const auto* vr = static_cast<const VersionRec*>(guard.root());
+      if (install(ctx, builder, vr, reqs.subspan(done, n),
+                  results_out.subspan(done, n)) == nullptr) {
+        chunk = std::max<std::size_t>(n / 2, MaxThreads);
+        continue;
       }
-#endif
-      std::vector<BatchOp> ops;
-      std::vector<BatchOutcome> outs;
-      BuilderT builder(*ctx.alloc);
-      builder.set_recycling(ctx.recycle_fresh);
-      RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
-      std::size_t done = 0;
-      std::size_t chunk = kBulkChunk;
-      while (done < reqs.size()) {
-        if (chunk < kBulkFloor) {
-          // Contention won this shard: finish through the combining
-          // install path.
-          execute_batch(ctx, reqs.subspan(done), results_out.subspan(done));
-          return;
-        }
-        const std::size_t n = std::min(chunk, reqs.size() - done);
-        ops.clear();
-        ops.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          const BatchRequest& r = reqs[done + i];
-          PC_DASSERT(r.kind == OpKind::kErase || r.value.has_value(),
-                     "insert request without a value");
-          ops.push_back(BatchOp{r.kind == OpKind::kInsert
-                                    ? BatchOpKind::kInsert
-                                    : BatchOpKind::kErase,
-                                r.key, r.value});
-        }
-        outs.assign(n, BatchOutcome::kNoop);
-        builder.reset();
-        ++ctx.stats.attempts;
-        auto guard = smr_->pin(ctx.smr_handle, root_, version_);
-        const auto* vr = static_cast<const VersionRec*>(guard.root());
-        DS next = DS::from_root(vr->ds_root)
-                      .apply_sorted_batch(builder,
-                                          std::span<const BatchOp>(ops),
-                                          std::span<BatchOutcome>(outs));
-        if (publish(ctx, builder, vr, next.root_ptr(), vr->applied_seq,
-                    vr->last_result) == nullptr) {
-          chunk /= 2;
-          continue;
-        }
-        ctx.stats.batched_installs += 1;
-        ctx.stats.batched_ops += n;
-        ctx.stats.batch_hist[OpStats::batch_bucket(n)] += 1;
-        for (std::size_t i = 0; i < n; ++i) {
-          results_out[done + i] = outs[i] != BatchOutcome::kNoop;
-        }
-        done += n;
-        // Contention is bursty: grow back toward the full chunk.
-        chunk = std::min<std::size_t>(chunk * 2, kBulkChunk);
-      }
+      done += n;
+      chunk = std::min(chunk * 2, kBulkChunk);
     }
   }
 
-  /// Coalesced ingest — the async pipeline's cross-ticket merge entry.
-  /// `reqs` must be stably key-sorted with duplicates ALLOWED: same-key
-  /// requests appear in application order (the ShardExecutor's k-way
-  /// merge of many clients' key-sorted sub-batches is exactly that).
-  /// Results land in `results_out` aligned with `reqs`, exactly as if the
-  /// requests ran one by one in span order. A run longer than MaxThreads
-  /// goes in as ONE install attempt per retry (plus any pending
-  /// announcements, so helping is preserved) when the sorted sweep is on:
-  /// a backed-up lane pays one root CAS for N tickets. Same-key chains
-  /// collapse to one effective op per distinct key; if the fanout gate
-  /// prices the collapsed run as unclustered, that same install applies
-  /// it per op instead. Shorter runs, structures without the sweep, and
-  /// set_batch_apply(false) take execute_batch's chunks of MaxThreads.
+  /// Forwards to execute_batch. Kept as a name because the store
+  /// benchmark's traced wrappers (benchmark/src/timed.hpp) check for it.
   void execute_sorted(Ctx& ctx, std::span<const BatchRequest> reqs,
                       std::span<bool> results_out) {
-    PC_ASSERT(results_out.size() >= reqs.size(),
-              "execute_sorted result span too small");
-    std::size_t chunk = MaxThreads;
-    if constexpr (kHasBatchApply) {
-#ifndef NDEBUG
-      typename DS::KeyCompare cmp;
-      for (std::size_t i = 1; i < reqs.size(); ++i) {
-        PC_DASSERT(!cmp(reqs[i].key, reqs[i - 1].key),
-                   "execute_sorted requires key-sorted requests");
-      }
-#endif
-      if (reqs.size() > MaxThreads &&
-          batch_apply_.load(std::memory_order_relaxed)) {
-        chunk = reqs.size();
-      }
-    }
-    install_chunked(ctx, reqs, results_out, chunk);
+    execute_batch(ctx, reqs, results_out);
+  }
+
+  /// Forwards to execute_batch, like execute_sorted.
+  void ingest_sorted(Ctx& ctx, std::span<const BatchRequest> reqs,
+                     std::span<bool> results_out) {
+    execute_batch(ctx, reqs, results_out);
   }
 
   /// Disables/enables the sorted-batch fast path (per-op fallback). For
@@ -466,9 +375,8 @@ class CombiningAtom {
   /// caller's result span instead of the VersionRec arrays.
   static constexpr unsigned kRequestSlot = MaxThreads;
   /// Inline capacity of an install's entry list and scratch: every
-  /// announcement slot plus one chunk of at most MaxThreads requests, so
-  /// run_op and execute_batch installs never touch the heap. Only a whole
-  /// coalesced run (execute_sorted) longer than this spills.
+  /// announcement slot plus MaxThreads requests, so run_op and short
+  /// batches never touch the heap. A longer batch spills.
   static constexpr unsigned kMaxGather = 2 * MaxThreads;
   template <class T>
   using Scratch = util::SmallVec<T, kMaxGather>;
@@ -487,11 +395,8 @@ class CombiningAtom {
   static constexpr unsigned kWideFanout = 6;
   static constexpr unsigned kMinOpsPerLeaf = 2;
   static constexpr unsigned kClusterProbes = 4;
-  /// Bulk-ingest chunking (ingest_sorted): target requests per install,
-  /// and the floor below which contention hands the remainder to
-  /// execute_batch.
+  /// Most requests one execute_batch install takes.
   static constexpr std::size_t kBulkChunk = std::size_t{1} << 16;
-  static constexpr std::size_t kBulkFloor = 2048;
 
   bool run_op(Ctx& ctx, unsigned slot, OpKind kind, const Key& key,
               std::optional<Value> value) {
@@ -525,30 +430,6 @@ class CombiningAtom {
                    "own announcement must be gathered");
         return nvr->last_result[slot];
       }
-    }
-  }
-
-  /// The retry loop behind execute_batch and execute_sorted: installs
-  /// `reqs` in span order, `chunk` requests per install, retrying each
-  /// chunk until its CAS lands.
-  void install_chunked(Ctx& ctx, std::span<const BatchRequest> reqs,
-                       std::span<bool> results_out, std::size_t chunk) {
-    BuilderT builder(*ctx.alloc);
-    builder.set_recycling(ctx.recycle_fresh);
-    RecycleScope<Alloc> recycle_scope(ctx.stats, builder);
-    for (std::size_t done = 0; done < reqs.size();) {
-      const std::size_t n = std::min(chunk, reqs.size() - done);
-      for (;;) {
-        builder.reset();
-        ++ctx.stats.attempts;
-        auto guard = smr_->pin(ctx.smr_handle, root_, version_);
-        const auto* vr = static_cast<const VersionRec*>(guard.root());
-        if (install(ctx, builder, vr, reqs.subspan(done, n),
-                    results_out.subspan(done, n)) != nullptr) {
-          break;
-        }
-      }
-      done += n;
     }
   }
 
@@ -766,8 +647,8 @@ class CombiningAtom {
   }
 
   /// Fanout gate (ReportsBatchFanout structures only): prices the
-  /// collapsed batch before applying it — if fewer than the structure's
-  /// ops-per-leaf demand share each touched leaf on average, the shared
+  /// collapsed batch before applying it — if fewer than kMinOpsPerLeaf
+  /// ops share each touched leaf on average, the shared
   /// spine cannot pay for the per-leaf batch machinery (whole-leaf
   /// rewrites on a B-tree, join/recoloring cascades on a virtual-leaf
   /// structure) and the per-op loop is cheaper. The probe samples at
@@ -778,17 +659,10 @@ class CombiningAtom {
       const DS2& ds, std::span<const typename DS2::BatchOp> ops) {
     if constexpr (ReportsBatchFanout<DS2>) {
       if constexpr (DS2::kBatchFanout >= kWideFanout) {
-        constexpr unsigned kMinOps = [] {
-          if constexpr (ReportsBatchThreshold<DS2>) {
-            return DS2::kBatchMinOpsPerLeaf;
-          } else {
-            return kMinOpsPerLeaf;
-          }
-        }();
         std::size_t covered = 0;
         const unsigned runs = ds.count_leaf_runs(ops, kClusterProbes,
                                                  &covered);
-        if (runs > 0 && covered < kMinOps * runs) return true;
+        if (runs > 0 && covered < kMinOpsPerLeaf * runs) return true;
       }
     }
     return false;

@@ -94,13 +94,11 @@ class RbTree : public BinaryTree<RbTree<K, V, Cmp>, RbNode<K, V>, K, V, Cmp> {
 
   /// Size bound of one virtual leaf — the cost-model constant the gate
   /// consumes (kBatchFanout advertises it to the ReportsBatchFanout
-  /// concept; kBatchMinOpsPerLeaf is the matching density demand).
+  /// concept; the combiner's kMinOpsPerLeaf, 2, is the density demand
+  /// below which join rebalancing dominates — the ~0.6x uniform-key
+  /// cell).
   static constexpr unsigned kBatchVirtualLeaf = 8;
   static constexpr unsigned kBatchFanout = kBatchVirtualLeaf;
-  /// Ops that must share a touched virtual leaf, on average, for the
-  /// sorted sweep to beat per-op application (below it, join rebalancing
-  /// dominates — the ~0.6x uniform-key cell).
-  static constexpr unsigned kBatchMinOpsPerLeaf = 2;
 
   /// Number of distinct virtual leaves a key-sorted, key-unique batch
   /// would touch. Sampling contract as BTree::count_leaf_runs: at most

@@ -21,16 +21,17 @@
 //   * the join ticket is a plain atomic countdown (see BatchTicket).
 //
 // And it coalesces: on each wakeup the worker drains the ENTIRE lane
-// into a local run and merges every drained ticket's sub-batch into one
-// key-sorted mega-batch, which the backend's execute_sorted
-// entry collapses (cross-ticket same-key chains included) and installs
-// with ONE root CAS — a backed-up lane does one sorted install for N
-// tickets instead of N. Per-op outcomes are back-filled exactly per
-// ticket: the merge is stable by (key, drain order, in-task order), so
-// every key sees its ops in submission order and cross-key ops commute —
-// results are identical to executing the drained tasks one by one.
-// Seed tasks and the Rebalancer's sorted_unique migration tasks are
-// never coalesced; they execute in place as barriers in the drain order.
+// into a local run and concatenates each run of drained batch tickets,
+// in drain order, into one span for the backend's execute_batch. The
+// combining backend sorts and collapses that span (cross-ticket same-key
+// chains included) and installs it with ONE root CAS — a backed-up lane
+// does one install for N tickets instead of N; the plain Atom applies it
+// op by op. Per-op outcomes are back-filled exactly per ticket: the span
+// keeps every key's ops in submission order, and execute_batch answers
+// as if its ops ran one by one, so results are identical to executing
+// the drained tasks one by one. Client batches and the Rebalancer's
+// migration chunks coalesce alike; seed tasks execute in place as
+// barriers in the drain order.
 //
 // Threading/ownership contract:
 //   * construct over a ShardedMap (any map exposing shard_count() /
@@ -48,8 +49,9 @@
 //     returning);
 //   * a full lane blocks submit (backpressure) rather than running the
 //     sub-batch synchronously — an earlier task may still sit in the
-//     ring, and per-shard FIFO versus queued migration barriers must
-//     hold. The ring cannot stay full: workers only park empty lanes;
+//     ring, and per-shard FIFO versus queued seeds and migration chunks
+//     must hold. The ring cannot stay full: workers only park empty
+//     lanes;
 //   * stop() detaches from the map, then runs the lane's
 //     drain-then-park-poison protocol: set the stop gate, wait out
 //     in-flight submitters, push a poison task through the ring (FIFO
@@ -172,14 +174,9 @@ class ShardExecutor {
   /// read_results[scatter[i]] (or read_results[i]). All referenced
   /// storage is client-owned and must outlive the ticket.
   ///
-  /// sorted_unique marks a control-plane batch (migration install/erase)
-  /// whose reqs are key-sorted and key-unique: the worker routes it
-  /// through the backend's bulk ingest_sorted path when it has one and
-  /// never coalesces it — it is a barrier in the lane's FIFO.
-  ///
-  /// Any other batch task may coalesce with its lane neighbours,
-  /// whatever the order of its reqs: the merge is a stable sort by key,
-  /// which keeps each key's ops in submission order.
+  /// Any batch task may coalesce with its lane neighbours, whatever the
+  /// order of its reqs: the coalesced span is the tasks' reqs in drain
+  /// order, which keeps each key's ops in submission order.
   ///
   /// Read tasks coalesce unconditionally (the worker re-sorts the merged
   /// probe, so per-task ordering is presentation only): every read task
@@ -195,7 +192,6 @@ class ShardExecutor {
     ReadOutcome* read_results = nullptr;  // non-null marks a read task
     const SeedItems* seed = nullptr;
     BatchTicket* ticket = nullptr;
-    bool sorted_unique = false;
     bool poison = false;  // internal: stop() sentinel, never submitted
     bool done = false;    // internal: finished earlier in this drain
     std::chrono::steady_clock::time_point enqueued;  // sampled; see submit
@@ -316,9 +312,8 @@ class ShardExecutor {
   /// that does, for every kind: a lane worker's lone task, and a
   /// client's task when no executor is attached or a stopping one
   /// refused the submit. A seed task goes through seed_sorted, a read
-  /// task through multi_get, a batch task through ingest_sorted when it
-  /// is sorted_unique and the backend has that bulk path, else through
-  /// execute_batch. Leaves the ticket alone.
+  /// task through multi_get, a batch task through execute_batch. Leaves
+  /// the ticket alone.
   static void run_task(Uc& uc, Ctx& ctx, const Task& task,
                        TaskScratch& scratch) {
     if (task.seed != nullptr) {
@@ -338,15 +333,7 @@ class ShardExecutor {
     const std::span<bool> out = task.scatter != nullptr
                                     ? scratch.flags(n)
                                     : std::span<bool>(task.results, n);
-    if constexpr (requires { uc.ingest_sorted(ctx, task.reqs, out); }) {
-      if (task.sorted_unique) {
-        uc.ingest_sorted(ctx, task.reqs, out);
-      } else {
-        uc.execute_batch(ctx, task.reqs, out);
-      }
-    } else {
-      uc.execute_batch(ctx, task.reqs, out);
-    }
+    uc.execute_batch(ctx, task.reqs, out);
     if (task.scatter != nullptr) {
       for (std::size_t i = 0; i < n; ++i) {
         task.results[task.scatter[i]] = out[i];
@@ -407,10 +394,6 @@ class ShardExecutor {
     core::OpStats final_stats;  // worker writes before exit; read post-join
   };
 
-  static constexpr bool kHasExecuteSorted = requires(
-      Uc& uc, Ctx& ctx, std::span<const BatchRequest> reqs,
-      std::span<bool> out) { uc.execute_sorted(ctx, reqs, out); };
-
   static constexpr core::KeyLess<typename Uc::Structure> key_less{};
 
   void poison_and_join() {
@@ -421,11 +404,9 @@ class ShardExecutor {
     for (std::thread& w : workers_) w.join();
   }
 
-  /// A task the coalescer may merge: a client batch task. Seeds and
-  /// sorted_unique migrations are barriers.
+  /// A task the coalescer may merge: a batch task. Seeds are barriers.
   static bool coalescible(const Task& t) {
-    return t.seed == nullptr && !t.sorted_unique && !t.poison &&
-           t.read_results == nullptr;
+    return t.seed == nullptr && !t.poison && t.read_results == nullptr;
   }
 
   static bool is_read(const Task& t) { return t.read_results != nullptr; }
@@ -502,45 +483,25 @@ class ShardExecutor {
     }
   }
 
-  /// Coalesces run[first, last): merges the tasks' request spans into
-  /// one key-sorted mega-batch (stable by key, then drain order, then
-  /// in-task order — i.e. exactly submission order per key), hands it to
-  /// the backend's execute_sorted in one go, and scatters each op's
-  /// outcome back through its own task's scatter map. Cross-key ops
-  /// commute, so the outcomes equal running the tasks one by one.
+  /// Coalesces a run of batch tasks: concatenates their request spans
+  /// in drain order, hands the span to the backend's execute_batch in one
+  /// go, and scatters each op's outcome back through its own task's
+  /// scatter map. execute_batch answers as if the ops ran one by one, so
+  /// the outcomes equal running the tasks one by one.
   void exec_coalesced(Uc& uc, Ctx& ctx, std::span<Task> tasks,
-                      std::vector<std::pair<std::uint32_t, std::uint32_t>>&
-                          morder,
                       std::vector<BatchRequest>& merged,
                       TaskScratch& scratch) {
-    morder.clear();
-    std::size_t total = 0;
-    for (std::uint32_t t = 0; t < tasks.size(); ++t) {
-      total += tasks[t].reqs.size();
-    }
-    morder.reserve(total);
-    for (std::uint32_t t = 0; t < tasks.size(); ++t) {
-      for (std::uint32_t i = 0;
-           i < static_cast<std::uint32_t>(tasks[t].reqs.size()); ++i) {
-        morder.emplace_back(t, i);
-      }
-    }
-    // A stable sort of the concatenation by key keeps every key's ops in
-    // (task, in-task) order; for key-sorted spans it IS the k-way merge.
-    std::stable_sort(morder.begin(), morder.end(),
-                     [&](const auto& a, const auto& b) {
-                       return key_less(tasks[a.first].reqs[a.second].key,
-                                       tasks[b.first].reqs[b.second].key);
-                     });
     merged.clear();
-    merged.reserve(total);
-    for (const auto& [t, i] : morder) merged.push_back(tasks[t].reqs[i]);
-    const std::span<bool> out = scratch.flags(total);
-    uc.execute_sorted(ctx, std::span<const BatchRequest>(merged), out);
-    for (std::size_t m = 0; m < total; ++m) {
-      const auto [t, i] = morder[m];
-      const Task& task = tasks[t];
-      task.results[task.scatter != nullptr ? task.scatter[i] : i] = out[m];
+    for (const Task& task : tasks) {
+      merged.insert(merged.end(), task.reqs.begin(), task.reqs.end());
+    }
+    const std::span<bool> out = scratch.flags(merged.size());
+    uc.execute_batch(ctx, std::span<const BatchRequest>(merged), out);
+    std::size_t m = 0;
+    for (const Task& task : tasks) {
+      for (std::size_t i = 0; i < task.reqs.size(); ++i, ++m) {
+        task.results[task.scatter != nullptr ? task.scatter[i] : i] = out[m];
+      }
     }
     ctx.stats.exec_coalesced_installs += 1;
     ctx.stats.exec_coalesced_tasks += tasks.size();
@@ -658,16 +619,12 @@ class ShardExecutor {
           continue;
         }
         std::size_t j = i + 1;
-        if constexpr (kHasExecuteSorted) {
-          if (coalescible(run[i])) {
-            while (j < run.size() && coalescible(run[j])) ++j;
-          }
+        if (coalescible(run[i])) {
+          while (j < run.size() && coalescible(run[j])) ++j;
         }
         if (j - i > 1) {
-          if constexpr (kHasExecuteSorted) {  // always true when j-i > 1
-            exec_coalesced(uc, ctx, std::span<Task>(&run[i], j - i), morder,
-                           merged, scratch);
-          }
+          exec_coalesced(uc, ctx, std::span<Task>(&run[i], j - i), merged,
+                         scratch);
         } else {
           run_task(uc, ctx, run[i], scratch);
         }

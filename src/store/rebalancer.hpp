@@ -530,7 +530,7 @@ class Rebalancer {
 
   /// Keys installed per watermark bump: small enough that parked traffic
   /// resumes every few milliseconds as the big cold-destination install
-  /// advances, large enough that the bulk ingest path still amortizes.
+  /// advances, large enough that one sorted sweep still amortizes.
   static constexpr std::size_t kWatermarkChunk = 8192;
 
   /// Every migration op must land — inserts into territory the
@@ -552,10 +552,10 @@ class Rebalancer {
   }
 
   /// Applies `reqs` (key-sorted, key-unique) to `shard` in
-  /// kWatermarkChunk-sized pieces, each one sorted_unique task: on the
+  /// kWatermarkChunk-sized pieces, each one plain batch task: on the
   /// shard's lane when an executor is attached (FIFO with client
-  /// sub-batches, no stop-the-world), else on this thread — either way
-  /// through the backend's bulk ingest_sorted path when it has one. With
+  /// sub-batches, which it may coalesce with; no stop-the-world), else on
+  /// this thread — either way through the backend's execute_batch. With
   /// a non-null `e` the pieces are an incoming install for destination
   /// `shard` and the watermark advances after each one; null = erase
   /// sweep, no watermark.
@@ -575,16 +575,11 @@ class Rebalancer {
             typename Exec::Task task;
             task.reqs = chunk;
             task.results = results.get();
-            task.sorted_unique = true;
             return task;
           });
       assert_all_landed(chunk, results.get());
       off += n;
-      if (e != nullptr) {
-        if constexpr (Epoch::kHasWatermark) {
-          e->advance_watermark(shard, chunk.back().key);
-        }
-      }
+      if (e != nullptr) e->advance_watermark(shard, chunk.back().key);
     }
   }
 

@@ -71,7 +71,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -86,10 +85,6 @@ namespace pathcopy::store {
 /// from its owner under `router`.
 template <class RouterT, class K>
 struct RouterEpoch {
-  /// Watermarks need an atomically publishable key; maps with exotic key
-  /// types degrade to all-or-nothing per-destination readiness.
-  static constexpr bool kHasWatermark = std::is_trivially_copyable_v<K>;
-
   /// Per-destination migration progress. `done` — the whole incoming
   /// slice is installed. The watermark refines that for the one big
   /// destination a skew fit produces: the migration installs a slice in
@@ -99,7 +94,7 @@ struct RouterEpoch {
   struct ReadyState {
     std::atomic<bool> done{false};
     std::atomic<bool> has_mark{false};
-    std::conditional_t<kHasWatermark, std::atomic<K>, char> mark{};
+    std::atomic<K> mark{};
   };
 
   std::uint64_t seq;            // 1 for the construction epoch, then +1
@@ -125,27 +120,20 @@ struct RouterEpoch {
 
   /// Publishes "shard's incoming slice installed through `key`". Only
   /// the migrating thread calls this, with ascending keys.
-  void advance_watermark(std::size_t shard, const K& key) noexcept
-    requires(kHasWatermark)
-  {
+  void advance_watermark(std::size_t shard, const K& key) noexcept {
     ready[shard].mark.store(key, std::memory_order_release);
     ready[shard].has_mark.store(true, std::memory_order_release);
   }
 
   /// True when ops on `key` moving into `shard` may proceed: the slice
-  /// is fully installed, or installed at least through `key`. `le` is
-  /// the caller's key comparison (le(a, b) == a-not-greater-than-b).
+  /// is fully installed, or installed at least through `key`. `less` is
+  /// the caller's strict key order.
   template <class LessFn>
   bool is_ready_for(std::size_t shard, const K& key, LessFn&& less) const {
     const ReadyState& r = ready[shard];
     if (r.done.load(std::memory_order_acquire)) return true;
-    if constexpr (kHasWatermark) {
-      if (r.has_mark.load(std::memory_order_acquire)) {
-        const K mark = r.mark.load(std::memory_order_acquire);
-        return !less(mark, key);  // key <= mark
-      }
-    }
-    return false;
+    if (!r.has_mark.load(std::memory_order_acquire)) return false;
+    return !less(r.mark.load(std::memory_order_acquire), key);  // key <= mark
   }
 
   /// Did `key` change owner at this flip? Only meaningful while the

@@ -35,9 +35,11 @@
 // to the map, after which Session::execute_batch / multi_get /
 // seed_sorted scatter per-shard tasks into the per-shard worker queues
 // and join on a ticket — S concurrent install streams instead of a
-// sequential shard walk. Without one, the same tasks run on the calling
-// thread: run_shard_tasks is the one place that picks lane or thread,
-// and ShardExecutor::run_task the one function that runs a task there.
+// sequential shard walk, and a backed-up lane hands its queued batch
+// tickets to the backend's execute_batch as one span. Without one, the
+// same tasks run on the calling thread: run_shard_tasks is the one place
+// that picks lane or thread, and ShardExecutor::run_task the one
+// function that runs a task there.
 //
 // Routing: a TabletRouter (store/tablet_router.hpp) assigns sorted key
 // tablets to shards. Ordered cross-shard reads walk that table in key
@@ -503,9 +505,10 @@ class ShardedMap<Uc, RouterT>::Session {
   /// per-op semantics survive the reorder — ops on distinct keys commute,
   /// and same-key ops always land on the same shard), feeds each shard's
   /// install path, and scatters the per-op results back into
-  /// `results_out` aligned with `reqs`. With an executor attached the
-  /// sub-batches go through the per-shard worker queues concurrently and
-  /// this call joins on their ticket; otherwise shards are visited
+  /// `results_out` aligned with `reqs`. A one-shard map skips the split:
+  /// the batch is shard 0's task as it stands. With an executor attached
+  /// the sub-batches go through the per-shard worker queues concurrently
+  /// and this call joins on their ticket; otherwise shards are visited
   /// synchronously from this thread.
   ///
   /// Not re-entrant: the split index and sub-batch storage live in
@@ -538,16 +541,18 @@ class ShardedMap<Uc, RouterT>::Session {
         reqs.begin(), reqs.end(),
         [](const BatchRequest& r) -> const Key& { return r.key; });
     const EpochExit escope{this};
-    if (map_->shard_count() == 1 && map_->executor() == nullptr) {
-      // One shard and no lane: the client batch is shard 0's task as it
-      // stands — no split, no scatter. With a lane, even one shard is
-      // split: sub-batches reach the worker key-sorted, so its merge
-      // across tickets is a k-way merge, paid for by the client threads.
-      Task task;
-      task.reqs = reqs;
-      task.results = results_out.data();
-      ShardExecutor<Uc>::run_task(map_->shards_[0]->uc, ctxs_[0], task,
-                                  scratch_);
+    if (map_->shard_count() == 1) {
+      // One shard: the client batch is shard 0's task as it stands — no
+      // split, no scatter — on the lane or on this thread.
+      run_shard_tasks(
+          *map_, std::span<Ctx>(ctxs_), scratch_,
+          [&](std::size_t) { return !reqs.empty(); },
+          [&](std::size_t) {
+            Task task;
+            task.reqs = reqs;
+            task.results = results_out.data();
+            return task;
+          });
       return;
     }
     split_batch(e, reqs);

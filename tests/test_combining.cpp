@@ -11,6 +11,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <span>
 #include <thread>
@@ -298,24 +299,43 @@ TEST(CombiningBatch, BatchMatchesPerOpOnRandomStreams) {
   }
 }
 
-// Request streams longer than the slot count split into chunked installs
-// (one CAS per MaxThreads requests), each with correct per-op results.
-TEST(CombiningBatch, LongRequestStreamChunks) {
+// A request stream longer than the slot count (MaxThreads = 32) is one
+// install when nothing contends: 150 unsorted requests over 64 keys, with
+// same-key chains, land in one CAS, and every per-op result matches
+// applying the stream in order to a std::map.
+TEST(CombiningBatch, LongRequestStreamIsOneInstall) {
   alloc::MallocAlloc a;
   {
     reclaim::EpochReclaimer smr;
-    EpochCA atom(smr, a);  // MaxThreads = 32 -> 150 reqs = 5 chunks
+    EpochCA atom(smr, a);
     EpochCA::Ctx ctx(smr, a);
     using Req = EpochCA::BatchRequest;
+    using K = EpochCA::OpKind;
+    util::Xoshiro256 rng(150);
     std::vector<Req> reqs;
-    for (std::int64_t k = 0; k < 150; ++k) {
-      reqs.push_back(Req{EpochCA::OpKind::kInsert, k, k * 3});
+    for (std::int64_t i = 0; i < 150; ++i) {
+      const std::int64_t k = rng.range(0, 63);
+      if (rng.chance(2, 3)) {
+        reqs.push_back(Req{K::kInsert, k, k * 3 + i});
+      } else {
+        reqs.push_back(Req{K::kErase, k, std::nullopt});
+      }
     }
     auto out = std::make_unique<bool[]>(reqs.size());
     atom.execute_batch(ctx, reqs, std::span<bool>(out.get(), reqs.size()));
-    for (std::size_t i = 0; i < reqs.size(); ++i) EXPECT_TRUE(out[i]);
-    EXPECT_EQ(ctx.stats.updates, 5u);
-    EXPECT_EQ(atom.size(ctx), 150u);
+    std::map<std::int64_t, std::int64_t> oracle;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const bool want = reqs[i].kind == K::kInsert
+                            ? oracle.emplace(reqs[i].key, *reqs[i].value).second
+                            : oracle.erase(reqs[i].key) == 1;
+      EXPECT_EQ(out[i], want) << "op " << i;
+    }
+    EXPECT_EQ(ctx.stats.attempts, 1u);
+    EXPECT_EQ(ctx.stats.updates, 1u);
+    EXPECT_EQ(ctx.stats.batched_installs, 1u);
+    EXPECT_EQ(atom.read(ctx, [](T t) { return t.items(); }),
+              (std::vector<std::pair<std::int64_t, std::int64_t>>(
+                  oracle.begin(), oracle.end())));
     EXPECT_TRUE(atom.read(ctx, [](T t) { return t.check_invariants(); }));
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
@@ -457,15 +477,15 @@ TYPED_TEST(CombiningMatrix, BatchMatchesPerOpOnRandomStreams) {
   }
 }
 
-// Coalesced runs (execute_sorted) against a twin that takes
-// execute_batch's per-op chunks: dense runs build long same-key chains,
-// sparse runs are the unclustered batches the fanout gate of the wide
-// structures (BTree<8>, RbTree) declines. Every run longer than one
-// chunk must be one install whether the gate accepts it or not: a
-// declined run takes the per-op loop inside that same install, under
-// the one pin. Then a bulk ingest of fresh keys and of their erases
-// must land every op.
-TYPED_TEST(CombiningMatrix, ExecuteSortedMatchesExecuteBatchOnCoalescedRuns) {
+// Long unsorted runs, the shape of an executor lane's coalesced tickets,
+// against a twin whose installs apply every op in turn (batch apply
+// off): dense runs build long same-key chains, sparse runs are the
+// unclustered batches the fanout gate of the wide structures (BTree<8>,
+// RbTree) declines. Every run must be one install whether the gate
+// accepts it or not: a declined run takes the per-op loop inside that
+// same install, under the one pin. Then a migration-sized batch of
+// fresh keys and of their erases must land every op.
+TYPED_TEST(CombiningMatrix, LongRunsMatchPerOpTwinInOneInstall) {
   using DS = TypeParam;
   using CA = core::CombiningAtom<DS, reclaim::EpochReclaimer,
                                  alloc::MallocAlloc>;
@@ -474,7 +494,7 @@ TYPED_TEST(CombiningMatrix, ExecuteSortedMatchesExecuteBatchOnCoalescedRuns) {
   alloc::MallocAlloc a1, a2;
   {
     reclaim::EpochReclaimer smr1, smr2;
-    CA sorted(smr1, a1), twin(smr2, a2);
+    CA batched(smr1, a1), twin(smr2, a2);
     twin.set_batch_apply(false);
     typename CA::Ctx c1(smr1, a1), c2(smr2, a2);
     util::Xoshiro256 rng(2718);
@@ -492,32 +512,30 @@ TYPED_TEST(CombiningMatrix, ExecuteSortedMatchesExecuteBatchOnCoalescedRuns) {
           reqs.push_back(Req{K::kErase, k, std::nullopt});
         }
       }
-      std::stable_sort(reqs.begin(), reqs.end(),
-                       [](const Req& x, const Req& y) { return x.key < y.key; });
       auto out1 = std::make_unique<bool[]>(n);
       auto out2 = std::make_unique<bool[]>(n);
-      const std::uint64_t v_before = sorted.version();
-      sorted.execute_sorted(c1, reqs, std::span<bool>(out1.get(), n));
+      const std::uint64_t v_before = batched.version();
+      const std::uint64_t twin_before = twin.version();
+      batched.execute_batch(c1, reqs, std::span<bool>(out1.get(), n));
       twin.execute_batch(c2, reqs, std::span<bool>(out2.get(), n));
       for (int i = 0; i < n; ++i) {
         ASSERT_EQ(out1[i], out2[i]) << "run " << run << " op " << i;
       }
-      if (n > 32) {
-        ++long_runs;
-        ASSERT_EQ(sorted.version(), v_before + 1)
-            << "run " << run << " of " << n << " ops took several installs";
-      }
+      ASSERT_EQ(batched.version(), v_before + 1)
+          << "run " << run << " of " << n << " ops took several installs";
+      ASSERT_EQ(twin.version(), twin_before + 1) << "run " << run;
+      if (n > 32) ++long_runs;
     }
     ASSERT_GT(long_runs, 0u);
     if constexpr (core::ReportsBatchFanout<DS>) {
       EXPECT_GT(c1.stats.batch_declines, 0u) << "no run reached the gate";
     }
-    ASSERT_EQ(sorted.read(c1, [](DS t) { return t.items(); }),
+    ASSERT_EQ(batched.read(c1, [](DS t) { return t.items(); }),
               twin.read(c2, [](DS t) { return t.items(); }));
-    ASSERT_TRUE(sorted.read(c1, [](DS t) { return t.check_invariants(); }));
+    ASSERT_TRUE(batched.read(c1, [](DS t) { return t.check_invariants(); }));
 
-    // Bulk ingest: 5000 keys above every key used so far, then their
-    // erases. Each op lands.
+    // A migration-sized batch: 5000 key-sorted, key-unique inserts above
+    // every key used so far, then their erases. Each op lands.
     constexpr std::size_t kBulk = 5000;
     std::vector<Req> ins, ers;
     for (std::size_t i = 0; i < kBulk; ++i) {
@@ -529,12 +547,12 @@ TYPED_TEST(CombiningMatrix, ExecuteSortedMatchesExecuteBatchOnCoalescedRuns) {
     for (const auto* reqs : {&ins, &ers}) {
       const std::span<bool> res(out.get(), kBulk);
       std::fill(res.begin(), res.end(), false);
-      sorted.ingest_sorted(c1, *reqs, res);
+      batched.execute_batch(c1, *reqs, res);
       for (std::size_t i = 0; i < kBulk; ++i) {
         ASSERT_TRUE(out[i]) << "bulk op " << i << " did not land";
       }
     }
-    ASSERT_EQ(sorted.read(c1, [](DS t) { return t.items(); }),
+    ASSERT_EQ(batched.read(c1, [](DS t) { return t.items(); }),
               twin.read(c2, [](DS t) { return t.items(); }));
   }
   EXPECT_EQ(a1.stats().live_blocks(), 0u);

@@ -13,7 +13,6 @@
 //     clients (the TSan target).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -299,8 +298,12 @@ TEST(Executor, ForcedHotCoalescingMatchesSequentialOracleExactly) {
   MA a1, a2;
   // Coalescing forced hot: the worker starts parked while many small
   // tickets (heavy same-key traffic, so chains cross ticket boundaries)
-  // pile into one lane; a single wakeup then drains and merges them all.
-  // Exact per-op outcomes must equal replaying the tickets sequentially.
+  // pile into one lane; a single wakeup then drains them all into one
+  // coalesced run. Client tickets come in any key order; every 8th task
+  // is migration-shaped instead (key-sorted, key-unique, no scatter map,
+  // as Rebalancer::run_chunked builds them) and coalesces with its
+  // neighbours. Exact per-op outcomes must equal replaying the tasks
+  // sequentially.
   constexpr int kTickets = 120;
   {
     auto map = make_map<CombUc>(1, a1);
@@ -312,7 +315,19 @@ TEST(Executor, ForcedHotCoalescingMatchesSequentialOracleExactly) {
     using K = typename CombUc::OpKind;
     util::Xoshiro256 rng(41);
     std::vector<std::vector<Req>> tickets_reqs(kTickets);
-    for (auto& reqs : tickets_reqs) {
+    for (int t = 0; t < kTickets; ++t) {
+      std::vector<Req>& reqs = tickets_reqs[t];
+      if (t % 8 == 7) {
+        // Migration-shaped: one op per key of a random subset, ascending.
+        const bool insert = rng.chance(1, 2);
+        for (std::int64_t k = 0; k < 16; ++k) {
+          if (!rng.chance(1, 3)) continue;
+          reqs.push_back(insert ? Req{K::kInsert, k, k * 5 + t}
+                                : Req{K::kErase, k, std::nullopt});
+        }
+        if (reqs.empty()) reqs.push_back(Req{K::kErase, 3, std::nullopt});
+        continue;
+      }
       const int n = 1 + static_cast<int>(rng.range(0, 3));
       for (int i = 0; i < n; ++i) {
         const std::int64_t k = rng.range(0, 15);  // 16 keys: dense chains
@@ -322,10 +337,6 @@ TEST(Executor, ForcedHotCoalescingMatchesSequentialOracleExactly) {
           reqs.push_back(Req{K::kErase, k, std::nullopt});
         }
       }
-      // The executor's merge contract: a coalescible task is key-sorted
-      // with same-key ops in application order (what split_batch emits).
-      std::stable_sort(reqs.begin(), reqs.end(),
-                       [](const Req& x, const Req& y) { return x.key < y.key; });
     }
     std::vector<std::unique_ptr<bool[]>> results;
     std::deque<store::BatchTicket> tickets;
@@ -348,7 +359,7 @@ TEST(Executor, ForcedHotCoalescingMatchesSequentialOracleExactly) {
     typename Map<CombUc>::Session oracle(oracle_map, a2);
     for (int t = 0; t < kTickets; ++t) {
       const auto& reqs = tickets_reqs[t];
-      bool buf[8];
+      bool buf[16];
       oracle.execute_batch(reqs, std::span<bool>(buf, reqs.size()));
       for (std::size_t i = 0; i < reqs.size(); ++i) {
         ASSERT_EQ(results[t][i], buf[i])
@@ -363,12 +374,12 @@ TEST(Executor, ForcedHotCoalescingMatchesSequentialOracleExactly) {
     exec.stop();
     exec.fold_into(board);
     const core::OpStats total = board.total();
-    // The parked backlog must have coalesced: far fewer wakes than
-    // tickets, and merged installs absorbing multiple tickets each.
+    // The parked backlog must have coalesced, migration-shaped tasks
+    // included: one wake drained every task into one coalesced run.
     EXPECT_EQ(total.exec_tasks, static_cast<std::uint64_t>(kTickets));
     EXPECT_GT(total.tickets_per_wake(), 1.0);
-    EXPECT_GE(total.exec_coalesced_installs, 1u);
-    EXPECT_GE(total.exec_coalesced_tasks, 2u);
+    EXPECT_EQ(total.exec_coalesced_installs, 1u);
+    EXPECT_EQ(total.exec_coalesced_tasks, static_cast<std::uint64_t>(kTickets));
   }
   EXPECT_EQ(a1.stats().live_blocks(), 0u);
   EXPECT_EQ(a2.stats().live_blocks(), 0u);
@@ -376,7 +387,7 @@ TEST(Executor, ForcedHotCoalescingMatchesSequentialOracleExactly) {
 
 // The store-level route to a coalesced run that the fanout gate declines:
 // a B-tree shard holding every 8th key of [0, 2^20) and four 40-op
-// tickets of uniform random keys parked in one lane. resume() merges
+// tickets of uniform random keys parked in one lane. resume() coalesces
 // them into one 160-op run that lands about one op per leaf, so the
 // gate sends it per op, inside the install that pinned the root.
 // Outcomes and contents must equal a sequential oracle.
@@ -413,8 +424,6 @@ TEST(Executor, GateDeclinedCoalescedRunMatchesSequentialOracle) {
           reqs.push_back(Req{K::kErase, k, std::nullopt});
         }
       }
-      std::stable_sort(reqs.begin(), reqs.end(),
-                       [](const Req& x, const Req& y) { return x.key < y.key; });
     }
     std::array<std::array<bool, kOps>, kTickets> results{};
     std::deque<store::BatchTicket> tickets;
@@ -546,8 +555,8 @@ void refused_tasks_run_on_caller() {
       }
     }
 
-    // A sorted_unique task: ingest_sorted where the backend has it (the
-    // combining one), execute_batch on the plain Atom.
+    // A batch task without a scatter map (the shape of a migration
+    // chunk): op i answers slot i.
     const Req bulk[] = {Req{K::kErase, 2, std::nullopt},
                         Req{K::kInsert, 3, 30}, Req{K::kErase, 6, std::nullopt},
                         Req{K::kInsert, 7, 70}};
@@ -555,7 +564,6 @@ void refused_tasks_run_on_caller() {
     typename Exec::Task bulk_task;
     bulk_task.reqs = std::span<const Req>(bulk);
     bulk_task.results = bulk_out;
-    bulk_task.sorted_unique = true;
     run_refused(bulk_task);
     for (std::size_t i = 0; i < std::size(bulk); ++i) {
       EXPECT_EQ(bulk_out[i], apply(bulk[i])) << "op " << i;
@@ -575,18 +583,8 @@ void refused_tasks_run_on_caller() {
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
-template <class Uc>
-constexpr bool kHasIngestSorted =
-    requires(Uc& uc, typename Uc::Ctx& ctx,
-             std::span<const typename Uc::BatchRequest> reqs,
-             std::span<bool> out) { uc.ingest_sorted(ctx, reqs, out); };
-
 TEST(Executor, SubmitAfterStopIsRefusedNotFatal) {
-  static_assert(kHasIngestSorted<CombUc>);
   refused_tasks_run_on_caller<CombUc>();
-  // The plain Atom has no bulk ingest_sorted path, so its sorted_unique
-  // task takes execute_batch.
-  static_assert(!kHasIngestSorted<PlainUc>);
   refused_tasks_run_on_caller<PlainUc>();
 }
 

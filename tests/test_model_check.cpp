@@ -19,7 +19,9 @@
 //   3. Window sweeps: exhaustive bounded exploration of the install/bump
 //      window (both UC backends, pending-aware linearizability via
 //      ModelHistory), the combining funnel's multi-slot gather window,
-//      the Dekker announce/drain handshake (plus a broken-protocol
+//      the batch install loop's lost-CAS halving (a span longer than
+//      the slot count racing a point insert, oracle-checked), the
+//      Dekker announce/drain handshake (plus a broken-protocol
 //      positive control), the parked-op migration gate, the executor
 //      stop/submit race (including the lock-free lane's windows), the
 //      shard lane itself: the ring's claim/publish window and the
@@ -40,10 +42,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/malloc_alloc.hpp"
@@ -444,6 +448,88 @@ TEST(ModelCheckWindow, CombiningGatherWindowIsLinearizable) {
       10, atom_window_body<CombUc>, kFunnelTags);
   EXPECT_TRUE(res.ok) << res.reason;
   EXPECT_GT(res.schedules, 100u);
+}
+
+// The batch install loop's contention rule. An execute_batch span of
+// four ops on a two-slot combiner (longer than MaxThreads) races a point
+// insert on the span's key across "atom.install". When the point insert
+// wins the root CAS first, the span's install loses and the loop retries
+// with half the span (never below MaxThreads), so the span lands in two
+// installs and the point insert may linearize between them. Every
+// schedule must answer and end as the span applied in order with the
+// point insert at some position in it; some schedule must take the
+// halving branch.
+using TwoSlotCombUc = core::CombiningAtom<T, Epoch, MA, /*MaxThreads=*/2>;
+
+std::optional<std::string> batch_halving_body(VirtualScheduler& vs,
+                                              unsigned& halved) {
+  using Req = TwoSlotCombUc::BatchRequest;
+  using K = TwoSlotCombUc::OpKind;
+  using Items = std::vector<std::pair<std::int64_t, std::int64_t>>;
+  const std::vector<Req> span = {
+      Req{K::kInsert, 3, 31}, Req{K::kErase, 3, std::nullopt},
+      Req{K::kInsert, 1, 10}, Req{K::kInsert, 3, 33}};
+  const Req point{K::kInsert, 3, 50};
+  struct Shared {
+    MA a;
+    Epoch smr;
+    TwoSlotCombUc uc;
+    bool span_out[4] = {};
+    bool point_out = false;
+    core::OpStats span_stats;
+    Items items;
+    Shared() : uc(smr, a) {}
+  };
+  auto sh = std::make_shared<Shared>();
+  vs.spawn([sh, &span] {  // tid 0: the span
+    TwoSlotCombUc::Ctx ctx(sh->smr, sh->a);
+    sh->uc.execute_batch(ctx, span, std::span<bool>(sh->span_out));
+    sh->span_stats = ctx.stats;
+  });
+  vs.spawn([sh, &point] {  // tid 1: the racing point insert
+    TwoSlotCombUc::Ctx ctx(sh->smr, sh->a);
+    const unsigned slot = sh->uc.register_slot();
+    sh->point_out = sh->uc.insert(ctx, slot, point.key, *point.value);
+  });
+  vs.run();
+  {
+    TwoSlotCombUc::Ctx ctx(sh->smr, sh->a);
+    sh->items = sh->uc.read(ctx, [](T t) { return t.items(); });
+  }
+  if (sh->span_stats.cas_failures > 0 && sh->span_stats.updates == 2) {
+    ++halved;
+  }
+  // The oracle: the span in order, the point insert before span op p.
+  for (std::size_t p = 0; p <= span.size(); ++p) {
+    std::map<std::int64_t, std::int64_t> m;
+    const auto apply = [&m](const Req& r) {
+      return r.kind == K::kInsert ? m.emplace(r.key, *r.value).second
+                                  : m.erase(r.key) == 1;
+    };
+    bool want_point = false;
+    bool match = true;
+    for (std::size_t i = 0; i <= span.size(); ++i) {
+      if (i == p) want_point = apply(point);
+      if (i < span.size() && apply(span[i]) != sh->span_out[i]) match = false;
+    }
+    if (match && want_point == sh->point_out &&
+        sh->items == Items(m.begin(), m.end())) {
+      return std::nullopt;
+    }
+  }
+  return "no position of the point insert in the span explains the "
+         "results and contents";
+}
+
+TEST(ModelCheckWindow, BatchLoopHalvesAfterALostInstallAndStaysExact) {
+  unsigned halved = 0;
+  const ExploreResult res = verify::sched::explore_exhaustive(
+      10,
+      [&halved](VirtualScheduler& vs) { return batch_halving_body(vs, halved); },
+      kWindowTags);
+  EXPECT_TRUE(res.ok) << res.reason;
+  EXPECT_GE(res.schedules, 20u);
+  EXPECT_GT(halved, 0u) << "no schedule lost the span's CAS";
 }
 
 // ---------------------------------------------------------------------
