@@ -37,13 +37,14 @@ cmake --build "$mc_dir" -j "$(nproc)" --target test_model_check
 # The filter keeps the smoke time-boxed: random walks (now including the
 # lane ring and park/wake protocols), the replayed regression corpus,
 # the two fast lane mutant positive controls, the batch install loop's
-# lost-CAS halving (exhaustive, a few milliseconds), and the reclaimers'
-# windows (`ModelCheckReclaim.*`: the version-keyed retire/collect window
-# under both pin rules and EBR's pin and retire/advance windows, each
-# exhaustive and well under a second) — the other exhaustive sweeps stay
-# in the modelcheck CI job.
+# lost-CAS halving (exhaustive, a few milliseconds), the calling-thread
+# probe wave over two shards' pins (exhaustive, 55 schedules in a few
+# milliseconds), and the reclaimers' windows (`ModelCheckReclaim.*`: the
+# version-keyed retire/collect window under both pin rules and EBR's pin
+# and retire/advance windows, each exhaustive and well under a second) —
+# the other exhaustive sweeps stay in the modelcheck CI job.
 "$mc_dir/test_model_check" \
-  --gtest_filter='ModelCheckSmoke.*:ModelCheckAtom.CorpusTraceReproducesTheLegacyAba:ModelCheckCut.*:ModelCheckLane.SkippingTheSlotStampCheckLosesAnElement:ModelCheckLane.DroppingTheParkRecheckReopensTheLostWakeup:ModelCheckWindow.BatchLoopHalvesAfterALostInstallAndStaysExact:ModelCheckReclaim.*' \
+  --gtest_filter='ModelCheckSmoke.*:ModelCheckAtom.CorpusTraceReproducesTheLegacyAba:ModelCheckCut.*:ModelCheckLane.SkippingTheSlotStampCheckLosesAnElement:ModelCheckLane.DroppingTheParkRecheckReopensTheLostWakeup:ModelCheckWindow.BatchLoopHalvesAfterALostInstallAndStaysExact:ModelCheckRead.WaveAnswersEachShardFromOnePin:ModelCheckReclaim.*' \
   | tee "$mc_dir/test_model_check.smoke.log"
 
 echo "check.sh: all gates passed"

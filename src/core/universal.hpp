@@ -139,36 +139,104 @@ concept SupportsSortedReadBatch =
       } -> std::same_as<persist::ReadProbeStats>;
     };
 
+/// Structures whose probe sweep can stop at its single-key tails and
+/// park them in a caller's tail buffer (BinaryTree::park_sorted_batch),
+/// so one flush descends the tails of several snapshots' sweeps together
+/// — the store's calling-thread probe wave. Detected like
+/// SupportsSortedReadBatch; the B+tree and the per-key fallback lack it
+/// and sweep in place.
+template <class DS>
+concept SupportsParkedReadBatch =
+    SupportsSortedReadBatch<DS> &&
+    requires(const DS ds, std::span<const typename DS::KeyType> keys,
+             std::span<typename DS::ReadOutcome> out,
+             persist::ReadProbeStats& stats, typename DS::ProbeTails& tails) {
+      ds.park_sorted_batch(keys, out, stats, tails);
+      tails.flush();
+    };
+
 namespace detail {
 
-/// One probe batch against one pinned snapshot: the shared body of
-/// Atom::multi_get and CombiningAtom::multi_get, including their OpStats
-/// accounting. Batch-capable structures get the descent-sharing sweep;
-/// everything else degrades to per-key find() (probe stats stay zero —
-/// there is no sharing to account for). Pure reads either way: no
-/// builder, no allocation. `keys` is non-empty, and the caller's
-/// pin_versioned already counted one read.
+/// One probe batch against one pinned snapshot, without the accounting.
+/// Batch-capable structures get the descent-sharing sweep; everything
+/// else degrades to per-key find() (probe stats stay zero — there is no
+/// sharing to account for). Pure reads either way: no builder, no
+/// allocation.
 template <class DS, class K, class V>
-persist::ReadProbeStats resolve_sorted_probe(
+persist::ReadProbeStats sweep_sorted_probe(
     const DS& snapshot, std::span<const K> keys,
-    std::span<persist::ReadOutcome<V>> out, OpStats& stats) {
-  persist::ReadProbeStats st;
+    std::span<persist::ReadOutcome<V>> out) {
   if constexpr (SupportsSortedReadBatch<DS>) {
-    st = snapshot.get_sorted_batch(keys, out);
+    return snapshot.get_sorted_batch(keys, out);
   } else {
     persist::check_sorted_keys<typename DS::KeyCompare, K>(keys);
     for (std::size_t i = 0; i < keys.size(); ++i) {
       const V* v = snapshot.find(keys[i]);
       if (v != nullptr) out[i].value = *v;
     }
+    return {};
   }
-  stats.reads += keys.size() - 1;
+}
+
+/// The OpStats accounting of one probe sweep over `keys` keys (at least
+/// one), whose pin_versioned already counted one read. Shared by
+/// resolve_sorted_probe and the store's probe wave, so a probe counts the
+/// same whichever path runs it.
+inline void count_sorted_probe(OpStats& stats, std::size_t keys,
+                               const persist::ReadProbeStats& st) {
+  stats.reads += keys - 1;
   stats.read_batches += 1;
-  stats.batched_reads += keys.size();
-  stats.read_batch_hist[OpStats::batch_bucket(keys.size())] += 1;
+  stats.batched_reads += keys;
+  stats.read_batch_hist[OpStats::batch_bucket(keys)] += 1;
   stats.probe_nodes_visited += st.nodes_visited;
   stats.probe_nodes_saved += st.nodes_saved();
+}
+
+/// One probe batch against one pinned snapshot: the shared body of
+/// Atom::multi_get and CombiningAtom::multi_get, including their OpStats
+/// accounting. `keys` is non-empty, and the caller's pin_versioned
+/// already counted one read.
+template <class DS, class K, class V>
+persist::ReadProbeStats resolve_sorted_probe(
+    const DS& snapshot, std::span<const K> keys,
+    std::span<persist::ReadOutcome<V>> out, OpStats& stats) {
+  const persist::ReadProbeStats st =
+      sweep_sorted_probe<DS, K, V>(snapshot, keys, out);
+  count_sorted_probe(stats, keys.size(), st);
   return st;
+}
+
+/// Stand-in tail buffer for structures that sweep in place: nothing is
+/// ever parked, so a flush has nothing to do.
+struct NoProbeTails {
+  void flush() noexcept {}
+};
+
+/// The tail buffer a probe wave over DS snapshots shares.
+template <class DS>
+struct ProbeTailsOf {
+  using type = NoProbeTails;
+};
+template <SupportsParkedReadBatch DS>
+struct ProbeTailsOf<DS> {
+  using type = typename DS::ProbeTails;
+};
+
+/// One snapshot's step of a probe wave: a structure with the park step
+/// runs its descent-sharing partition and parks its single-key tails in
+/// `tails`, whose flush lands their answers and nodes; any other sweeps
+/// in place. Either way `st` is final once `tails` is flushed, and keys,
+/// out, st and the snapshot's pin must last until then.
+template <class DS, class K, class V>
+void sweep_or_park(const DS& snapshot, std::span<const K> keys,
+                   std::span<persist::ReadOutcome<V>> out,
+                   persist::ReadProbeStats& st,
+                   typename ProbeTailsOf<DS>::type& tails) {
+  if constexpr (SupportsParkedReadBatch<DS>) {
+    snapshot.park_sorted_batch(keys, out, st, tails);
+  } else {
+    st = sweep_sorted_probe<DS, K, V>(snapshot, keys, out);
+  }
 }
 
 }  // namespace detail

@@ -199,67 +199,82 @@ const typename Policy::Node* apply_batch_rec(B& b,
   return Policy::join(b, n->key, n->value, l, r);
 }
 
-/// Single-key tails of a probe sweep, descended in interleaved waves.
+/// Single-key tails of probe sweeps, descended in interleaved waves.
 /// Once partitioning narrows a subrange to one key there is nothing left
 /// to share — but the tails are independent descents, so instead of
-/// walking them one at a time (serializing ~log n cache misses each) the
+/// walking them one at a time (serializing ~log n cache misses each) a
 /// sweep parks them here and flush() advances up to kCap of them
 /// round-robin, one level per turn, prefetching each next node before
 /// moving on. By the time a descent comes around again its line is in
-/// flight; a handful of misses overlap instead of queueing. Accounting is
+/// flight; a handful of misses overlap instead of queueing. Each tail
+/// carries its own key, outcome slot and sweep stats, so one buffer can
+/// hold the tails of several snapshots' sweeps (the store's calling-
+/// thread probe wave parks every shard's tails in one). Accounting is
 /// unchanged: every tail node is one visit and one per-key-counterfactual
 /// node, so nodes_saved still reflects only genuinely shared prefixes.
+/// A flush starts every parked tail together and advances each live one
+/// once per pass, so a tail that retires on pass p visited p nodes; it
+/// adds p to its stats then, and the passes keep no per-visit count.
 template <class Cmp, class Node, class K, class V>
 struct ProbeTails {
   static constexpr std::size_t kCap = 16;  // in-flight descents per wave
-  const Node* node[kCap];
-  std::size_t key_at[kCap];
+  struct Tail {
+    const Node* node;
+    const K* key;
+    ReadOutcome<V>* out;
+    ReadProbeStats* stats;
+  };
+  Tail tail[kCap];
   std::size_t count = 0;
 
-  void push(const Node* n, std::size_t i, std::span<const K> keys,
-            std::span<ReadOutcome<V>> out, ReadProbeStats& stats) {
-    if (count == kCap) flush(keys, out, stats);
-    node[count] = n;
-    key_at[count] = i;
-    ++count;
+  /// Parks the descent of `key` from `n`. key, out and stats must stay
+  /// valid, and n's snapshot pinned, until the flush that retires it.
+  void push(const Node* n, const K& key, ReadOutcome<V>& out,
+            ReadProbeStats& stats) {
+    if (count == kCap) flush();
+    tail[count++] = Tail{n, &key, &out, &stats};
   }
 
-  void flush(std::span<const K> keys, std::span<ReadOutcome<V>> out,
-             ReadProbeStats& stats) {
+  void flush() {
     Cmp cmp;
     std::size_t active = count;
-    std::size_t visits = 0;
-    while (active > 0) {
+    for (std::size_t pass = 1; active > 0; ++pass) {
       for (std::size_t i = 0; i < active;) {
-        const Node* n = node[i];
-        ++visits;
-        const K& key = keys[key_at[i]];
+        Tail& t = tail[i];
+        const Node* n = t.node;
         const Node* next;
-        if (cmp(key, n->key)) {
+        if (cmp(*t.key, n->key)) {
           next = n->left;
-        } else if (cmp(n->key, key)) {
+        } else if (cmp(n->key, *t.key)) {
           next = n->right;
         } else {
-          out[key_at[i]].value = n->value;
+          t.out->value = n->value;
           next = nullptr;
         }
         if (next == nullptr) {  // resolved (or ran off a leaf): retire
-          --active;
-          node[i] = node[active];
-          key_at[i] = key_at[active];
+          t.stats->nodes_visited += pass;
+          t.stats->per_key_nodes += pass;
+          tail[i] = tail[--active];
         } else {
           __builtin_prefetch(next);
-          node[i] = next;
+          t.node = next;
           ++i;  // move on; next's cache line fills while others advance
         }
       }
     }
-    stats.nodes_visited += visits;
-    stats.per_key_nodes += visits;
     count = 0;
   }
 };
 
+/// Read-side twin of apply_batch_rec for the internal binary trees: the
+/// body of BinaryTree::park_sorted_batch (binary_tree.hpp), so it serves
+/// the treap, AVL, weight-balanced and red-black trees alike.
+/// keys[lo, hi) are partitioned around each node's key with the same binary
+/// search the write sweep uses, so a key-sorted probe batch shares its
+/// descent prefix and resolves in O(B + log n) visited nodes instead of
+/// O(B log n). Subranges that narrow to a single key leave the partition
+/// and are parked in `tails` for interleaved prefetched descents (see
+/// ProbeTails). Pure reads: no builder, no copies, no allocation.
 template <class Cmp, class Node, class K, class V>
 void read_batch_partition(const Node* n, std::span<const K> keys,
                           std::span<ReadOutcome<V>> out, std::size_t lo,
@@ -267,7 +282,7 @@ void read_batch_partition(const Node* n, std::span<const K> keys,
                           ProbeTails<Cmp, Node, K, V>& tails) {
   if (lo == hi || n == nullptr) return;
   if (hi - lo == 1) {  // nothing left to share: park for interleaved descent
-    tails.push(n, lo, keys, out, stats);
+    tails.push(n, keys[lo], out[lo], stats);
     return;
   }
   stats.nodes_visited += 1;
@@ -287,24 +302,6 @@ void read_batch_partition(const Node* n, std::span<const K> keys,
   read_batch_partition<Cmp>(n->left, keys, out, lo, a, stats, tails);
   read_batch_partition<Cmp>(n->right, keys, out, has_eq ? a + 1 : a, hi, stats,
                             tails);
-}
-
-/// Read-side twin of apply_batch_rec for the internal binary trees: the
-/// body of BinaryTree::get_sorted_batch (binary_tree.hpp), so it serves
-/// the treap, AVL, weight-balanced and red-black trees alike.
-/// keys[lo, hi) are partitioned around each node's key with the same binary
-/// search the write sweep uses, so a key-sorted probe batch shares its
-/// descent prefix and resolves in O(B + log n) visited nodes instead of
-/// O(B log n). Subranges that narrow to a single key leave the partition
-/// and finish as interleaved prefetched descents (see ProbeTails). Pure
-/// reads: no builder, no copies, no allocation (tail buffer is stack).
-template <class Cmp, class Node, class K, class V>
-void read_batch_rec(const Node* n, std::span<const K> keys,
-                    std::span<ReadOutcome<V>> out, std::size_t lo,
-                    std::size_t hi, ReadProbeStats& stats) {
-  ProbeTails<Cmp, Node, K, V> tails;
-  read_batch_partition<Cmp>(n, keys, out, lo, hi, stats, tails);
-  tails.flush(keys, out, stats);
 }
 
 /// Bounded pruned in-order emit over [lo, hi) for the internal binary

@@ -168,19 +168,36 @@ class BinaryTree {
     for_each_range_rec(root_, lo, hi, f);
   }
 
+  /// A tail buffer that may hold the parked tails of several snapshots'
+  /// sweeps (see detail::ProbeTails).
+  using ProbeTails = detail::ProbeTails<Cmp, Node, K, V>;
+
   /// Resolves a key-sorted, key-unique probe batch against this snapshot
   /// in one descent-sharing sweep: out[i] answers keys[i]. Read-only —
   /// zero allocation, no builder — and returns the exact shared-vs-per-key
   /// node accounting (see ReadProbeStats).
   ReadProbeStats get_sorted_batch(std::span<const K> keys,
                                   std::span<ReadOutcome<V>> out) const {
+    ReadProbeStats stats;
+    ProbeTails tails;
+    park_sorted_batch(keys, out, stats, tails);
+    tails.flush();
+    return stats;
+  }
+
+  /// get_sorted_batch's sweep step: the descent-sharing partition, with
+  /// every single-key tail parked in `tails` rather than descended. The
+  /// parked keys' answers, and their nodes in `stats`, land when `tails`
+  /// is flushed, so keys, out and stats must stay valid, and this
+  /// snapshot pinned, until then.
+  void park_sorted_batch(std::span<const K> keys,
+                         std::span<ReadOutcome<V>> out, ReadProbeStats& stats,
+                         ProbeTails& tails) const {
     PC_ASSERT(out.size() >= keys.size(),
               "get_sorted_batch outcome span too small");
     check_sorted_keys<Cmp, K>(keys);
-    ReadProbeStats stats;
-    detail::read_batch_rec<Cmp, Node, K, V>(root_, keys, out, 0, keys.size(),
-                                            stats);
-    return stats;
+    detail::read_batch_partition<Cmp>(root_, keys, out, 0, keys.size(), stats,
+                                      tails);
   }
 
   /// Bounded range scan: appends up to `limit` (key, value) pairs from

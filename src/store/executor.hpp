@@ -57,9 +57,9 @@
 //     in-flight submitters, push a poison task through the ring (FIFO
 //     puts it after every accepted task; the gate lets nothing follow),
 //     and join. A submit that loses the race returns false;
-//     run_shard_tasks then runs that task through run_task on the
-//     calling thread and settles its ticket slot, so nothing is dropped
-//     and nothing aborts.
+//     run_shard_tasks then runs that task on the calling thread (a read
+//     task as a probe wave of one, see run_wave) and settles its ticket
+//     slot, so nothing is dropped and nothing aborts.
 //     *Destruction* is different: like any object, the executor must not
 //     be destroyed while another thread may still call into it — the
 //     race-tolerant shutdown is stop()-then-quiesce-then-destroy.
@@ -76,6 +76,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <utility>
@@ -197,9 +198,21 @@ class ShardExecutor {
     std::chrono::steady_clock::time_point enqueued;  // sampled; see submit
   };
 
-  /// Reusable output buffers for run_task and the worker's merged runs:
-  /// a task with a scatter map lands its results here first. One per
-  /// thread that runs tasks; only capacity persists between calls.
+  /// One shard's read task in a calling-thread probe wave (run_wave): its
+  /// pin, its sweep stats, and where its answers start in the wave's
+  /// outcome buffer.
+  struct WaveProbe {
+    std::size_t shard;
+    Task task;
+    std::optional<typename Uc::VersionedView> view;
+    persist::ReadProbeStats st;
+    std::size_t first = 0;
+  };
+
+  /// Reusable buffers for the calling thread's tasks and the worker's
+  /// merged runs: a task with a scatter map lands its results here first,
+  /// and `wave` gathers the read tasks of one run_wave. One per thread
+  /// that runs tasks; only capacity persists between calls.
   struct TaskScratch {
     std::span<bool> flags(std::size_t n) {
       if (flags_cap < n) {
@@ -219,6 +232,7 @@ class ShardExecutor {
     std::unique_ptr<bool[]> flags_buf;
     std::size_t flags_cap = 0;
     std::vector<ReadOutcome> reads_buf;
+    std::vector<WaveProbe> wave;
   };
 
   struct Options {
@@ -308,25 +322,18 @@ class ShardExecutor {
     return box.lane.push_wait(task);
   }
 
-  /// Runs one task on the calling thread, uncoalesced — the only code
-  /// that does, for every kind: a lane worker's lone task, and a
-  /// client's task when no executor is attached or a stopping one
-  /// refused the submit. A seed task goes through seed_sorted, a read
-  /// task through multi_get, a batch task through execute_batch. Leaves
-  /// the ticket alone.
+  /// Runs one batch or seed task on the calling thread, uncoalesced —
+  /// the only code that does: a lane worker's lone task, and a client's
+  /// task when no executor is attached or a stopping one refused the
+  /// submit. A seed task goes through seed_sorted, a batch task through
+  /// execute_batch. Read tasks run in probe waves (run_wave) on a
+  /// client's thread and in merged sweeps on a worker. Leaves the ticket
+  /// alone.
   static void run_task(Uc& uc, Ctx& ctx, const Task& task,
                        TaskScratch& scratch) {
+    PC_DASSERT(!is_read(task), "read tasks run as probe waves");
     if (task.seed != nullptr) {
       uc.seed_sorted(ctx, task.seed->begin(), task.seed->end());
-      return;
-    }
-    if (is_read(task)) {
-      const std::span<ReadOutcome> out = scratch.reads(task.keys.size());
-      uc.multi_get(ctx, task.keys, out);
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        task.read_results[task.scatter != nullptr ? task.scatter[i] : i] =
-            std::move(out[i]);
-      }
       return;
     }
     const std::size_t n = task.reqs.size();
@@ -340,6 +347,61 @@ class ShardExecutor {
       }
     }
   }
+
+  /// Runs the read tasks gathered in scratch.wave on the calling thread
+  /// as one probe wave, then empties it — the only code that runs a read
+  /// task there (every read task of a call with no executor attached, or
+  /// one a stopping executor refused). It pins every shard in the wave,
+  /// runs each shard's descent-sharing partition with the single-key
+  /// tails of all of them parked in one shared tail buffer, flushes that
+  /// buffer once (so up to ProbeTails::kCap descents from any shards
+  /// overlap their cache misses), then counts each shard's probe on that
+  /// shard's ctx, scatters the answers and unpins. Each shard's answers
+  /// come from the one root pinned for it. Structures without the park
+  /// step sweep each shard in place inside the same loop
+  /// (core::detail::sweep_or_park).
+  template <class Map>
+  static void run_wave(Map& map, std::span<Ctx> ctxs, TaskScratch& scratch) {
+    using Structure = typename Uc::Structure;
+    std::vector<WaveProbe>& wave = scratch.wave;
+    if (wave.empty()) return;
+    // Clearing the wave drops its pins: on return, and on a throw.
+    struct Unpin {
+      std::vector<WaveProbe>* wave;
+      ~Unpin() { wave->clear(); }
+    } unpin{&wave};
+    std::size_t total = 0;
+    for (WaveProbe& p : wave) {
+      p.first = total;
+      total += p.task.keys.size();
+    }
+    const std::span<ReadOutcome> out = scratch.reads(total);
+    for (WaveProbe& p : wave) {
+      p.view.emplace(map.shard(p.shard).pin_versioned(ctxs[p.shard]));
+    }
+    typename core::detail::ProbeTailsOf<Structure>::type tails;
+    for (WaveProbe& p : wave) {
+      core::detail::sweep_or_park<Structure, Key, Value>(
+          p.view->snapshot, p.task.keys,
+          out.subspan(p.first, p.task.keys.size()), p.st, tails);
+    }
+    // The model checker's wave window: every shard is pinned, and the
+    // flush must still answer each parked key from its own shard's pin.
+    PC_YIELD("store.mget.wave");
+    tails.flush();
+    for (const WaveProbe& p : wave) {
+      core::detail::count_sorted_probe(ctxs[p.shard].stats,
+                                       p.task.keys.size(), p.st);
+      for (std::size_t i = 0; i < p.task.keys.size(); ++i) {
+        p.task.read_results[p.task.scatter != nullptr ? p.task.scatter[i]
+                                                      : i] =
+            std::move(out[p.first + i]);
+      }
+    }
+  }
+
+  /// A read task: it carries a probe span and an outcome array.
+  static bool is_read(const Task& t) { return t.read_results != nullptr; }
 
   /// Detaches from the map, poisons every lane (drain-then-park-poison:
   /// stop gate, quiesce in-flight submitters, poison through the ring),
@@ -409,7 +471,6 @@ class ShardExecutor {
     return t.seed == nullptr && !t.poison && t.read_results == nullptr;
   }
 
-  static bool is_read(const Task& t) { return t.read_results != nullptr; }
   /// A read task not yet absorbed by a merged sweep of this drain.
   static bool unread(const Task& t) { return is_read(t) && !t.done; }
 
@@ -646,8 +707,10 @@ class ShardExecutor {
 /// The one place shard work chooses between a shard's lane and the
 /// calling thread. For each shard s with has_work(s), make_task(s) runs
 /// on s's lane when `map` has an executor attached (read once), else on
-/// this thread through run_task with ctxs[s]. A submit that a stopping
-/// executor refuses runs through run_task here and settles its ticket
+/// this thread with ctxs[s]: a batch or seed task through run_task, and
+/// the call's read tasks together as one probe wave (run_wave), whatever
+/// the number of shards. A submit that a stopping executor refuses runs
+/// here the same way (a read as a wave of one) and settles its ticket
 /// slot, so no task is dropped. Returns once every task has completed;
 /// the storage the tasks reference must live until then.
 template <class Map, class HasWork, class MakeTask>
@@ -657,13 +720,21 @@ void run_shard_tasks(
     HasWork&& has_work, MakeTask&& make_task) {
   using Exec = ShardExecutor<typename Map::Backend>;
   const std::size_t n = map.shard_count();
+  // A read task joins this thread's next wave; any other runs now.
+  const auto run_here = [&](std::size_t s, const typename Exec::Task& task) {
+    if (!Exec::is_read(task)) {
+      Exec::run_task(map.shard(s), ctxs[s], task, scratch);
+    } else if (!task.keys.empty()) {
+      scratch.wave.push_back({s, task, std::nullopt, {}, 0});
+    }
+  };
   Exec* const exec = map.executor();
   if (exec == nullptr) {
+    scratch.wave.clear();  // non-empty only if a throw cut a gather short
     for (std::size_t s = 0; s < n; ++s) {
-      if (has_work(s)) {
-        Exec::run_task(map.shard(s), ctxs[s], make_task(s), scratch);
-      }
+      if (has_work(s)) run_here(s, make_task(s));
     }
+    Exec::run_wave(map, ctxs, scratch);
     return;
   }
   unsigned pending = 0;
@@ -678,7 +749,8 @@ void run_shard_tasks(
     typename Exec::Task task = make_task(s);
     task.ticket = &ticket;
     if (!exec->submit(s, task)) {
-      Exec::run_task(map.shard(s), ctxs[s], task, scratch);
+      run_here(s, task);
+      Exec::run_wave(map, ctxs, scratch);
       ticket.complete_one();
     }
   }

@@ -38,8 +38,9 @@
 // sequential shard walk, and a backed-up lane hands its queued batch
 // tickets to the backend's execute_batch as one span. Without one, the
 // same tasks run on the calling thread: run_shard_tasks is the one place
-// that picks lane or thread, and ShardExecutor::run_task the one
-// function that runs a task there.
+// that picks lane or thread, ShardExecutor::run_task the one function
+// that runs a batch or seed task there, and ShardExecutor::run_wave the
+// one that runs a call's read tasks there, as one probe wave.
 //
 // Routing: a TabletRouter (store/tablet_router.hpp) assigns sorted key
 // tablets to shards. Ordered cross-shard reads walk that table in key
@@ -331,8 +332,9 @@ class ShardedMap<Uc, RouterT>::Session {
   /// bump, no allocation on the shard), and scatters the answers back.
   /// With an executor attached, probes ride the shard lanes as read
   /// tasks and coalesce with other sessions' probes (see
-  /// ShardExecutor::exec_read_merged); otherwise shards are probed
-  /// synchronously from this thread.
+  /// ShardExecutor::exec_read_merged); otherwise this thread probes every
+  /// shard in one wave (ShardExecutor::run_wave): all of them pinned,
+  /// their single-key descents interleaved in one prefetched tail buffer.
   ///
   /// Snapshot semantics: each SHARD's answers come from one snapshot;
   /// keys on different shards may observe different instants (like a
@@ -366,8 +368,8 @@ class ShardedMap<Uc, RouterT>::Session {
       return task;
     });
     // Duplicate client keys were dropped from the probe lists (they must
-    // be strictly increasing); every duplicate copies its first
-    // occurrence's answer — same snapshot, same value.
+    // be strictly increasing); every duplicate copies the answer of the
+    // occurrence that was probed — same snapshot, same value.
     for (const auto& [dst, src] : dup_fixups_) out[dst] = out[src];
   }
 
@@ -500,15 +502,15 @@ class ShardedMap<Uc, RouterT>::Session {
 
   // ----- batch ingest (split across shards) -----
 
-  /// Splits a client batch into per-shard, key-sorted sub-batches (stable
-  /// on the original order, so same-key chains keep their issue order and
-  /// per-op semantics survive the reorder — ops on distinct keys commute,
-  /// and same-key ops always land on the same shard), feeds each shard's
-  /// install path, and scatters the per-op results back into
-  /// `results_out` aligned with `reqs`. A one-shard map skips the split:
-  /// the batch is shard 0's task as it stands. With an executor attached
-  /// the sub-batches go through the per-shard worker queues concurrently
-  /// and this call joins on their ticket; otherwise shards are visited
+  /// Splits a client batch into per-shard sub-batches in issue order
+  /// (same-key ops always land on the same shard, so every same-key chain
+  /// keeps its order; no backend needs key order — the combining install
+  /// sorts, the plain Atom applies op by op), feeds each shard's install
+  /// path, and scatters the per-op results back into `results_out`
+  /// aligned with `reqs`. A one-shard map skips the split: the batch is
+  /// shard 0's task as it stands. With an executor attached the
+  /// sub-batches go through the per-shard worker queues concurrently and
+  /// this call joins on their ticket; otherwise shards are visited
   /// synchronously from this thread.
   ///
   /// Not re-entrant: the split index and sub-batch storage live in
@@ -715,20 +717,14 @@ class ShardedMap<Uc, RouterT>::Session {
   }
 
   /// Routes client items [0, n) to their shards under `e`: split_[s]
-  /// lists shard s's client indices, stably sorted by key, so same-key
-  /// items keep their submission order. split_[s] doubles as the scatter
-  /// map of shard s's task: its j-th item answers client item split_[s][j].
+  /// lists shard s's client indices in issue order. split_[s] doubles as
+  /// the scatter map of shard s's task: its j-th item answers client item
+  /// split_[s][j].
   template <class KeyOf>
   void split_by_shard(const Epoch* e, std::size_t n, KeyOf&& key_of) {
     for (auto& idx : split_) idx.clear();
     for (std::size_t i = 0; i < n; ++i) {
       split_[e->router(key_of(i), map_->shard_count())].push_back(i);
-    }
-    for (std::vector<std::size_t>& idx : split_) {
-      std::stable_sort(idx.begin(), idx.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return key_less(key_of(a), key_of(b));
-                       });
     }
   }
 
@@ -747,8 +743,9 @@ class ShardedMap<Uc, RouterT>::Session {
 
   /// Splits probe keys and materializes each shard's probe list in
   /// probe_keys_by_shard_. Probe lists must be strictly increasing, so
-  /// duplicates are dropped here and recorded in dup_fixups_ as
-  /// (duplicate index, kept index) pairs to settle after the probes.
+  /// each shard's indices are sorted by key and duplicates are dropped
+  /// here and recorded in dup_fixups_ as (duplicate index, kept index)
+  /// pairs to settle after the probes.
   void split_probe(const Epoch* e, std::span<const Key> keys) {
     split_by_shard(e, keys.size(),
                    [&](std::size_t i) -> const Key& { return keys[i]; });
@@ -758,6 +755,9 @@ class ShardedMap<Uc, RouterT>::Session {
       std::vector<std::size_t>& idx = split_[s];
       std::vector<Key>& probe = probe_keys_by_shard_[s];
       probe.clear();
+      std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+        return key_less(keys[a], keys[b]);
+      });
       std::size_t w = 0;
       for (std::size_t j = 0; j < idx.size(); ++j) {
         if (w > 0 && !key_less(keys[idx[w - 1]], keys[idx[j]])) {

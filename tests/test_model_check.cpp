@@ -29,7 +29,8 @@
 //      (dropped slot-stamp check, dropped park re-read) the checker
 //      must catch — and the batched read path: multi_get's single-pin
 //      sweep racing atomic pair-flip installs (with a pin-per-key
-//      mutant the search must tear), plus the read-ticket/stop race —
+//      mutant the search must tear), the calling-thread probe wave over
+//      two shards' pins, plus the read-ticket/stop race —
 //      and the reclaimers' windows: the version-keyed retire/collect
 //      window under both pin rules, and EBR's pin and retire/advance
 //      windows (a reader's root must outlive its guard).
@@ -1017,11 +1018,82 @@ TEST(ModelCheckRead, RePinningMidSweepIsCaught) {
   EXPECT_TRUE(again.has_value()) << "failing trace did not replay";
 }
 
+// The calling-thread probe wave. With no executor attached, a
+// Session::multi_get pins every shard it probes, parks all their
+// single-key tails in one buffer and flushes it after the
+// "store.mget.wave" yield. Two shards each hold one invariant pair
+// ({1, 2} on shard 0, {601, 602} on shard 1, seeded 10 + 90); a writer
+// flips each shard's pair in one install (erase both, then insert both
+// as 33 + 67) while a reader multi_gets all four keys in one call. On
+// every schedule each shard's pair must come from one root: both present
+// or both absent, and present values summing to 100.
+const std::vector<std::string> kWaveTags = {"atom.install", "atom.bump",
+                                            "store.mget.wave"};
+
+constexpr std::int64_t kWavePairs[2][2] = {{1, 2}, {601, 602}};
+
+std::optional<std::string> wave_body(VirtualScheduler& vs) {
+  using Map = store::ShardedMap<FixedAtom, TabR>;
+  struct Shared {
+    MA a;
+    Map map;
+    std::optional<std::string> fail;
+    Shared() : map(2, a, TabR::uniform(0, 1024, 2)) {}
+  };
+  auto sh = std::make_shared<Shared>();
+  for (std::size_t s = 0; s < 2; ++s) {
+    typename FixedAtom::Ctx ctx(sh->map.shard(s).reclaimer(), sh->a);
+    sh->map.shard(s).update(ctx, [s](T t, auto& b) {
+      return t.insert(b, kWavePairs[s][0], 10).insert(b, kWavePairs[s][1], 90);
+    });
+  }
+
+  vs.spawn([sh] {  // tid 0: one multi_get, one wave over both shards
+    typename Map::Session sess(sh->map, sh->a);
+    const std::int64_t keys[] = {602, 1, 601, 2};
+    typename FixedAtom::ReadOutcome out[4];
+    sess.multi_get(std::span<const std::int64_t>(keys, 4),
+                   std::span<typename FixedAtom::ReadOutcome>(out, 4));
+    // (first, second) of shard 0's pair, then of shard 1's.
+    const typename FixedAtom::ReadOutcome* pairs[2][2] = {{&out[1], &out[3]},
+                                                          {&out[2], &out[0]}};
+    for (const auto& p : pairs) {
+      if (p[0]->present() != p[1]->present()) {
+        sh->fail = "the wave saw a half-present pair: two roots on a shard";
+      } else if (p[0]->present() && *p[0]->value + *p[1]->value != 100) {
+        sh->fail = "the wave blended one shard's values from two versions";
+      }
+    }
+  });
+  vs.spawn([sh] {  // tid 1: each shard's pair flips in one install
+    for (std::size_t s = 0; s < 2; ++s) {
+      typename FixedAtom::Ctx ctx(sh->map.shard(s).reclaimer(), sh->a);
+      sh->map.shard(s).update(ctx, [s](T t, auto& b) {
+        return t.erase(b, kWavePairs[s][0]).erase(b, kWavePairs[s][1]);
+      });
+      sh->map.shard(s).update(ctx, [s](T t, auto& b) {
+        return t.insert(b, kWavePairs[s][0], 33)
+            .insert(b, kWavePairs[s][1], 67);
+      });
+    }
+  });
+  vs.run();
+  return sh->fail;
+}
+
+TEST(ModelCheckRead, WaveAnswersEachShardFromOnePin) {
+  const ExploreResult res =
+      verify::sched::explore_exhaustive(12, wave_body, kWaveTags);
+  EXPECT_TRUE(res.ok) << "schedule " << res.schedules << ": " << res.reason;
+  EXPECT_GT(res.schedules, 20u);
+}
+
 // The read-task drain window end to end: a client's probe ticket racing
 // executor shutdown through run_shard_tasks either rides the lane (the
 // worker's merged pin → sweep → scatter path, exec_read_merged) or is
-// refused, or finds the executor detached, and runs through run_task on
-// the client's thread — the answer arrives exactly once either way. The worker is a real OS thread, so its
+// refused, or finds the executor detached, and runs as a probe wave of
+// one on the client's thread (run_wave) — the answer arrives exactly
+// once either way. The worker is a real OS thread, so its
 // "exec.read.sweep"/"exec.read.scatter" yields are pass-throughs here;
 // the race is explored from the client and stopper sides. "ticket.join"
 // is left out, as in kExecTags: the worker completes the ticket, so how

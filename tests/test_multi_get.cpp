@@ -11,18 +11,26 @@
 //   * Session::multi_get — unsorted, duplicate-laden client key sets are
 //     split per shard, probed against one snapshot per shard, and
 //     scattered back aligned with the input;
+//   * per-shard accounting — with no executor, a call's probes run as one
+//     wave over every shard, and each shard's counters still read exactly
+//     what that shard's own multi_get would have added;
 //   * single-snapshot reads under churn — a reader's per-shard probe must
 //     never blend two versions: with a writer atomically flip-flopping an
-//     invariant-carrying key pair, every multi_get observes a consistent
-//     pair (the TSan target, executor attached so probes ride read tasks).
+//     invariant-carrying key pair on each of two shards, every multi_get
+//     observes consistent pairs (the TSan target: with an executor, so
+//     probes ride read tasks, and without, so one wave holds both shards'
+//     pins and interleaves their tails).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "alloc/malloc_alloc.hpp"
@@ -262,49 +270,150 @@ TEST(MultiGetSession, SplitsScattersAndScans) {
   }
 }
 
-/// The single-snapshot property under churn, executor attached so
-/// probes ride the shard lanes as read tasks (the TSan target).
-///
-/// A writer flip-flops two invariant-carrying key pairs on one shard:
-/// each batch atomically erases the live pair and installs the other
-/// with values summing to kSum (key-unique batch → one install). Any
-/// multi_get that blended two versions would see a half-present pair or
-/// a sum from two rounds.
+/// With no executor a Session::multi_get is one probe wave over every
+/// shard, its single-key tails parked in one shared buffer. Each shard's
+/// counters must still read exactly what that shard's own uc.multi_get,
+/// over the same probe list, adds to a fresh ctx: the same reads, batch
+/// counts, batch-size histogram and probe node counts. A wave that
+/// credited parked tails to the wrong shard's stats would keep the
+/// whole-store sums and fail here. The B+tree (in-place sweep) and the
+/// external BST (per-key fallback) cover the structures without the park
+/// step.
 template <class Uc>
-void single_snapshot_under_churn() {
-  constexpr std::int64_t kA1 = 10, kA2 = 20, kB1 = 30, kB2 = 40;
+void wave_accounts_each_shard_exactly(std::uint64_t seed) {
+  using Outcome = typename Map<Uc>::ReadOutcome;
+  MA a;
+  {
+    Map<Uc> map(4, a, TabR::uniform(0, 1024, 4));
+    typename Map<Uc>::Session s(map, a);
+    util::Xoshiro256 rng(seed);
+    for (int i = 0; i < 600; ++i) {
+      const std::int64_t k = rng.range(0, 1024);
+      s.insert(k, k * 3);
+    }
+    for (int round = 0; round < 10; ++round) {
+      // Unsorted, with duplicates and absent keys.
+      std::vector<std::int64_t> keys;
+      for (int i = 0; i < 64; ++i) keys.push_back(rng.range(0, 1100));
+      for (int i = 0; i < 8; ++i) keys.push_back(keys[i]);
+      std::vector<core::OpStats> before;
+      for (std::size_t sh = 0; sh < 4; ++sh) {
+        before.push_back(s.shard_stats(sh));
+      }
+      std::vector<Outcome> out(keys.size());
+      s.multi_get(std::span<const std::int64_t>(keys),
+                  std::span<Outcome>(out));
+      std::vector<std::set<std::int64_t>> lists(4);
+      for (const std::int64_t k : keys) lists[map.shard_of(k)].insert(k);
+      for (std::size_t sh = 0; sh < 4; ++sh) {
+        SCOPED_TRACE(testing::Message()
+                     << "round " << round << " shard " << sh);
+        ASSERT_FALSE(lists[sh].empty());
+        const std::vector<std::int64_t> probe(lists[sh].begin(),
+                                              lists[sh].end());
+        std::vector<Outcome> own(probe.size());
+        typename Uc::Ctx ctx(map.shard(sh).reclaimer(), a);
+        map.shard(sh).multi_get(ctx, std::span<const std::int64_t>(probe),
+                                std::span<Outcome>(own));
+        const core::OpStats& got = s.shard_stats(sh);
+        const core::OpStats& want = ctx.stats;
+        EXPECT_EQ(got.reads - before[sh].reads, want.reads);
+        EXPECT_EQ(got.read_batches - before[sh].read_batches,
+                  want.read_batches);
+        EXPECT_EQ(got.batched_reads - before[sh].batched_reads,
+                  want.batched_reads);
+        EXPECT_EQ(got.probe_nodes_visited - before[sh].probe_nodes_visited,
+                  want.probe_nodes_visited);
+        EXPECT_EQ(got.probe_nodes_saved - before[sh].probe_nodes_saved,
+                  want.probe_nodes_saved);
+        for (std::size_t b = 0; b < want.read_batch_hist.size(); ++b) {
+          EXPECT_EQ(got.read_batch_hist[b] - before[sh].read_batch_hist[b],
+                    want.read_batch_hist[b])
+              << "bucket " << b;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(a.stats().live_blocks(), 0u);
+}
+
+TEST(MultiGetSession, WaveAccountsEachShardExactly) {
+  wave_accounts_each_shard_exactly<PlainUc>(931);
+  wave_accounts_each_shard_exactly<CombUc>(932);
+  wave_accounts_each_shard_exactly<core::CombiningAtom<Btree, Smr, MA>>(933);
+  wave_accounts_each_shard_exactly<core::Atom<Ebst, Smr, MA>>(934);
+}
+
+/// The single-snapshot property under churn (the TSan target), with an
+/// executor attached, so probes ride the shard lanes as read tasks, and
+/// without one, so every multi_get is one calling-thread wave that pins
+/// both shards and interleaves their tails in one buffer.
+///
+/// A writer flip-flops one invariant-carrying key pair on each of two
+/// shards: each flip atomically erases a shard's live pair and installs
+/// the other with values summing to kSum, one batch per shard (a
+/// key-unique batch on one shard is one install). Any multi_get that
+/// blended two versions of a shard would see a half-present pair or a
+/// sum from two rounds.
+template <class Uc>
+void single_snapshot_under_churn(bool with_executor) {
+  // Per shard: pair A = {keys[0], keys[1]}, pair B = {keys[2], keys[3]}.
+  // Shard 0 holds [0, 256), shard 1 [256, 512).
+  constexpr std::int64_t kPairs[2][4] = {{10, 20, 30, 40},
+                                         {300, 310, 320, 330}};
   constexpr std::int64_t kSum = 100000;
   MA a;
   {
     Map<Uc> map(4, a, TabR::uniform(0, 1024, 4));
-    store::ShardExecutor<Uc> exec(map, shared_alloc_factory<Uc>(a));
+    std::optional<store::ShardExecutor<Uc>> exec;
+    if (with_executor) exec.emplace(map, shared_alloc_factory<Uc>(a));
     using Req = typename Uc::BatchRequest;
     using K = typename Uc::OpKind;
     {
       typename Map<Uc>::Session s(map, a);
-      const Req seed[] = {Req{K::kInsert, kA1, 0},
-                          Req{K::kInsert, kA2, kSum}};
-      bool r[2];
-      s.execute_batch(std::span<const Req>(seed, 2), r);
+      for (const auto& p : kPairs) {
+        const Req seed[] = {Req{K::kInsert, p[0], 0},
+                            Req{K::kInsert, p[1], kSum}};
+        bool r[2];
+        s.execute_batch(std::span<const Req>(seed, 2), r);
+      }
     }
     std::atomic<bool> stop{false};
     std::thread writer([&] {
       typename Map<Uc>::Session s(map, a);
-      bool a_live = true;
+      typename Uc::Ctx ctxs[2] = {{map.shard(0).reclaimer(), a},
+                                  {map.shard(1).reclaimer(), a}};
+      bool a_live[2] = {true, true};
       std::int64_t x = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        x = (x + 7919) % kSum;
-        const std::int64_t dead1 = a_live ? kA1 : kB1;
-        const std::int64_t dead2 = a_live ? kA2 : kB2;
-        const std::int64_t live1 = a_live ? kB1 : kA1;
-        const std::int64_t live2 = a_live ? kB2 : kA2;
-        const Req flip[] = {Req{K::kErase, dead1, std::nullopt},
-                            Req{K::kErase, dead2, std::nullopt},
-                            Req{K::kInsert, live1, x},
-                            Req{K::kInsert, live2, kSum - x}};
-        bool r[4];
-        s.execute_batch(std::span<const Req>(flip, 4), r);
-        a_live = !a_live;
+        for (std::size_t sh = 0; sh < 2; ++sh) {
+          const std::int64_t* p = kPairs[sh];
+          x = (x + 7919) % kSum;
+          const std::size_t dead = a_live[sh] ? 0 : 2;
+          const std::size_t live = a_live[sh] ? 2 : 0;
+          a_live[sh] = !a_live[sh];
+          const Req flip[] = {Req{K::kErase, p[dead], std::nullopt},
+                              Req{K::kErase, p[dead + 1], std::nullopt},
+                              Req{K::kInsert, p[live], x},
+                              Req{K::kInsert, p[live + 1], kSum - x}};
+          if constexpr (std::is_same_v<Uc, PlainUc>) {
+            if (!with_executor) {
+              // The plain Atom's execute_batch installs op by op; only a
+              // lane, which runs the batch task whole between read tasks,
+              // makes it atomic to probes. Without one, flip in one update.
+              map.shard(sh).update(ctxs[sh], [&](Treap t, auto& b) {
+                for (const Req& r : flip) {
+                  t = r.kind == K::kErase ? t.erase(b, r.key)
+                                          : t.insert(b, r.key, *r.value);
+                }
+                return t;
+              });
+              continue;
+            }
+          }
+          bool r[4];
+          s.execute_batch(std::span<const Req>(flip, 4), r);
+        }
       }
     });
     std::vector<std::thread> readers;
@@ -312,23 +421,29 @@ void single_snapshot_under_churn() {
     for (int t = 0; t < 2; ++t) {
       readers.emplace_back([&] {
         typename Map<Uc>::Session s(map, a);
-        const std::int64_t keys[] = {kA1, kA2, kB1, kB2};
+        // Unsorted across the two shards; the split sorts each shard's.
+        const std::int64_t keys[] = {330, 10, 310, 20, 300, 30, 320, 40};
         for (int i = 0; i < 1500; ++i) {
-          typename Map<Uc>::ReadOutcome out[4];
-          s.multi_get(std::span<const std::int64_t>(keys, 4),
-                      std::span<typename Map<Uc>::ReadOutcome>(out, 4));
-          const bool a_pair = out[0].present();
-          const bool b_pair = out[2].present();
-          // Pairs flip atomically: never half-present, never both or
-          // neither live, and the live pair's values are one round's.
-          if (out[1].present() != a_pair || out[3].present() != b_pair ||
-              a_pair == b_pair) {
-            violations.fetch_add(1);
-            continue;
+          typename Map<Uc>::ReadOutcome out[8];
+          s.multi_get(std::span<const std::int64_t>(keys, 8),
+                      std::span<typename Map<Uc>::ReadOutcome>(out, 8));
+          const auto answer = [&](std::int64_t k) -> const auto& {
+            return out[std::find(keys, keys + 8, k) - keys];
+          };
+          for (const auto& p : kPairs) {
+            const auto &a1 = answer(p[0]), &a2 = answer(p[1]);
+            const auto &b1 = answer(p[2]), &b2 = answer(p[3]);
+            // Pairs flip atomically: never half-present, never both or
+            // neither live, and the live pair's values are one round's.
+            if (a2.present() != a1.present() || b2.present() != b1.present() ||
+                a1.present() == b1.present()) {
+              violations.fetch_add(1);
+              continue;
+            }
+            const std::int64_t sum = a1.present() ? *a1.value + *a2.value
+                                                  : *b1.value + *b2.value;
+            if (sum != kSum) violations.fetch_add(1);
           }
-          const std::int64_t sum = a_pair ? *out[0].value + *out[1].value
-                                          : *out[2].value + *out[3].value;
-          if (sum != kSum) violations.fetch_add(1);
         }
       });
     }
@@ -336,16 +451,22 @@ void single_snapshot_under_churn() {
     stop.store(true);
     writer.join();
     EXPECT_EQ(violations.load(), 0) << "a multi_get blended two versions";
-    exec.stop();
+    if (exec) exec->stop();
   }
   EXPECT_EQ(a.stats().live_blocks(), 0u);
 }
 
 TEST(MultiGetConcurrent, SingleSnapshotUnderChurnAtom) {
-  single_snapshot_under_churn<PlainUc>();
+  for (const bool with_executor : {true, false}) {
+    SCOPED_TRACE(with_executor ? "executor attached" : "no executor");
+    single_snapshot_under_churn<PlainUc>(with_executor);
+  }
 }
 TEST(MultiGetConcurrent, SingleSnapshotUnderChurnCombining) {
-  single_snapshot_under_churn<CombUc>();
+  for (const bool with_executor : {true, false}) {
+    SCOPED_TRACE(with_executor ? "executor attached" : "no executor");
+    single_snapshot_under_churn<CombUc>(with_executor);
+  }
 }
 
 }  // namespace
